@@ -1,8 +1,8 @@
 #include "sim/arrival_batch.hpp"
 
 #include <cmath>
+#include <type_traits>
 
-#include "sim/traffic.hpp"
 #include "util/assert.hpp"
 
 #if defined(KNCUBE_NATIVE_ARCH) && defined(__AVX2__)
@@ -16,6 +16,31 @@ namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int r) noexcept {
   return (x << r) | (x >> (64 - r));
+}
+
+/// One xoshiro256** step on a node's four state words (the scalar
+/// util::Xoshiro256::operator()): returns the output, advances the state.
+inline std::uint64_t xs_step(std::uint64_t& s0, std::uint64_t& s1,
+                             std::uint64_t& s2, std::uint64_t& s3) noexcept {
+  const std::uint64_t x = rotl(s1 * 5, 7) * 9;
+  const std::uint64_t t = s1 << 17;
+  s2 ^= s0;
+  s3 ^= s1;
+  s1 ^= s2;
+  s0 ^= s3;
+  s2 ^= t;
+  s3 = rotl(s3, 45);
+  return x;
+}
+
+/// The integer fire predicate for threshold t (bernoulli_fire_threshold).
+constexpr bool fires_below(std::uint64_t x, std::uint64_t t) noexcept {
+  return (x >> 11) < t;
+}
+
+/// All-ones when `b`, else zero (branch-free blend masks).
+constexpr std::uint64_t mask_if(bool b) noexcept {
+  return std::uint64_t{0} - static_cast<std::uint64_t>(b);
 }
 
 }  // namespace
@@ -86,6 +111,55 @@ void ArrivalBatch::generate() {
     generate_bernoulli();
   } else {
     generate_mmpp();
+  }
+}
+
+void ArrivalBatch::fill(TrafficPattern& pattern, std::uint32_t cycles) {
+  KNC_ASSERT(cycles >= 1);
+  fires_.resize(cycles);
+  for (std::vector<Fire>& list : fires_) list.clear();
+  // Node-major: one node's whole block in registers, then the next. Nodes'
+  // streams are independent, so only each node's own draw order matters —
+  // per cycle its fixed draws, then (on a fire) its destination draws —
+  // and appending in node order leaves every cycle's list ascending.
+  const auto run = [&](auto mmpp) {
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (alive_[i] == 0) continue;  // dead nodes' streams stay frozen
+      std::uint64_t a0 = s0_[i], a1 = s1_[i], a2 = s2_[i], a3 = s3_[i];
+      bool burst = false;
+      if constexpr (decltype(mmpp)::value) burst = burst_[i] != 0;
+      const auto node = static_cast<topo::NodeId>(i);
+      for (std::uint32_t c = 0; c < cycles; ++c) {
+        bool fire;
+        if constexpr (decltype(mmpp)::value) {
+          // Transition first, then emit at the new state's rate.
+          const std::uint64_t x1 = xs_step(a0, a1, a2, a3);
+          burst = burst ? !fires_below(x1, t_leave_) : fires_below(x1, t_enter_);
+          fire = fires_below(xs_step(a0, a1, a2, a3), burst ? t_burst_ : t_idle_);
+        } else {
+          fire = fires_below(xs_step(a0, a1, a2, a3), t_fire_);
+        }
+        if (!fire) continue;
+        std::uint64_t st[4] = {a0, a1, a2, a3};
+        util::Xoshiro256 rng = util::Xoshiro256::from_state(st);
+        fires_[c].push_back({node, pattern.pick_dest(node, rng)});
+        rng.save_state(st);
+        a0 = st[0];
+        a1 = st[1];
+        a2 = st[2];
+        a3 = st[3];
+      }
+      s0_[i] = a0;
+      s1_[i] = a1;
+      s2_[i] = a2;
+      s3_[i] = a3;
+      if constexpr (decltype(mmpp)::value) burst_[i] = mask_if(burst);
+    }
+  };
+  if (kind_ == Arrivals::kMmpp) {
+    run(std::true_type{});
+  } else {
+    run(std::false_type{});
   }
 }
 
@@ -201,20 +275,14 @@ void ArrivalBatch::generate_bernoulli() {
   const std::uint64_t tf = t_fire_;
   for (std::size_t i = 0; i < padded_; ++i) {
     const std::uint64_t m = alive[i];
-    const std::uint64_t x = rotl(s1[i] * 5, 7) * 9;
-    const std::uint64_t t = s1[i] << 17;
-    std::uint64_t n2 = s2[i] ^ s0[i];
-    std::uint64_t n3 = s3[i] ^ s1[i];
-    const std::uint64_t n1 = s1[i] ^ n2;
-    const std::uint64_t n0 = s0[i] ^ n3;
-    n2 ^= t;
-    n3 = rotl(n3, 45);
+    std::uint64_t n0 = s0[i], n1 = s1[i], n2 = s2[i], n3 = s3[i];
+    const std::uint64_t x = xs_step(n0, n1, n2, n3);
     // Blend: dead lanes keep their old state (stream must not advance).
     s0[i] ^= (n0 ^ s0[i]) & m;
     s1[i] ^= (n1 ^ s1[i]) & m;
     s2[i] ^= (n2 ^ s2[i]) & m;
     s3[i] ^= (n3 ^ s3[i]) & m;
-    fired[i] = static_cast<std::uint8_t>(((x >> 11) < tf) & m);
+    fired[i] = static_cast<std::uint8_t>(fires_below(x, tf) & m);
   }
 }
 
@@ -228,35 +296,22 @@ void ArrivalBatch::generate_mmpp() {
   std::uint8_t* fired = fired_.data();
   for (std::size_t i = 0; i < padded_; ++i) {
     const std::uint64_t m = alive[i];
+    std::uint64_t n0 = s0[i], n1 = s1[i], n2 = s2[i], n3 = s3[i];
     // Draw 1: state transition (leave when bursting, enter when idle).
-    const std::uint64_t x1 = rotl(s1[i] * 5, 7) * 9;
-    std::uint64_t t = s1[i] << 17;
-    std::uint64_t a2 = s2[i] ^ s0[i];
-    std::uint64_t a3 = s3[i] ^ s1[i];
-    const std::uint64_t a1 = s1[i] ^ a2;
-    const std::uint64_t a0 = s0[i] ^ a3;
-    a2 ^= t;
-    a3 = rotl(a3, 45);
+    const std::uint64_t x1 = xs_step(n0, n1, n2, n3);
     const std::uint64_t b = burst[i];
-    const std::uint64_t leave = ~(std::uint64_t{0}) + ((x1 >> 11) >= t_leave_);
-    const std::uint64_t enter = ~(std::uint64_t{0}) + ((x1 >> 11) >= t_enter_);
-    std::uint64_t nb = (b & ~leave) | (~b & enter);
+    const std::uint64_t leave = mask_if(fires_below(x1, t_leave_));
+    const std::uint64_t enter = mask_if(fires_below(x1, t_enter_));
+    const std::uint64_t nb = (b & ~leave) | (~b & enter);
     // Draw 2: emission at the new state's rate.
-    const std::uint64_t x2 = rotl(a1 * 5, 7) * 9;
-    t = a1 << 17;
-    std::uint64_t b2 = a2 ^ a0;
-    std::uint64_t b3 = a3 ^ a1;
-    const std::uint64_t b1 = a1 ^ b2;
-    const std::uint64_t b0 = a0 ^ b3;
-    b2 ^= t;
-    b3 = rotl(b3, 45);
+    const std::uint64_t x2 = xs_step(n0, n1, n2, n3);
     const std::uint64_t temit = (nb & t_burst_) | (~nb & t_idle_);
-    fired[i] = static_cast<std::uint8_t>(((x2 >> 11) < temit) & m);
+    fired[i] = static_cast<std::uint8_t>(fires_below(x2, temit) & m);
     burst[i] ^= (nb ^ b) & m;
-    s0[i] ^= (b0 ^ s0[i]) & m;
-    s1[i] ^= (b1 ^ s1[i]) & m;
-    s2[i] ^= (b2 ^ s2[i]) & m;
-    s3[i] ^= (b3 ^ s3[i]) & m;
+    s0[i] ^= (n0 ^ s0[i]) & m;
+    s1[i] ^= (n1 ^ s1[i]) & m;
+    s2[i] ^= (n2 ^ s2[i]) & m;
+    s3[i] ^= (n3 ^ s3[i]) & m;
   }
 }
 

@@ -25,14 +25,25 @@
 // Dead nodes (fault overlay) never advance their stream — their lanes are
 // masked out with a blend, matching the scalar loop's `continue` — so
 // faulty-network goldens are preserved too.
+//
+// The simulator does not call generate() once per cycle: fill() looks ahead
+// a block of cycles, advancing each alive node's stream through the whole
+// block in registers and drawing each fire's destination straight after its
+// fire draw — the exact per-node stream of one generate() per cycle followed
+// by pick_dest — so a cycle's arrivals cost O(fires) to consume instead of
+// an O(nodes) bitmap scan. generate() stays as the per-cycle reference and
+// the per-layer arrival metric; both share the step and threshold helpers.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/config.hpp"
+#include "sim/traffic.hpp"
 #include "topology/fault_set.hpp"
 #include "topology/torus.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace kncube::sim {
@@ -54,12 +65,26 @@ class ArrivalBatch {
   /// fired. Dead nodes' streams and burst states are untouched.
   void generate();
 
-  /// Fired flags as 8-node words for a sparse scan: bits of word w cover
-  /// nodes [8w, 8w+8), one byte per node (0 or 1), zero-padded past `nodes`.
-  const std::uint64_t* fired_words() const noexcept {
-    return reinterpret_cast<const std::uint64_t*>(fired_.data());
+  /// One arrival drawn by fill(): the firing node and its destination.
+  struct Fire {
+    topo::NodeId node = 0;
+    topo::NodeId dest = 0;
+  };
+
+  /// Looks ahead `cycles` cycles: advances every alive node's stream as
+  /// `cycles` generate() calls would, and when the node fires in a cycle
+  /// draws its destination from `pattern` on the same stream before the
+  /// next cycle's draws. Dead nodes stay frozen. Replaces the previous
+  /// block; does not touch the fired bitmap of generate().
+  void fill(TrafficPattern& pattern, std::uint32_t cycles);
+  /// Fires of cycle `c` of the last fill() block (c < its length), in
+  /// ascending node order.
+  std::span<const Fire> fires(std::uint32_t c) const noexcept {
+    KNC_DEBUG_ASSERT(c < fires_.size());
+    return fires_[c];
   }
-  std::size_t fired_word_count() const noexcept { return fired_.size() / 8; }
+
+  /// Whether node `id` fired in the last generate().
   bool fired(topo::NodeId id) const noexcept { return fired_[id] != 0; }
 
   /// Scalar-generator round-trip for the data-dependent draws that follow a
@@ -99,6 +124,9 @@ class ArrivalBatch {
   /// MMPP burst state as a full-width mask (all-ones = in burst).
   std::vector<std::uint64_t> burst_;
   std::vector<std::uint8_t> fired_;  ///< 1 per fired node, padded_ long
+
+  /// fill() output: one fire list per cycle of the block.
+  std::vector<std::vector<Fire>> fires_;
 
   // Integer fire thresholds (see bernoulli_fire_threshold).
   std::uint64_t t_fire_ = 0;   ///< Bernoulli rate

@@ -78,7 +78,7 @@ struct SimConfig {
   // --- execution (cannot change any result bit) ---
   /// Worker threads sharding the router set inside Network::step. 1 runs the
   /// classic serial loop; 0 uses hardware_concurrency; N > 1 partitions the
-  /// router-id range over N team members with deterministic phase barriers.
+  /// router-id range over N team members, with one barrier per cycle.
   /// Results are bit-identical for every value (pinned by the determinism
   /// goldens at T ∈ {1,2,4}), so this is a pure wall-clock knob; the shard
   /// count is additionally capped so tiny networks never over-partition.

@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <thread>
 
 #include "util/assert.hpp"
@@ -11,7 +12,8 @@ namespace {
 
 /// Shards actually used for `size` routers: the configured knob (0 = one per
 /// hardware thread) capped so every shard keeps enough routers to amortise
-/// its phase barriers — tiny networks run serial no matter the knob. Pure
+/// its per-cycle synchronisation (the team fork/join and the one pre-commit
+/// barrier) — tiny networks run serial no matter the knob. Pure
 /// function of (knob, hardware, size): never of timing, so the partition is
 /// process-deterministic; and results are partition-independent anyway.
 /// `requested` receives the pre-clamp count (the knob resolved against
@@ -27,6 +29,20 @@ std::size_t resolve_shards(int sim_threads, topo::NodeId size,
   const std::size_t cap =
       std::max<std::size_t>(1, static_cast<std::size_t>(size / kMinRoutersPerShard));
   return std::min(want, cap);
+}
+
+/// Calls fn(w, mask) for each bitset word w overlapping the router range
+/// [begin, end), in ascending order; `mask` selects the word's bits that lie
+/// inside the range (shard edges need not be 64-aligned).
+template <typename Fn>
+void for_each_word(topo::NodeId begin, topo::NodeId end, Fn&& fn) {
+  for (topo::NodeId w = begin >> 6; w <= (end - 1) >> 6; ++w) {
+    const topo::NodeId lo = std::max(begin, w << 6);
+    const topo::NodeId hi = std::min(end, (w + 1) << 6);
+    std::uint64_t mask = ~std::uint64_t{0} << (lo & 63u);
+    if (hi < ((w + 1) << 6)) mask &= (std::uint64_t{1} << (hi & 63u)) - 1;
+    fn(w, mask);
+  }
 }
 
 }  // namespace
@@ -78,7 +94,6 @@ Network::Network(const SimConfig& cfg)
     Shard& sh = shards_[s];
     sh.begin = static_cast<topo::NodeId>(topo_.size() * s / shard_count);
     sh.end = static_cast<topo::NodeId>(topo_.size() * (s + 1) / shard_count);
-    sh.active.reserve(sh.end - sh.begin);
   }
   if (shard_count > 1) {
     barrier_ = std::make_unique<util::SpinBarrier>(shard_count);
@@ -87,60 +102,61 @@ Network::Network(const SimConfig& cfg)
 }
 
 void Network::step_shard(std::size_t s) {
-  // Quiescent routers skip every phase; within the shard each phase runs
-  // list-at-a-time in router-id order, and the barrier between stages keeps
-  // all cross-router interactions on the seed's globally synchronous
-  // schedule: a stage's remote staged writes complete before any shard
-  // enters the stage that could observe their side effects.
+  // Only live routers run, in router-id order, each through all five phases
+  // in one go: no phase reads remote state (router.hpp), so the per-router
+  // order of the seed's phase-at-a-time schedule is all that matters, and
+  // the metric buffers collect eject and inject events in separate lists, so
+  // their replay order is unchanged too (DESIGN.md §9.2).
   Shard& sh = shards_[s];
-  sh.active.clear();
-  // The activity scan reads only the two contiguous scheduling arrays — no
-  // router object is touched for quiescent ids, so an idle network costs a
-  // pair of streaming array reads per router per cycle.
-  {
-    const std::uint64_t* work = soa_.work.data();
-    const std::atomic<std::uint32_t>* wake = soa_.wake.get();
-    for (topo::NodeId id = sh.begin; id < sh.end; ++id) {
-      if ((work[id] | wake[id].load(std::memory_order_relaxed)) != 0) {
-        sh.active.push_back(&routers_[id]);
+  std::atomic<std::uint64_t>* live = soa_.live.get();
+  std::atomic<std::uint64_t>* pending = soa_.pending.get();
+  for_each_word(sh.begin, sh.end, [&](topo::NodeId w, std::uint64_t mask) {
+    for (std::uint64_t bits = live[w].load(std::memory_order_relaxed) & mask;
+         bits != 0; bits &= bits - 1) {
+      Router& r = routers_[(w << 6) + static_cast<topo::NodeId>(std::countr_zero(bits))];
+      r.refill_injection(sh.delta);
+      r.phase_eject(sh.delta);
+      r.phase_route();
+      r.phase_vc_alloc();
+      r.phase_switch(sh.delta);
+    }
+  });
+  // Commit consumes the staged slots every shard wrote during the pass; it
+  // must not start anywhere before the pass ends everywhere.
+  phase_barrier();
+  // Live routers commit in full and leave the live set once they have no
+  // work; pending routers (idle at the cycle start, staged into during the
+  // pass) commit their arrivals and join it. Commit touches only the owning
+  // router, and the live/pending bits of this shard change by whole-word
+  // atomic RMWs because a word may be shared with a neighbouring shard.
+  const std::uint64_t* work = soa_.work.data();
+  for_each_word(sh.begin, sh.end, [&](topo::NodeId w, std::uint64_t mask) {
+    const std::uint64_t live_bits = live[w].load(std::memory_order_relaxed) & mask;
+    const std::uint64_t pending_bits =
+        pending[w].load(std::memory_order_relaxed) & mask;
+    std::uint64_t flips = pending_bits;  // pending -> live
+    for (std::uint64_t bits = live_bits | pending_bits; bits != 0; bits &= bits - 1) {
+      const topo::NodeId id =
+          (w << 6) + static_cast<topo::NodeId>(std::countr_zero(bits));
+      const std::uint64_t bit = RouterSoA::bit(id);
+      if (live_bits & bit) {
+        routers_[id].commit();
+        if (work[id] == 0) flips |= bit;  // live -> idle
+      } else {
+        routers_[id].commit_arrivals();
       }
     }
-  }
-  // The build above reads each router's committed occupancy, which the
-  // phases below mutate remotely (staged arrivals/credits) — no shard may
-  // start phasing until every shard has classified its routers.
-  phase_barrier();
-  for (Router* r : sh.active) r->refill_injection(sh.delta);
-  phase_barrier();
-  for (Router* r : sh.active) r->phase_eject(sh.delta);
-  phase_barrier();
-  for (Router* r : sh.active) r->phase_route();
-  phase_barrier();
-  for (Router* r : sh.active) r->phase_vc_alloc();
-  phase_barrier();
-  for (Router* r : sh.active) r->phase_switch(sh.delta);
-  // Commit consumes the staged slots every shard wrote during the phases;
-  // it must not start anywhere before phase_switch ends everywhere.
-  phase_barrier();
-  // A router idle at the cycle start may have received a flit during
-  // phase_switch; its staged arrival must become visible at this boundary
-  // (full commit is unnecessary: it has no signals, and its idle cycle is
-  // already accounted). Commit itself touches only the owning router.
-  std::size_t next_active = 0;
-  const std::atomic<std::uint32_t>* wake = soa_.wake.get();
-  for (topo::NodeId id = sh.begin; id < sh.end; ++id) {
-    Router* r = &routers_[id];
-    if (next_active < sh.active.size() && sh.active[next_active] == r) {
-      r->commit();
-      ++next_active;
-    } else if ((wake[id].load(std::memory_order_relaxed) &
-                Router::kWakeArrivalMask) != 0) {
-      r->commit_arrivals();
+    if (flips != 0) live[w].fetch_xor(flips, std::memory_order_relaxed);
+    if (pending_bits != 0) {
+      pending[w].fetch_and(~pending_bits, std::memory_order_relaxed);
     }
-  }
+  });
 }
 
 void Network::step(std::uint64_t cycle, Metrics& metrics) {
+  // Checked here, before any shard runs: inside step_shard another shard's
+  // phase_switch may be bumping a wake word while the scan reads it.
+  KNC_DEBUG_ASSERT(live_set_matches_scan());
   if (team_) {
     team_->run([this](std::size_t member) { step_shard(member); });
   } else {
@@ -189,6 +205,16 @@ std::uint64_t Network::scan_source_backlog() const {
   std::uint64_t total = 0;
   for (const auto& r : routers_) total += r.source_queue_length();
   return total;
+}
+
+bool Network::live_set_matches_scan() const {
+  for (topo::NodeId id = 0; id < topo_.size(); ++id) {
+    if (soa_.is_live(id) == routers_[id].quiescent()) return false;
+  }
+  for (std::size_t w = 0; w < soa_.bit_words; ++w) {
+    if (soa_.pending[w].load(std::memory_order_relaxed) != 0) return false;
+  }
+  return true;
 }
 
 std::uint64_t Network::inflight_flits() const {

@@ -4,25 +4,24 @@
 // transfers and credit returns staged during a cycle become visible at the
 // next one (Router::commit).
 //
-// Scheduling: step() rebuilds an active-router list each cycle by scanning
-// the arena's two contiguous per-router scheduling words (RouterSoA::work /
-// ::wake — see router.hpp) and runs the five phases only over that list — a
-// quiescent router (nothing buffered or staged, empty source queues, no busy
-// output VCs, no pending credit signals) provably performs no work in any
-// phase, so skipping it is bit-identical to running it. Per-port stat_cycles
-// is a single network-global counter advanced once per step (it is uniform
-// across ports by construction). Routers that receive a flit mid-cycle still
-// commit their staged arrivals at the cycle boundary, detected from the wake
-// word's arrival half without touching the router object.
+// Scheduling: step() walks the arena's live bitset (RouterSoA::live — see
+// router.hpp), so a cycle costs O(active routers), not O(N): a quiescent
+// router (nothing buffered or staged, empty source queues, no busy output
+// VCs, no pending credit signals) provably performs no work in any phase, so
+// skipping it is bit-identical to running it. Each live router runs its five
+// phases back to back. Per-port stat_cycles is a single network-global
+// counter advanced once per step (it is uniform across ports by
+// construction). Routers that receive a flit while idle are flagged in the
+// pending bitset and commit their staged arrivals at the cycle boundary.
 //
 // Sharding (DESIGN.md §9): with SimConfig::sim_threads > 1 the router-id
-// range splits into contiguous shards, one ThreadTeam member each, and every
-// phase runs shard-parallel with a SpinBarrier between phases. Cross-shard
-// writes land only in single-writer staged slots (read by the owner at
-// commit, after the pre-commit barrier) and relaxed atomic sum counters, and
-// per-shard metric/occupancy deltas replay into Metrics in shard (router-id)
-// order at the cycle boundary — so every result is bit-identical to the
-// serial schedule, for any thread count.
+// range splits into contiguous shards, one ThreadTeam member each; the phase
+// pass runs shard-parallel and one SpinBarrier separates it from the commit
+// pass. Cross-shard writes land only in single-writer staged slots (read by
+// the owner at commit, after the barrier) and relaxed atomic counters and
+// bits, and per-shard metric/occupancy deltas replay into Metrics in shard
+// (router-id) order at the cycle boundary — so every result is bit-identical
+// to the serial schedule, for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -100,13 +99,12 @@ class Network {
   struct Shard {
     topo::NodeId begin = 0;
     topo::NodeId end = 0;
-    std::vector<Router*> active;  ///< per-cycle scratch, rebuilt each cycle
-    StepDelta delta;              ///< per-cycle metric/occupancy buffer
+    StepDelta delta;  ///< per-cycle metric/occupancy buffer
   };
 
-  /// Runs one full cycle for shard `s`: active-list rebuild, the five phases
-  /// (with a barrier between every stage when sharded) and the commit pass
-  /// over the shard's id range.
+  /// Runs one full cycle for shard `s`: the five phases of each live router,
+  /// the pre-commit barrier (when sharded), then the commit pass over the
+  /// shard's live and pending routers.
   void step_shard(std::size_t s);
   void phase_barrier() noexcept {
     if (barrier_) barrier_->arrive_and_wait();
@@ -114,6 +112,9 @@ class Network {
 
   std::uint64_t scan_inflight_flits() const;
   std::uint64_t scan_source_backlog() const;
+  /// Debug check at a cycle boundary: the live bitset is exactly the set of
+  /// non-quiescent routers and no pending bit is left over.
+  bool live_set_matches_scan() const;
 
   topo::KAryNCube topo_;
   topo::FaultSet faults_;

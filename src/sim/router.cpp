@@ -75,6 +75,9 @@ void RouterSoA::init(topo::NodeId routers, int ports_, int vcs_,
 
   work.assign(n, 0);
   wake = std::make_unique<std::atomic<std::uint32_t>[]>(n);  // zero-init
+  bit_words = (n + 63) / 64;
+  live = std::make_unique<std::atomic<std::uint64_t>[]>(bit_words);
+  pending = std::make_unique<std::atomic<std::uint64_t>[]>(bit_words);
   stat_cycles = 0;
 }
 
@@ -359,6 +362,10 @@ void Router::phase_switch(StepDelta& delta) {
       down->staged_flit_[down_port] = f;
       down->staged_vc_[down_port] = out_vc;
       down->wake_->fetch_add(1, std::memory_order_relaxed);
+      // A live downstream commits its arrivals in its full commit; an idle
+      // one must be flagged for the commit pass. The live bit is the one
+      // remote read of the phase pass — it changes only at commit.
+      if (!soa_->is_live(down->id_)) soa_->mark_pending(down->id_);
 
       if (port == injection_port() && f.head) {
         delta.injected.push_back({f.msg, f.gen_cycle});
@@ -452,6 +459,7 @@ void Router::enqueue_message(const QueuedMessage& msg, std::uint32_t lm) {
   source_q_[next_inject_vc_].push_back(msg);
   ++source_total_;
   ++*work_;
+  if (!soa_->is_live(id_)) soa_->set_live(id_);
   next_inject_vc_ = (next_inject_vc_ + 1) % static_cast<std::uint32_t>(vcs_);
 }
 

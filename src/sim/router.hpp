@@ -45,12 +45,15 @@
 //             (upstream pops a flit). Both halves are interleaving-
 //             independent sums, so the word is bit-deterministic under
 //             sharding.
-// quiescent() is (work | wake) == 0, and Network::step scans the two
-// contiguous arrays instead of touching router objects. Per-port
-// stat_cycles is not stored at all: every router advances it exactly once
-// per cycle (commit when active, idle accounting otherwise), so the value
-// is a single network-global cycles-since-reset counter (RouterSoA::
-// stat_cycles) that snapshots report per port.
+// quiescent() is (work | wake) == 0. Beside the two words the arena keeps
+// two network-wide bitsets that Network::step walks instead of scanning
+// every router: `live` (work != 0 at the cycle boundary — exactly the
+// non-quiescent routers, since every wake word is clear there) and
+// `pending` (a router that was not live received a staged arrival this
+// cycle). Per-port stat_cycles is not stored at all: every router advances
+// it exactly once per cycle (commit when active, idle accounting
+// otherwise), so the value is a single network-global cycles-since-reset
+// counter (RouterSoA::stat_cycles) that snapshots report per port.
 #pragma once
 
 #include <atomic>
@@ -123,6 +126,36 @@ struct RouterSoA {
   std::vector<std::uint64_t> work;
   /// std::atomic is not movable, so the wake array lives outside std::vector.
   std::unique_ptr<std::atomic<std::uint32_t>[]> wake;
+
+  // --- per router, one bit each, 64 routers per word (see header comment) ---
+  // Atomic words because shard ranges need not be 64-aligned: two shards may
+  // own bits of one word. Every access is relaxed; the ordering comes from
+  // the pre-commit barrier and the per-cycle team fork/join.
+  std::size_t bit_words = 0;
+  /// Bit r: router r has work at the cycle boundary. Changes only at commit
+  /// and at enqueue (between cycles), so it is stable during the phase pass.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> live;
+  /// Bit r: router r was not live and received a staged arrival this cycle;
+  /// set by upstream phase_switch, consumed by r's commit.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> pending;
+
+  static constexpr std::uint64_t bit(topo::NodeId r) noexcept {
+    return std::uint64_t{1} << (r & 63u);
+  }
+  bool is_live(topo::NodeId r) const noexcept {
+    return (live[r >> 6].load(std::memory_order_relaxed) & bit(r)) != 0;
+  }
+  void set_live(topo::NodeId r) noexcept {
+    live[r >> 6].fetch_or(bit(r), std::memory_order_relaxed);
+  }
+  void mark_pending(topo::NodeId r) noexcept {
+    std::atomic<std::uint64_t>& w = pending[r >> 6];
+    // Several upstreams may stage into one idle router in a cycle; the load
+    // skips the locked RMW for all but the first.
+    if ((w.load(std::memory_order_relaxed) & bit(r)) == 0) {
+      w.fetch_or(bit(r), std::memory_order_relaxed);
+    }
+  }
 
   /// Cycles since the last reset_channel_stats — the per-port stat_cycles
   /// denominator, provably uniform across all ports of all routers.
@@ -210,42 +243,43 @@ class Router {
     return down_[static_cast<std::size_t>(out_port)];
   }
 
-  // --- per-cycle phases (invoked by Network in order, across all routers) ---
+  // --- per-cycle phases (Network runs all five for one live router, then
+  // the next, in router-id order) ---
   // Metric events and occupancy deltas accumulate into the caller's StepDelta
   // (the shard's buffer) instead of hitting Metrics directly; Network::step
   // replays the buffers in router-id order at the cycle boundary, so the
   // sharded and serial schedules produce the same Metrics call sequence.
   // Thread-safety contract under sharding: a phase writes remote routers only
   // through single-writer staged slots (arrivals, credits, releases — one
-  // upstream/downstream owner per slot) plus the relaxed atomic wake words,
-  // and never *reads* remote state; staged data is consumed only by the
-  // owner's commit, after the pre-commit barrier.
+  // upstream/downstream owner per slot) plus the relaxed atomic wake and
+  // pending words, and reads no remote state but the downstream router's
+  // live bit, which nothing changes before the pre-commit barrier; staged
+  // data is consumed only by the owner's commit, after that barrier.
   void refill_injection(StepDelta& delta);
   void phase_eject(StepDelta& delta);
   void phase_route();
   void phase_vc_alloc();
   void phase_switch(StepDelta& delta);
   void commit();
-  /// Commit restricted to staged arrivals: run for routers that were
-  /// quiescent at the cycle start but received a flit during phase_switch
-  /// (a quiescent router can have no staged credits or releases).
+  /// Commit restricted to staged arrivals: run for pending routers, which
+  /// were quiescent at the cycle start but received a flit during
+  /// phase_switch (a quiescent router can have no staged credits or
+  /// releases). The router has work afterwards, so it becomes live.
   void commit_arrivals();
 
   // --- idle scheduling (Network::step) ---
   /// True when every phase of this router's cycle would be a no-op: nothing
   /// buffered or staged, empty source queues, no busy output VCs and no
-  /// pending credit/release signals. Network::step reads the same two words
-  /// straight from the arena without touching the Router object.
+  /// pending credit/release signals. At a cycle boundary this is exactly
+  /// "live bit clear"; debug builds check the two against each other.
   bool quiescent() const noexcept {
     return *work_ == 0 && wake_->load(std::memory_order_relaxed) == 0;
-  }
-  bool has_staged_arrivals() const noexcept {
-    return (wake_->load(std::memory_order_relaxed) & kWakeArrivalMask) != 0;
   }
 
   // --- source side ---
   /// Enqueues a generated message; messages are spread round-robin across the
-  /// V injection VCs (the model's per-VC lambda/V source queues).
+  /// V injection VCs (the model's per-VC lambda/V source queues). Sets the
+  /// router's live bit.
   void enqueue_message(const QueuedMessage& msg, std::uint32_t lm);
   std::uint64_t source_queue_length() const noexcept { return source_total_; }
 

@@ -30,37 +30,33 @@ Simulator::Simulator(const SimConfig& cfg)
 }
 
 void Simulator::tick() {
-  // Traffic generation at the cycle boundary: one batch kernel advances all
-  // per-node arrival streams (dead nodes masked out, their streams frozen —
-  // bitwise-deterministic under faults too), then the sparse fired bitmap is
-  // drained in ascending node order, which is exactly the scalar loop's
-  // visit order. Only firing nodes pay the virtual pick_dest call.
-  arrivals_.generate();
-  const std::uint64_t* words = arrivals_.fired_words();
-  const std::size_t word_count = arrivals_.fired_word_count();
-  for (std::size_t w = 0; w < word_count; ++w) {
-    if (words[w] == 0) continue;  // no fires among nodes [8w, 8w+8)
-    for (std::size_t b = 0; b < 8; ++b) {
-      const auto id = static_cast<topo::NodeId>(8 * w + b);
-      if (!arrivals_.fired(id)) continue;
-      QueuedMessage msg;
-      msg.id = next_msg_id_++;
-      msg.src = id;
-      util::Xoshiro256 rng = arrivals_.extract_rng(id);
-      msg.dest = pattern_->pick_dest(id, rng);
-      arrivals_.store_rng(id, rng);
-      msg.gen_cycle = cycle_;
-      if (!net_.pair_reachable(msg.src, msg.dest)) {
-        // The deterministic path crosses a fault: the message counts as
-        // offered but undeliverable, classified here at injection time —
-        // nothing is ever dropped mid-network (DESIGN.md §10).
-        metrics_.on_generated(msg.gen_cycle);
-        metrics_.on_unreachable(msg.gen_cycle);
-        continue;
-      }
-      net_.enqueue_message(msg);
+  // Traffic generation at the cycle boundary. The arrival streams are drawn
+  // a block of ticks ahead (ArrivalBatch::fill: dead nodes frozen, every
+  // destination drawn straight after its fire), and the block is indexed by
+  // tick, not by cycle — drain() steps cycles without ticking, exactly as
+  // it never advanced the per-cycle streams. This tick's fires come in
+  // ascending node order, the scalar loop's visit order, so message ids and
+  // metric events are those of one generate() per tick.
+  if (block_tick_ == kArrivalLookahead) {
+    arrivals_.fill(*pattern_, kArrivalLookahead);
+    block_tick_ = 0;
+  }
+  for (const ArrivalBatch::Fire& fire : arrivals_.fires(block_tick_++)) {
+    QueuedMessage msg;
+    msg.id = next_msg_id_++;
+    msg.src = fire.node;
+    msg.dest = fire.dest;
+    msg.gen_cycle = cycle_;
+    if (!net_.pair_reachable(msg.src, msg.dest)) {
+      // The deterministic path crosses a fault: the message counts as
+      // offered but undeliverable, classified here at injection time —
+      // nothing is ever dropped mid-network (DESIGN.md §10).
       metrics_.on_generated(msg.gen_cycle);
+      metrics_.on_unreachable(msg.gen_cycle);
+      continue;
     }
+    net_.enqueue_message(msg);
+    metrics_.on_generated(msg.gen_cycle);
   }
   net_.step(cycle_, metrics_);
   ++cycle_;

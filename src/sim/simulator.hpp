@@ -112,10 +112,16 @@ class Simulator {
   Network net_;
   Metrics metrics_;
   std::unique_ptr<TrafficPattern> pattern_;
-  /// All per-node arrival streams, advanced as one batch kernel per cycle
+  /// Ticks drawn per ArrivalBatch::fill block: long enough that a node's
+  /// state loads and stores vanish beside its draws, short enough that the
+  /// draws a finished run never consumes cost nothing.
+  static constexpr std::uint32_t kArrivalLookahead = 256;
+
+  /// All per-node arrival streams, drawn kArrivalLookahead ticks ahead
   /// (bit-identical to the scalar ArrivalProcess classes — see
   /// sim/arrival_batch.hpp).
   ArrivalBatch arrivals_;
+  std::uint32_t block_tick_ = kArrivalLookahead;  ///< next tick of the block
   std::uint64_t cycle_ = 0;
   MessageId next_msg_id_ = 1;
 };

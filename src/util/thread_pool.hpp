@@ -32,7 +32,7 @@ void spin_backoff(unsigned& spins) noexcept;
 /// by any party before arriving happens-before everything any party executes
 /// after leaving (arrivals are acq_rel, the generation bump is a release the
 /// waiters acquire). Waiting is spin_backoff-based — intended for short,
-/// frequent phases (the sharded simulator fires several per cycle), not for
+/// frequent phases (the sharded simulator meets at one per cycle), not for
 /// long sleeps.
 class SpinBarrier {
  public:

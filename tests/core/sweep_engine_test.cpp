@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -288,6 +289,56 @@ TEST(SweepEngine, SharedStoreServesASecondEngineWithoutResolving) {
   EXPECT_EQ(stats.model_hits, 1u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.latency),
             std::bit_cast<std::uint64_t>(cold.latency));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every ModelResult field but `iterations` (which depends on the warm-start
+/// chain, i.e. on solve order), doubles as raw bits.
+std::vector<std::uint64_t> model_words(const model::ModelResult& m) {
+  return {bits(m.latency), m.saturated, m.converged, bits(m.regular_latency),
+          bits(m.hot_latency), bits(m.regular_network_latency),
+          bits(m.source_wait_regular), bits(m.vc_mux_x), bits(m.vc_mux_hot_y),
+          bits(m.vc_mux_nonhot_y), bits(m.max_channel_utilization)};
+}
+
+/// Every SimResult field, doubles as raw bits.
+std::vector<std::uint64_t> sim_words(const sim::SimResult& r) {
+  return {bits(r.mean_latency), bits(r.latency_ci95), bits(r.p50_latency),
+          bits(r.p95_latency), bits(r.p99_latency), bits(r.mean_network_latency),
+          bits(r.mean_source_wait), bits(r.mean_latency_hot),
+          bits(r.mean_latency_regular), r.measured_messages, r.cycles,
+          r.measured_cycles, bits(r.offered_load), bits(r.generated_load),
+          bits(r.accepted_load), r.steady, r.saturated, r.unreachable_messages,
+          r.unreachable_messages_total, bits(r.unreachable_fraction),
+          r.unreachable_pairs, bits(r.reachable_pair_fraction), r.failed_routers,
+          r.conservation_ok, r.sim_shards, r.sim_shards_requested,
+          bits(r.mean_channel_utilization), bits(r.max_channel_utilization),
+          bits(r.mean_vc_multiplexing), bits(r.hot_channel_utilization)};
+}
+
+TEST(SweepEngine, SimRunMatchesASerialIndexOrderLoop) {
+  // run(.., true) dispatches the heaviest loads first; the points must still
+  // be exactly those of solving and simulating index by index, each point
+  // with its positional seed. Unsorted input with a duplicate lambda: the
+  // two copies keep their own seeds, hence their own simulations.
+  const ScenarioSpec spec = to_spec(small_scenario());
+  const std::vector<double> lambdas = {3e-4, 9e-4, 1e-4, 6e-4, 9e-4};
+  SweepEngine engine(spec);
+  const std::vector<PointResult> pts = engine.run(lambdas, /*run_sim=*/true);
+  ASSERT_EQ(pts.size(), lambdas.size());
+
+  SweepEngine serial(spec);
+  for (std::size_t i = 0; i < lambdas.size(); ++i) {
+    SCOPED_TRACE("point " + std::to_string(i));
+    EXPECT_EQ(bits(pts[i].lambda), bits(lambdas[i]));
+    ASSERT_TRUE(pts[i].has_model);
+    ASSERT_TRUE(pts[i].has_sim);
+    EXPECT_EQ(model_words(pts[i].model), model_words(serial.model_point(lambdas[i])));
+    EXPECT_EQ(sim_words(pts[i].sim),
+              sim_words(serial.sim_point(lambdas[i], serial.point_seed(i))));
+  }
+  EXPECT_NE(bits(pts[1].sim.mean_latency), bits(pts[4].sim.mean_latency));
 }
 
 TEST(CacheStats, FormatsEveryCounterInCanonicalOrder) {

@@ -3,7 +3,9 @@
 // of the scalar reference processes (BernoulliArrivals / MmppArrivals) run
 // one-node-at-a-time — for random rates, threshold boundary rates, and
 // fault-masked node sets, on whichever kernel this build compiled in
-// (scalar, auto-vectorized, or the explicit AVX2 path).
+// (scalar, auto-vectorized, or the explicit AVX2 path). The lookahead
+// fill() is held to the same reference with the destination draws
+// included: per cycle, fire(), then pick_dest() on the same generator.
 #include "sim/arrival_batch.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -141,28 +144,10 @@ TEST(ArrivalBatch, FaultMaskedNodesStayFrozen) {
 }
 
 TEST(ArrivalBatch, NonMultipleOfEightNodeCountPadsCleanly) {
-  // 5x5 torus: 25 nodes, padded to 32 — the tail lanes must never report
-  // fires and never disturb the live lanes.
+  // 5x5 torus: 25 nodes, padded to 32 — the tail lanes must never disturb
+  // the live lanes.
   SimConfig cfg = base_config(5);
   cfg.injection_rate = 0.4;
-  const topo::KAryNCube topo(cfg.k, cfg.n, cfg.bidirectional, cfg.mesh);
-  const topo::FaultSet faults = build_fault_set(cfg, topo);
-  ArrivalBatch batch(cfg, faults, topo.size());
-  for (int c = 0; c < 100; ++c) {
-    batch.generate();
-    const std::uint64_t* words = batch.fired_words();
-    for (std::size_t w = 0; w < batch.fired_word_count(); ++w) {
-      for (std::size_t b = 0; b < 8; ++b) {
-        const std::size_t id = 8 * w + b;
-        const bool flagged = ((words[w] >> (8 * b)) & 0xff) != 0;
-        if (id >= topo.size()) {
-          EXPECT_FALSE(flagged) << "padding lane " << id << " fired";
-        } else {
-          EXPECT_EQ(flagged, batch.fired(static_cast<topo::NodeId>(id)));
-        }
-      }
-    }
-  }
   check_equivalence(cfg, 200);
 }
 
@@ -188,6 +173,108 @@ TEST(ArrivalBatch, RandomizedConfigsBitIdenticalToReference) {
     }
     check_equivalence(cfg, 150);
   }
+}
+
+/// Runs `cycles` cycles of fill() blocks of length `block` against the
+/// per-node scalar reference of the pre-lookahead simulator — per cycle,
+/// fire() on the node's own generator and, when it fires, pick_dest() on
+/// that same generator — and asserts every cycle's fire list (ascending
+/// nodes, same destinations) and every node's final generator state.
+void check_fill(const SimConfig& cfg, std::uint32_t block, std::uint64_t cycles) {
+  const topo::KAryNCube topo(cfg.k, cfg.n, cfg.bidirectional, cfg.mesh);
+  const topo::FaultSet faults = build_fault_set(cfg, topo);
+  ArrivalBatch batch(cfg, faults, topo.size());
+  const auto pattern = make_pattern(cfg, topo);
+  const auto ref_pattern = make_pattern(cfg, topo);
+
+  std::vector<util::Xoshiro256> rngs;
+  std::vector<std::unique_ptr<ArrivalProcess>> refs;
+  for (topo::NodeId id = 0; id < topo.size(); ++id) {
+    rngs.push_back(util::Xoshiro256(cfg.seed).split(id));
+    refs.push_back(make_arrivals(cfg));
+  }
+
+  std::uint64_t total_fires = 0;
+  for (std::uint64_t start = 0; start < cycles; start += block) {
+    batch.fill(*pattern, block);
+    for (std::uint32_t c = 0; c < block; ++c) {
+      std::vector<ArrivalBatch::Fire> expected;
+      for (topo::NodeId id = 0; id < topo.size(); ++id) {
+        if (faults.router_failed(id)) continue;  // frozen: never drawn
+        if (!refs[id]->fire(rngs[id])) continue;
+        expected.push_back({id, ref_pattern->pick_dest(id, rngs[id])});
+      }
+      const auto got = batch.fires(c);
+      const std::string where =
+          "block " + std::to_string(block) + " cycle " + std::to_string(start + c);
+      ASSERT_EQ(got.size(), expected.size()) << where;
+      for (std::size_t f = 0; f < got.size(); ++f) {
+        EXPECT_EQ(got[f].node, expected[f].node) << where << " fire " << f;
+        EXPECT_EQ(got[f].dest, expected[f].dest) << where << " fire " << f;
+        if (f > 0) {
+          EXPECT_LT(got[f - 1].node, got[f].node) << where;
+        }
+      }
+      total_fires += got.size();
+    }
+  }
+  EXPECT_GT(total_fires, 0u) << "rate too low to exercise the destination draws";
+  // Dead nodes' generators were never advanced on either side.
+  for (topo::NodeId id = 0; id < topo.size(); ++id) {
+    std::uint64_t ref_state[4];
+    std::uint64_t batch_state[4];
+    rngs[id].save_state(ref_state);
+    batch.extract_rng(id).save_state(batch_state);
+    for (int w = 0; w < 4; ++w) {
+      ASSERT_EQ(batch_state[w], ref_state[w]) << "node " << id << " word " << w;
+    }
+  }
+}
+
+TEST(ArrivalBatch, FillBitIdenticalToReferenceStreams) {
+  for (const std::uint32_t block : {1u, 7u, 256u}) {
+    for (const Pattern pattern : {Pattern::kUniform, Pattern::kHotspot}) {
+      for (const Arrivals arrivals : {Arrivals::kBernoulli, Arrivals::kMmpp}) {
+        SCOPED_TRACE("block " + std::to_string(block) + " pattern " +
+                     std::to_string(static_cast<int>(pattern)) + " arrivals " +
+                     std::to_string(static_cast<int>(arrivals)));
+        SimConfig cfg = base_config(8);
+        cfg.pattern = pattern;
+        cfg.hot_fraction = 0.3;
+        cfg.arrivals = arrivals;
+        cfg.injection_rate = 0.02;
+        cfg.mmpp.p_enter_burst = 0.05;
+        cfg.mmpp.p_leave_burst = 0.1;
+        check_fill(cfg, block, 600);
+      }
+    }
+  }
+}
+
+TEST(ArrivalBatch, FillKeepsFaultMaskedStreamsFrozen) {
+  for (const std::uint32_t block : {1u, 7u, 256u}) {
+    for (const Arrivals arrivals : {Arrivals::kBernoulli, Arrivals::kMmpp}) {
+      SCOPED_TRACE("block " + std::to_string(block) + " arrivals " +
+                   std::to_string(static_cast<int>(arrivals)));
+      SimConfig cfg = base_config(8);
+      cfg.arrivals = arrivals;
+      cfg.injection_rate = 0.2;  // dense fires make divergence loud
+      cfg.mmpp.p_enter_burst = 0.05;
+      cfg.mmpp.p_leave_burst = 0.1;
+      cfg.failed_routers = {0, 3, 17, 62, 63};  // word edges and interior
+      check_fill(cfg, block, 600);
+    }
+  }
+}
+
+TEST(ArrivalBatch, FillOnOddNodeCountAndRandomFaults) {
+  // 5x5 torus (25 nodes, not a multiple of 8 or 64) with seed-drawn random
+  // router failures on the hot-spot pattern.
+  SimConfig cfg = base_config(5);
+  cfg.injection_rate = 0.1;
+  cfg.failure_rate = 0.2;
+  cfg.failure_seed = 0xF00D;
+  check_fill(cfg, 7, 400);
 }
 
 }  // namespace

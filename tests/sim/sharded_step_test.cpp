@@ -11,9 +11,11 @@
 // get coverage. Also exercises ThreadTeam / SpinBarrier directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -57,25 +59,28 @@ struct Observation {
   std::uint64_t latency_bits, net_latency_bits, source_wait_bits;
 };
 
+Observation snapshot(const Network& net, const Metrics& metrics) {
+  Observation o;
+  o.generated = metrics.generated_total();
+  o.delivered = metrics.delivered_total();
+  o.flits = metrics.flits_delivered();
+  o.injected = metrics.injected_total();
+  o.inflight = net.inflight_flits();
+  o.backlog = net.source_backlog();
+  o.checksum = channel_stats_checksum(net);
+  o.latency_bits = bits(metrics.latency().mean());
+  o.net_latency_bits = bits(metrics.network_latency().mean());
+  o.source_wait_bits = bits(metrics.source_wait().mean());
+  return o;
+}
+
 Observation observe(const SimConfig& cfg, int sim_threads, std::uint64_t cycles) {
   SimConfig tcfg = cfg;
   tcfg.sim_threads = sim_threads;
   Simulator sim(tcfg);
   sim.metrics().begin_measurement(0);
   sim.step_cycles(cycles);
-  const Network& net = sim.network();
-  Observation o;
-  o.generated = sim.metrics().generated_total();
-  o.delivered = sim.metrics().delivered_total();
-  o.flits = sim.metrics().flits_delivered();
-  o.injected = sim.metrics().injected_total();
-  o.inflight = net.inflight_flits();
-  o.backlog = net.source_backlog();
-  o.checksum = channel_stats_checksum(net);
-  o.latency_bits = bits(sim.metrics().latency().mean());
-  o.net_latency_bits = bits(sim.metrics().network_latency().mean());
-  o.source_wait_bits = bits(sim.metrics().source_wait().mean());
-  return o;
+  return snapshot(sim.network(), sim.metrics());
 }
 
 void expect_identical(const Observation& a, const Observation& b, int threads,
@@ -259,6 +264,141 @@ TEST(ShardedStep, IncrementalOccupancyMatchesScan) {
     }
     EXPECT_EQ(net.inflight_flits(), scan_inflight) << "chunk " << chunk;
     EXPECT_EQ(net.source_backlog(), scan_backlog) << "chunk " << chunk;
+  }
+}
+
+/// Every SimResult field but the shard counts (which report T itself),
+/// doubles as raw bits, in declaration order.
+std::vector<std::uint64_t> result_words(const SimResult& r) {
+  return {bits(r.mean_latency), bits(r.latency_ci95), bits(r.p50_latency),
+          bits(r.p95_latency), bits(r.p99_latency), bits(r.mean_network_latency),
+          bits(r.mean_source_wait), bits(r.mean_latency_hot),
+          bits(r.mean_latency_regular), r.measured_messages, r.cycles,
+          r.measured_cycles, bits(r.offered_load), bits(r.generated_load),
+          bits(r.accepted_load), r.steady, r.saturated, r.unreachable_messages,
+          r.unreachable_messages_total, bits(r.unreachable_fraction),
+          r.unreachable_pairs, bits(r.reachable_pair_fraction), r.failed_routers,
+          r.conservation_ok, bits(r.mean_channel_utilization),
+          bits(r.max_channel_utilization), bits(r.mean_vc_multiplexing),
+          bits(r.hot_channel_utilization)};
+}
+
+/// The pre-lookahead traffic loop, built from public parts: one
+/// ArrivalBatch::generate() per tick, fired nodes drained in ascending order
+/// with pick_dest on the node's stream, then one Network::step. drain() and
+/// inject_now() mirror Simulator's.
+class ReferenceTicker {
+ public:
+  explicit ReferenceTicker(const SimConfig& cfg)
+      : net_(cfg),
+        metrics_(cfg.batch_size, cfg.steady_rel_tol,
+                 200.0 * static_cast<double>(cfg.message_length + cfg.k * cfg.n)),
+        pattern_(make_pattern(cfg, net_.topology())),
+        arrivals_(cfg, net_.faults(), net_.size()) {
+    if (cfg.pattern == Pattern::kHotspot) metrics_.set_hot_node(cfg.resolved_hot_node());
+    metrics_.begin_measurement(0);
+  }
+
+  void step_cycles(std::uint64_t ticks) {
+    for (std::uint64_t t = 0; t < ticks; ++t) {
+      arrivals_.generate();
+      for (topo::NodeId id = 0; id < net_.size(); ++id) {
+        if (!arrivals_.fired(id)) continue;
+        util::Xoshiro256 rng = arrivals_.extract_rng(id);
+        const topo::NodeId dest = pattern_->pick_dest(id, rng);
+        arrivals_.store_rng(id, rng);
+        enqueue(id, dest);
+      }
+      step();
+    }
+  }
+  bool drain(std::uint64_t max_cycles) {
+    for (std::uint64_t i = 0; i < max_cycles; ++i) {
+      if (net_.inflight_flits() == 0 && net_.source_backlog() == 0) return true;
+      step();
+    }
+    return net_.inflight_flits() == 0 && net_.source_backlog() == 0;
+  }
+  void inject_now(topo::NodeId src, topo::NodeId dest) { enqueue(src, dest); }
+
+  const Network& network() const { return net_; }
+  const Metrics& metrics() const { return metrics_; }
+  std::uint64_t current_cycle() const { return cycle_; }
+
+ private:
+  void enqueue(topo::NodeId src, topo::NodeId dest) {
+    QueuedMessage msg;
+    msg.id = next_id_++;
+    msg.src = src;
+    msg.dest = dest;
+    msg.gen_cycle = cycle_;
+    net_.enqueue_message(msg);
+    metrics_.on_generated(msg.gen_cycle);
+  }
+  void step() { net_.step(cycle_++, metrics_); }
+
+  Network net_;
+  Metrics metrics_;
+  std::unique_ptr<TrafficPattern> pattern_;
+  ArrivalBatch arrivals_;
+  std::uint64_t cycle_ = 0;
+  MessageId next_id_ = 1;
+};
+
+TEST(ShardedStep, LookaheadAndLiveSetInvisibleAtAnyCut) {
+  // Arrivals are drawn in 256-tick blocks and only live routers step, yet no
+  // cut may show it: step_cycles in chunks that straddle the blocks, a full
+  // drain() (cycles that draw no arrivals) after every chunk, then messages
+  // injected into the drained, idle network whose paths enter idle routers
+  // of other shards in both id directions: 23 -> 55 climbs through 31 -> 39
+  // (the T = 2 edge at 32) and 47 -> 55 (the T = 4 edge at 48); 55 -> 7
+  // wraps from 63 into shard 0. 64 routers at T = 4 put every shard inside
+  // one live/pending bitset word.
+  SimConfig cfg;
+  cfg.k = 8;
+  cfg.n = 2;
+  cfg.vcs = 2;
+  cfg.buffer_depth = 2;
+  cfg.message_length = 8;
+  cfg.pattern = Pattern::kHotspot;
+  cfg.hot_fraction = 0.2;
+  cfg.injection_rate = 2e-3;
+  cfg.seed = 0x1005EED;
+
+  for (const std::uint64_t chunk : {1u, 7u, 256u, 1000u}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    const std::uint64_t chunks = std::max<std::uint64_t>(4, 1200 / chunk);
+    const auto schedule = [&](auto& sim) {
+      for (std::uint64_t c = 0; c < chunks; ++c) {
+        sim.step_cycles(chunk);
+        ASSERT_TRUE(sim.drain(100000));
+        sim.inject_now(23, 55);
+        sim.inject_now(55, 7);
+      }
+    };
+    ReferenceTicker ref(cfg);
+    schedule(ref);
+    const Observation expected = snapshot(ref.network(), ref.metrics());
+    ASSERT_GT(expected.generated, 2 * chunks);  // traffic beyond the probes
+
+    std::vector<std::uint64_t> serial_result;
+    for (const int threads : {1, 2, 4}) {
+      SimConfig tcfg = cfg;
+      tcfg.sim_threads = threads;
+      Simulator sim(tcfg);
+      sim.metrics().begin_measurement(0);
+      schedule(sim);
+      ASSERT_EQ(sim.network().shard_count(), static_cast<std::size_t>(threads));
+      EXPECT_EQ(sim.current_cycle(), ref.current_cycle()) << "T=" << threads;
+      expect_identical(expected, snapshot(sim.network(), sim.metrics()), threads,
+                       "vs per-tick reference");
+      const std::vector<std::uint64_t> result = result_words(sim.finalize(0));
+      if (threads == 1) {
+        serial_result = result;
+      } else {
+        EXPECT_EQ(result, serial_result) << "finalize() at T=" << threads;
+      }
+    }
   }
 }
 
