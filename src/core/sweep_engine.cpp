@@ -1,9 +1,6 @@
 #include "core/sweep_engine.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/saturation.hpp"
@@ -154,25 +151,8 @@ sim::SimResult SweepEngine::sim_point(double lambda, std::uint64_t seed) {
 
 std::vector<PointResult> SweepEngine::run(const std::vector<double>& lambdas,
                                           bool run_sim) {
-  // Dispatch order. With simulations the heaviest loads go first: a point's
-  // simulated cycles per delivered message grow towards the knee, so the
-  // knee is the longest job and must not start last on a lane while the
-  // other lanes idle. Model-only batches stay ascending, so each solve can
-  // warm-start from the cached point just below it. Results and seeds stay
-  // indexed by position, so the order changes only wall time (and the
-  // model's iteration counts, which depend on the warm-start chain).
-  std::vector<std::size_t> order(lambdas.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (run_sim) {
-    // Descending, NaN last: a strict weak order whatever the input holds.
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return lambdas[a] > lambdas[b] ||
-             (std::isnan(lambdas[b]) && !std::isnan(lambdas[a]));
-    });
-  }
   std::vector<PointResult> results(lambdas.size());
-  util::parallel_for(order.size(), [&](std::size_t k) {
-    const std::size_t i = order[k];
+  util::parallel_for(lambdas.size(), [&](std::size_t i) {
     PointResult& pt = results[i];
     pt.lambda = lambdas[i];
     if (model_) {

@@ -95,10 +95,8 @@ class SweepEngine {
   const model::AnalyticalModel& analytical_model() const;
 
   /// Runs `lambdas` through the model (when one exists) and (when `run_sim`)
-  /// the simulator. Points execute in parallel on the global thread pool —
-  /// highest lambda first when simulating (the knee is the longest job),
-  /// ascending otherwise (warm-start chaining); results come back in input
-  /// order and point i always simulates with point_seed(i).
+  /// the simulator. Points execute in parallel on the global thread pool;
+  /// results come back in input order.
   std::vector<PointResult> run(const std::vector<double>& lambdas,
                                bool run_sim = true);
 

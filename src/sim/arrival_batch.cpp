@@ -5,11 +5,6 @@
 
 #include "util/assert.hpp"
 
-#if defined(KNCUBE_NATIVE_ARCH) && defined(__AVX2__)
-#include <immintrin.h>
-#define KNCUBE_ARRIVAL_AVX2 1
-#endif
-
 namespace kncube::sim {
 
 namespace {
@@ -61,13 +56,13 @@ std::uint64_t bernoulli_fire_threshold(double rate) noexcept {
 
 ArrivalBatch::ArrivalBatch(const SimConfig& cfg, const topo::FaultSet& faults,
                            topo::NodeId nodes)
-    : n_(nodes), padded_((nodes + 7) & ~std::size_t{7}), kind_(cfg.arrivals) {
-  s0_.resize(padded_, 0);
-  s1_.resize(padded_, 0);
-  s2_.resize(padded_, 0);
-  s3_.resize(padded_, 0);
-  alive_.resize(padded_, 0);
-  fired_.assign(padded_, 0);
+    : n_(nodes), kind_(cfg.arrivals) {
+  s0_.resize(n_);
+  s1_.resize(n_);
+  s2_.resize(n_);
+  s3_.resize(n_);
+  alive_.resize(n_);
+  fired_.assign(n_, 0);
 
   util::Xoshiro256 root(cfg.seed);
   for (topo::NodeId id = 0; id < nodes; ++id) {
@@ -92,18 +87,10 @@ ArrivalBatch::ArrivalBatch(const SimConfig& cfg, const topo::FaultSet& faults,
       t_leave_ = bernoulli_fire_threshold(cfg.mmpp.p_leave_burst);
       t_burst_ = bernoulli_fire_threshold(ref.burst_rate());
       t_idle_ = bernoulli_fire_threshold(ref.idle_rate());
-      burst_.resize(padded_, 0);
+      burst_.assign(n_, 0);
       break;
     }
   }
-}
-
-bool ArrivalBatch::explicit_simd() {
-#ifdef KNCUBE_ARRIVAL_AVX2
-  return true;
-#else
-  return false;
-#endif
 }
 
 void ArrivalBatch::generate() {
@@ -163,107 +150,7 @@ void ArrivalBatch::fill(TrafficPattern& pattern, std::uint32_t cycles) {
   }
 }
 
-#ifdef KNCUBE_ARRIVAL_AVX2
-
-namespace {
-
-// xoshiro256** step for four lanes: returns the output word and advances the
-// state in place. AVX2 has no 64-bit mullo, but both multipliers are tiny:
-// x*5 = x + (x<<2) and x*9 = x + (x<<3).
-inline __m256i xs_step4(__m256i& v0, __m256i& v1, __m256i& v2, __m256i& v3) {
-  const __m256i x5 = _mm256_add_epi64(v1, _mm256_slli_epi64(v1, 2));
-  const __m256i rot =
-      _mm256_or_si256(_mm256_slli_epi64(x5, 7), _mm256_srli_epi64(x5, 57));
-  const __m256i out = _mm256_add_epi64(rot, _mm256_slli_epi64(rot, 3));
-  const __m256i t = _mm256_slli_epi64(v1, 17);
-  v2 = _mm256_xor_si256(v2, v0);
-  v3 = _mm256_xor_si256(v3, v1);
-  v1 = _mm256_xor_si256(v1, v2);
-  v0 = _mm256_xor_si256(v0, v3);
-  v2 = _mm256_xor_si256(v2, t);
-  v3 = _mm256_or_si256(_mm256_slli_epi64(v3, 45), _mm256_srli_epi64(v3, 19));
-  return out;
-}
-
-// Per-lane all-ones mask for (x >> 11) < t. Values are < 2^53, so the signed
-// 64-bit compare is exact.
-inline __m256i lt_threshold4(__m256i x, __m256i t) {
-  return _mm256_cmpgt_epi64(t, _mm256_srli_epi64(x, 11));
-}
-
-}  // namespace
-
-void ArrivalBatch::generate_bernoulli() {
-  const __m256i tf = _mm256_set1_epi64x(static_cast<long long>(t_fire_));
-  for (std::size_t i = 0; i < padded_; i += 4) {
-    const __m256i m = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&alive_[i]));
-    __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&s0_[i]));
-    __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&s1_[i]));
-    __m256i v2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&s2_[i]));
-    __m256i v3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&s3_[i]));
-    const __m256i o0 = v0, o1 = v1, o2 = v2, o3 = v3;
-    const __m256i x = xs_step4(v0, v1, v2, v3);
-    // Dead lanes keep their old state (their stream must not advance).
-    v0 = _mm256_blendv_epi8(o0, v0, m);
-    v1 = _mm256_blendv_epi8(o1, v1, m);
-    v2 = _mm256_blendv_epi8(o2, v2, m);
-    v3 = _mm256_blendv_epi8(o3, v3, m);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&s0_[i]), v0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&s1_[i]), v1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&s2_[i]), v2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&s3_[i]), v3);
-    const __m256i f = _mm256_and_si256(lt_threshold4(x, tf), m);
-    const int bits = _mm256_movemask_pd(_mm256_castsi256_pd(f));
-    fired_[i + 0] = static_cast<std::uint8_t>(bits & 1);
-    fired_[i + 1] = static_cast<std::uint8_t>((bits >> 1) & 1);
-    fired_[i + 2] = static_cast<std::uint8_t>((bits >> 2) & 1);
-    fired_[i + 3] = static_cast<std::uint8_t>((bits >> 3) & 1);
-  }
-}
-
-void ArrivalBatch::generate_mmpp() {
-  const __m256i te = _mm256_set1_epi64x(static_cast<long long>(t_enter_));
-  const __m256i tl = _mm256_set1_epi64x(static_cast<long long>(t_leave_));
-  const __m256i tb = _mm256_set1_epi64x(static_cast<long long>(t_burst_));
-  const __m256i ti = _mm256_set1_epi64x(static_cast<long long>(t_idle_));
-  for (std::size_t i = 0; i < padded_; i += 4) {
-    const __m256i m = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&alive_[i]));
-    __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&s0_[i]));
-    __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&s1_[i]));
-    __m256i v2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&s2_[i]));
-    __m256i v3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&s3_[i]));
-    const __m256i o0 = v0, o1 = v1, o2 = v2, o3 = v3;
-    // Draw 1: state transition (leave when bursting, enter when idle).
-    const __m256i x1 = xs_step4(v0, v1, v2, v3);
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&burst_[i]));
-    const __m256i leave = lt_threshold4(x1, tl);
-    const __m256i enter = lt_threshold4(x1, te);
-    __m256i nb = _mm256_or_si256(_mm256_andnot_si256(leave, b),
-                                 _mm256_andnot_si256(b, enter));
-    // Draw 2: emission at the new state's rate.
-    const __m256i x2 = xs_step4(v0, v1, v2, v3);
-    const __m256i temit = _mm256_blendv_epi8(ti, tb, nb);
-    const __m256i f = _mm256_and_si256(lt_threshold4(x2, temit), m);
-    nb = _mm256_blendv_epi8(b, nb, m);
-    v0 = _mm256_blendv_epi8(o0, v0, m);
-    v1 = _mm256_blendv_epi8(o1, v1, m);
-    v2 = _mm256_blendv_epi8(o2, v2, m);
-    v3 = _mm256_blendv_epi8(o3, v3, m);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&s0_[i]), v0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&s1_[i]), v1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&s2_[i]), v2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&s3_[i]), v3);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&burst_[i]), nb);
-    const int bits = _mm256_movemask_pd(_mm256_castsi256_pd(f));
-    fired_[i + 0] = static_cast<std::uint8_t>(bits & 1);
-    fired_[i + 1] = static_cast<std::uint8_t>((bits >> 1) & 1);
-    fired_[i + 2] = static_cast<std::uint8_t>((bits >> 2) & 1);
-    fired_[i + 3] = static_cast<std::uint8_t>((bits >> 3) & 1);
-  }
-}
-
-#else  // scalar kernels (written branch-free so the compiler can vectorize)
+// The per-cycle kernels, written branch-free so the compiler can vectorize.
 
 void ArrivalBatch::generate_bernoulli() {
   std::uint64_t* s0 = s0_.data();
@@ -273,7 +160,7 @@ void ArrivalBatch::generate_bernoulli() {
   const std::uint64_t* alive = alive_.data();
   std::uint8_t* fired = fired_.data();
   const std::uint64_t tf = t_fire_;
-  for (std::size_t i = 0; i < padded_; ++i) {
+  for (std::size_t i = 0; i < n_; ++i) {
     const std::uint64_t m = alive[i];
     std::uint64_t n0 = s0[i], n1 = s1[i], n2 = s2[i], n3 = s3[i];
     const std::uint64_t x = xs_step(n0, n1, n2, n3);
@@ -294,7 +181,7 @@ void ArrivalBatch::generate_mmpp() {
   std::uint64_t* burst = burst_.data();
   const std::uint64_t* alive = alive_.data();
   std::uint8_t* fired = fired_.data();
-  for (std::size_t i = 0; i < padded_; ++i) {
+  for (std::size_t i = 0; i < n_; ++i) {
     const std::uint64_t m = alive[i];
     std::uint64_t n0 = s0[i], n1 = s1[i], n2 = s2[i], n3 = s3[i];
     // Draw 1: state transition (leave when bursting, enter when idle).
@@ -314,7 +201,5 @@ void ArrivalBatch::generate_mmpp() {
     s3[i] ^= (n3 ^ s3[i]) & m;
   }
 }
-
-#endif  // KNCUBE_ARRIVAL_AVX2
 
 }  // namespace kncube::sim

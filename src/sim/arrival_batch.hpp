@@ -19,8 +19,7 @@
 // strictly monotone, so {m : fires} is exactly [0, T) for an integer
 // threshold T computed once per rate. The kernel compares (x >> 11) < T in
 // pure integer arithmetic — the same predicate, no floating point in the
-// loop, identical on every lane width (scalar, auto-vectorized, or the
-// explicit AVX2 path compiled under KNCUBE_NATIVE_ARCH).
+// loop, identical whatever lane width the compiler vectorizes to.
 //
 // Dead nodes (fault overlay) never advance their stream — their lanes are
 // masked out with a blend, matching the scalar loop's `continue` — so
@@ -104,17 +103,11 @@ class ArrivalBatch {
     s3_[id] = s[3];
   }
 
-  /// True when the explicit-width SIMD kernel is compiled in (build under
-  /// KNCUBE_NATIVE_ARCH on an AVX2 host); the scalar kernel is the fallback
-  /// and produces bit-identical results.
-  static bool explicit_simd();
-
  private:
   void generate_bernoulli();
   void generate_mmpp();
 
-  std::size_t n_ = 0;        ///< node count
-  std::size_t padded_ = 0;   ///< n_ rounded up to a multiple of 8
+  std::size_t n_ = 0;  ///< node count
   Arrivals kind_ = Arrivals::kBernoulli;
 
   // xoshiro256** state, one word-array per state slot (index = node id).
@@ -123,7 +116,7 @@ class ArrivalBatch {
   std::vector<std::uint64_t> alive_;
   /// MMPP burst state as a full-width mask (all-ones = in burst).
   std::vector<std::uint64_t> burst_;
-  std::vector<std::uint8_t> fired_;  ///< 1 per fired node, padded_ long
+  std::vector<std::uint8_t> fired_;  ///< 1 per fired node
 
   /// fill() output: one fire list per cycle of the block.
   std::vector<std::vector<Fire>> fires_;

@@ -29,8 +29,8 @@
 // contiguous array over (router, lane) with a uniform per-router stride, so
 // every phase is a batch loop over a router's contiguous lane range — no
 // pointer chasing, no per-port heap vectors — and the compiler can
-// auto-vectorise the predicate scans (an explicit-width arrival kernel
-// rides the same layout, see sim/arrival_batch.hpp). A Router object is a
+// auto-vectorise the predicate scans (the batched arrival kernel uses the
+// same layout, see sim/arrival_batch.hpp). A Router object is a
 // *view*: id, wiring, cached pointers to its slice of the arena, and the
 // source queues. The `InputVc` / `OutputVc` / `OutputPort` structs remain as
 // materialised snapshots for tests and statistics readers; their field

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "support/sim_result_words.hpp"
+
 namespace kncube::core {
 namespace {
 
@@ -302,26 +304,12 @@ std::vector<std::uint64_t> model_words(const model::ModelResult& m) {
           bits(m.vc_mux_nonhot_y), bits(m.max_channel_utilization)};
 }
 
-/// Every SimResult field, doubles as raw bits.
-std::vector<std::uint64_t> sim_words(const sim::SimResult& r) {
-  return {bits(r.mean_latency), bits(r.latency_ci95), bits(r.p50_latency),
-          bits(r.p95_latency), bits(r.p99_latency), bits(r.mean_network_latency),
-          bits(r.mean_source_wait), bits(r.mean_latency_hot),
-          bits(r.mean_latency_regular), r.measured_messages, r.cycles,
-          r.measured_cycles, bits(r.offered_load), bits(r.generated_load),
-          bits(r.accepted_load), r.steady, r.saturated, r.unreachable_messages,
-          r.unreachable_messages_total, bits(r.unreachable_fraction),
-          r.unreachable_pairs, bits(r.reachable_pair_fraction), r.failed_routers,
-          r.conservation_ok, r.sim_shards, r.sim_shards_requested,
-          bits(r.mean_channel_utilization), bits(r.max_channel_utilization),
-          bits(r.mean_vc_multiplexing), bits(r.hot_channel_utilization)};
-}
-
 TEST(SweepEngine, SimRunMatchesASerialIndexOrderLoop) {
-  // run(.., true) dispatches the heaviest loads first; the points must still
-  // be exactly those of solving and simulating index by index, each point
-  // with its positional seed. Unsorted input with a duplicate lambda: the
-  // two copies keep their own seeds, hence their own simulations.
+  // run(.., true) solves and simulates its points in parallel, finishing in
+  // any order; the points must still be exactly those of solving and
+  // simulating index by index, each point with its positional seed. Unsorted
+  // input with a duplicate lambda: the two copies keep their own seeds,
+  // hence their own simulations.
   const ScenarioSpec spec = to_spec(small_scenario());
   const std::vector<double> lambdas = {3e-4, 9e-4, 1e-4, 6e-4, 9e-4};
   SweepEngine engine(spec);
@@ -335,8 +323,11 @@ TEST(SweepEngine, SimRunMatchesASerialIndexOrderLoop) {
     ASSERT_TRUE(pts[i].has_model);
     ASSERT_TRUE(pts[i].has_sim);
     EXPECT_EQ(model_words(pts[i].model), model_words(serial.model_point(lambdas[i])));
-    EXPECT_EQ(sim_words(pts[i].sim),
-              sim_words(serial.sim_point(lambdas[i], serial.point_seed(i))));
+    const sim::SimResult ref = serial.sim_point(lambdas[i], serial.point_seed(i));
+    EXPECT_EQ(test_support::sim_result_words(pts[i].sim),
+              test_support::sim_result_words(ref));
+    EXPECT_EQ(pts[i].sim.sim_shards, ref.sim_shards);
+    EXPECT_EQ(pts[i].sim.sim_shards_requested, ref.sim_shards_requested);
   }
   EXPECT_NE(bits(pts[1].sim.mean_latency), bits(pts[4].sim.mean_latency));
 }

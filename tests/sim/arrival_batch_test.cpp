@@ -2,8 +2,8 @@
 // §12): the SoA ArrivalBatch must reproduce, bit for bit, the fire sequence
 // of the scalar reference processes (BernoulliArrivals / MmppArrivals) run
 // one-node-at-a-time — for random rates, threshold boundary rates, and
-// fault-masked node sets, on whichever kernel this build compiled in
-// (scalar, auto-vectorized, or the explicit AVX2 path). The lookahead
+// fault-masked node sets, however the compiler vectorized the kernel for
+// this build (portable or KNCUBE_NATIVE_ARCH). The lookahead
 // fill() is held to the same reference with the destination draws
 // included: per cycle, fire(), then pick_dest() on the same generator.
 #include "sim/arrival_batch.hpp"
@@ -143,9 +143,9 @@ TEST(ArrivalBatch, FaultMaskedNodesStayFrozen) {
   check_equivalence(mmpp, 300);
 }
 
-TEST(ArrivalBatch, NonMultipleOfEightNodeCountPadsCleanly) {
-  // 5x5 torus: 25 nodes, padded to 32 — the tail lanes must never disturb
-  // the live lanes.
+TEST(ArrivalBatch, NonMultipleOfEightNodeCountMatchesReference) {
+  // 5x5 torus: 25 nodes, a multiple of no vector width, so the vectorized
+  // loop's scalar remainder runs too.
   SimConfig cfg = base_config(5);
   cfg.injection_rate = 0.4;
   check_equivalence(cfg, 200);

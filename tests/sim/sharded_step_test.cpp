@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "support/sim_result_words.hpp"
 #include "util/thread_pool.hpp"
 
 namespace kncube::sim {
@@ -267,22 +268,6 @@ TEST(ShardedStep, IncrementalOccupancyMatchesScan) {
   }
 }
 
-/// Every SimResult field but the shard counts (which report T itself),
-/// doubles as raw bits, in declaration order.
-std::vector<std::uint64_t> result_words(const SimResult& r) {
-  return {bits(r.mean_latency), bits(r.latency_ci95), bits(r.p50_latency),
-          bits(r.p95_latency), bits(r.p99_latency), bits(r.mean_network_latency),
-          bits(r.mean_source_wait), bits(r.mean_latency_hot),
-          bits(r.mean_latency_regular), r.measured_messages, r.cycles,
-          r.measured_cycles, bits(r.offered_load), bits(r.generated_load),
-          bits(r.accepted_load), r.steady, r.saturated, r.unreachable_messages,
-          r.unreachable_messages_total, bits(r.unreachable_fraction),
-          r.unreachable_pairs, bits(r.reachable_pair_fraction), r.failed_routers,
-          r.conservation_ok, bits(r.mean_channel_utilization),
-          bits(r.max_channel_utilization), bits(r.mean_vc_multiplexing),
-          bits(r.hot_channel_utilization)};
-}
-
 /// The pre-lookahead traffic loop, built from public parts: one
 /// ArrivalBatch::generate() per tick, fired nodes drained in ascending order
 /// with pick_dest on the node's stream, then one Network::step. drain() and
@@ -392,7 +377,7 @@ TEST(ShardedStep, LookaheadAndLiveSetInvisibleAtAnyCut) {
       EXPECT_EQ(sim.current_cycle(), ref.current_cycle()) << "T=" << threads;
       expect_identical(expected, snapshot(sim.network(), sim.metrics()), threads,
                        "vs per-tick reference");
-      const std::vector<std::uint64_t> result = result_words(sim.finalize(0));
+      const std::vector<std::uint64_t> result = test_support::sim_result_words(sim.finalize(0));
       if (threads == 1) {
         serial_result = result;
       } else {
