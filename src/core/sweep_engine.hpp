@@ -40,7 +40,9 @@
 // seeds its fixed-point iteration with the converged channel-class state of
 // the nearest cached stable point at or below its lambda, so ascending
 // sweeps chain solutions and each saturation-bisection probe starts from the
-// stable bracket end. The solver falls back to the zero-load start whenever
+// stable bracket end. That saves iterations on the inclusive basis only: a
+// constant-blocking system takes its 2-3 exact sweeps from any start
+// (DESIGN.md §6.2). The solver falls back to the zero-load start whenever
 // a warm start fails, and converged iterates are polished to the map's exact
 // stationary point (model/solver.hpp), so any solve that converges returns
 // the same bits no matter where it started or which cached state seeded it —

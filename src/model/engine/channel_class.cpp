@@ -126,7 +126,11 @@ ChannelClassSystem::CompiledStream ChannelClassSystem::compile(
   CompiledStream out;
   out.rate = spec.rate;
   out.tx = spec.tx;
-  out.inclusive = spec.inclusive.empty() ? -1 : intern(spec.inclusive);
+  // Only the inclusive-basis Pb reads a stream's inclusive service time; with
+  // constant blocking the pool would be built and never read.
+  out.inclusive = spec.inclusive.empty() || !blocking_state_dependent_
+                      ? -1
+                      : intern(spec.inclusive);
   return out;
 }
 
@@ -206,10 +210,9 @@ bool ChannelClassSystem::step(const std::vector<double>& in,
   // All blocking groups close over the *input* iterate (Jacobi across
   // groups); the per-slot recursions then chain within the sweep through
   // output_continuation (Gauss-Seidel along each path). Shared inclusive
-  // expressions are evaluated once per sweep via the interned pool — and
-  // the pool plus the blocking groups are skipped entirely after the first
-  // sweep when the blocking is state-independent (Workspace::blocking_cached
-  // — the expr pool feeds nothing but the blocking evaluation).
+  // expressions are evaluated once per sweep via the interned pool (empty
+  // when the blocking is state-independent); such blocking is evaluated on
+  // the first sweep only (Workspace::blocking_cached).
   if (!ws.blocking_cached) {
     ws.expr_values.resize(expr_pool_.size());
     for (std::size_t i = 0; i < expr_pool_.size(); ++i) {
@@ -260,14 +263,28 @@ FixedPointResult ChannelClassSystem::solve(std::vector<double>& state,
                              std::vector<double>& out) {
     return step(in, out, ws);
   };
+  const bool warm = warm_start != nullptr && warm_start->size() == classes_.size();
+  if (!blocking_state_dependent_) {
+    // Exact solve (see the header): undamped sweeps converge on the sweep
+    // that reproduces its input, at the same stationary point the polished
+    // damped path returns. Anything but convergence within the budget takes
+    // the damped path below.
+    constexpr int kExactSweepBudget = 48;
+    FixedPointOptions exact = policy.options;
+    exact.damping = 1.0;
+    exact.max_iterations = kExactSweepBudget;
+    state = warm ? *warm_start : initial_state();
+    const FixedPointResult fp = solve_fixed_point(state, step_fn, exact);
+    if (fp.converged) return fp;
+  }
   // Continuation: try the caller's converged iterate first. Any failure
   // (divergence, non-convergence, a seed from a saturated or mismatched
   // system) falls through to the cold path below, keeping classification
   // identical to a cold solve.
-  if (warm_start != nullptr && warm_start->size() == classes_.size()) {
+  if (warm) {
     state = *warm_start;
-    const FixedPointResult warm = solve_fixed_point(state, step_fn, policy.options);
-    if (warm.converged) return warm;
+    const FixedPointResult fp = solve_fixed_point(state, step_fn, policy.options);
+    if (fp.converged) return fp;
   }
   state = initial_state();
   FixedPointResult fp = solve_fixed_point(state, step_fn, policy.options);

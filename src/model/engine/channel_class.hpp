@@ -11,8 +11,10 @@
 // traffic streams crossing the class's channels (eqs 26-30) and the
 // continuation is the downstream service time — the previous hop of the same
 // class, the entrance of another class, or the Lm-1 drain at the destination.
-// The coupled system is closed by damped fixed-point iteration
-// (src/model/solver).
+// The coupled system is closed by fixed-point iteration (src/model/solver):
+// undamped and exact in 2-3 sweeps when the blocking is a constant of the
+// system (the default transmission basis, the pure-wait ablation), damped
+// when it reads the iterated state (the inclusive basis).
 //
 // This header turns that shape into data: a model is *declared* as a set of
 // channel classes (state slots), stream specifications whose inclusive
@@ -174,33 +176,43 @@ class ChannelClassSystem {
 
   std::vector<double> initial_state() const;
 
-  /// Damped fixed-point solve with the policy's stubborn-point retry.
-  /// `state` holds the converged iterate on success.
+  /// Fixed-point solve. `state` holds the converged iterate on success.
+  ///
+  /// With state-independent blocking (transmission basis or pure wait) the
+  /// solve first runs undamped sweeps, from the warm start if one is given
+  /// and from the zero-load state otherwise. Every builder in this
+  /// repository then yields an affine sweep whose cross-sweep reads form an
+  /// acyclic chain at most two deep, so the sweeps reach the exact fixed
+  /// point in 2-3 iterations from any start. If they do not converge within
+  /// a small budget — and always with state-dependent (inclusive-basis)
+  /// blocking — the damped iteration runs: warm start, then zero-load start,
+  /// then the policy's stubborn-point retry.
   ///
   /// `warm_start` (optional) seeds the iteration with a previously converged
   /// state for this system's layout — typically the fixed point of a nearby
-  /// operating point, cutting the iteration count for continuation sweeps
-  /// and saturation bisections. If the warm-started iteration fails for any
-  /// reason the solver silently falls back to the zero-load start (plus the
-  /// usual stubborn-point retry), so a warm start can never lose a point the
-  /// cold path would solve; and because converged iterates are polished to
-  /// the map's exact stationary point (see model/solver.hpp), a warm solve
-  /// that converges returns results bit-identical to the converged cold
-  /// solve. (The converse — a warm seed rescuing a point whose cold budget
-  /// would expire without diverging — is possible in principle and would
-  /// only add a converged point; see DESIGN.md §6.2.)
+  /// operating point, cutting the damped iteration count for continuation
+  /// sweeps and saturation bisections. If the warm-started iteration fails
+  /// for any reason the solver silently falls back to the zero-load start
+  /// (plus the usual stubborn-point retry), so a warm start can never lose a
+  /// point the cold path would solve; and because converged iterates are
+  /// polished to the map's exact stationary point (see model/solver.hpp), a
+  /// warm solve that converges returns results bit-identical to the
+  /// converged cold solve. (The converse — a warm seed rescuing a point
+  /// whose cold budget would expire without diverging — is possible in
+  /// principle and would only add a converged point; see DESIGN.md §6.2.)
   FixedPointResult solve(std::vector<double>& state, const SolvePolicy& policy,
                          const std::vector<double>* warm_start = nullptr) const;
 
  private:
-  // Blocking specs are compiled at registration: every distinct inclusive
-  // StateExpr is interned into a pool so a sweep evaluates it once, not once
-  // per term — the entrance averages are shared by O(k^2) terms in the
-  // hot-spot system, and blocking runs in the innermost fixed-point loop.
+  // Blocking specs are compiled at registration. When the blocking reads the
+  // state (inclusive basis) every distinct inclusive StateExpr is interned
+  // into a pool so a sweep evaluates it once, not once per term — the
+  // entrance averages are shared by O(k^2) terms in the hot-spot system.
+  // Constant blocking never reads them, so they are not interned at all.
   struct CompiledStream {
     double rate = 0.0;
     double tx = 0.0;
-    int inclusive = -1;  ///< pool index; -1 = identically zero
+    int inclusive = -1;  ///< pool index; -1 = identically zero or unread
   };
   struct CompiledTerm {
     double weight = 1.0;
@@ -240,8 +252,8 @@ class ChannelClassSystem {
   std::vector<CompiledBlocking> blockings_;
   std::vector<StateExpr> expr_pool_;
   /// Hash index over expr_pool_ so interning the O(k^2) stream expressions
-  /// of a large system is linear, not quadratic (the pool reaches several
-  /// hundred entries for k = 32 and interning dominated system builds).
+  /// of a large inclusive-basis system is linear, not quadratic (the pool
+  /// reaches several hundred entries for k = 32).
   std::unordered_map<StateExpr, int, ExprHash> expr_index_;
   std::vector<int> eval_order_;
 };

@@ -4,7 +4,7 @@
 //
 // See DESIGN.md §3 for the full equation inventory and the reconstruction
 // notes for the handful of OCR-ambiguous prefactors. The model is solved by
-// damped fixed-point iteration (src/model/solver); operating points whose
+// fixed-point iteration (engine/channel_class.hpp); operating points whose
 // iteration diverges, fails a utilisation bound, or does not converge are
 // reported as *saturated* — the network has no steady state there, exactly
 // the regime the paper's figures leave blank past the latency asymptote.
@@ -43,6 +43,10 @@ struct ModelResult {
   double latency = std::numeric_limits<double>::infinity();
   bool saturated = true;
   bool converged = false;
+  /// Fixed-point sweeps to tolerance: 2-3 on constant-blocking systems (the
+  /// transmission basis and pure wait), tens of damped sweeps on the
+  /// inclusive basis, where it also depends on the warm start. Describes the
+  /// solve, not the answer, so bitwise comparisons leave it out.
   int iterations = 0;
 
   // Decomposition (finite only when !saturated):

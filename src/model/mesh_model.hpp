@@ -11,7 +11,7 @@
 // every dimension), each with its own blocking group fed by the exact
 // path-counting rates of src/topology/mesh_geometry.hpp, coupled through the
 // same S = B + 1 + continuation recursion as the paper's eqs (16)-(25) and
-// closed by the same damped warm-started fixed point. DESIGN.md §8 derives
+// closed by the same warm-started fixed point. DESIGN.md §8 derives
 // the per-class rate and continuation equations and maps each to its paper
 // counterpart.
 #pragma once

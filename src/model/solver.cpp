@@ -96,10 +96,12 @@ FixedPointResult solve_fixed_point(
 
     double max_rel = 0.0;
     bool over_cap = false;
+    bool reproduced = true;  // the sweep returned its input bit-for-bit
     for (std::size_t i = 0; i < state.size(); ++i) {
       const double blended = (1.0 - alpha) * state[i] + alpha * next[i];
       const double denom = std::max(std::abs(blended), 1.0);
       max_rel = std::max(max_rel, std::abs(blended - state[i]) / denom);
+      reproduced = reproduced && next[i] == state[i] && blended == state[i];
       state[i] = blended;
       if (!std::isfinite(blended) || std::abs(blended) > options.divergence_cap) {
         over_cap = true;
@@ -111,7 +113,9 @@ FixedPointResult solve_fixed_point(
     }
     if (max_rel < options.tolerance) {
       result.converged = true;
-      if (options.polish_iterations > 0) {
+      // A reproduced state is already exactly stationary: polishing it would
+      // only repeat this sweep.
+      if (options.polish_iterations > 0 && !reproduced) {
         polish_to_stationary(state, next, step, options);
       }
       return result;

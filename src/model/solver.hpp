@@ -4,7 +4,10 @@
 // very difficult to determine" and computes the variables "using iterative
 // techniques". We iterate x_{t+1} = (1-alpha) x_t + alpha F(x_t) (Jacobi
 // sweep with under-relaxation); alpha < 1 stabilises the strongly coupled
-// near-saturation region where undamped iteration oscillates.
+// near-saturation region where undamped iteration oscillates. Maps known to
+// settle undamped — the channel-class engine's constant-blocking systems,
+// which reach their exact fixed point in 2-3 sweeps — run with alpha = 1
+// (engine/channel_class.hpp).
 #pragma once
 
 #include <functional>
@@ -44,7 +47,8 @@ struct FixedPointResult {
 /// point, so warm-started solves that reach the same fixed point return
 /// results bit-identical to cold solves — the invariant the sweep/saturation
 /// warm-start machinery relies on. Polish never changes the converged /
-/// diverged classification nor the reported iteration count.
+/// diverged classification nor the reported iteration count, and it is
+/// skipped when the converging sweep already reproduced its input.
 FixedPointResult solve_fixed_point(
     std::vector<double>& state,
     const std::function<bool(const std::vector<double>&, std::vector<double>&)>& step,

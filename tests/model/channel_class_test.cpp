@@ -1,0 +1,168 @@
+// ChannelClassSystem::solve iteration behaviour.
+//
+// With state-independent blocking (the transmission basis and the pure-wait
+// ablation) the system is solved by undamped sweeps, which reach the exact
+// fixed point in a fixed number of sweeps set by the depth of the map's
+// cross-sweep reads: three on the tori, whose x-then-y classes read the
+// previous sweep's y-ring entrance averages, and two on the mesh and
+// hypercube maps, whose sweep reads nothing from its input. A map whose
+// undamped sweep does not settle falls back to the damped iteration. The
+// inclusive basis keeps the damped iteration; its counts are pinned here.
+#include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
+
+#include "core/model_registry.hpp"
+#include "core/saturation.hpp"
+#include "core/scenario_spec.hpp"
+#include "model/engine/channel_class.hpp"
+
+namespace kncube::model {
+namespace {
+
+using core::ScenarioSpec;
+
+ScenarioSpec hotspot_torus(int k) {
+  ScenarioSpec s;
+  s.topology = core::TorusTopology{k, 2, false};
+  s.traffic = core::HotspotTraffic{0.2, -1};
+  return s;
+}
+ScenarioSpec uniform_torus(int k) {
+  ScenarioSpec s = hotspot_torus(k);
+  s.traffic = core::UniformTraffic{};
+  return s;
+}
+ScenarioSpec mesh(int k, int n, bool hot) {
+  ScenarioSpec s;
+  s.topology = core::MeshTopology{k, n};
+  if (!hot) s.traffic = core::UniformTraffic{};
+  return s;
+}
+ScenarioSpec hypercube(int dims, bool hot) {
+  ScenarioSpec s;
+  s.topology = core::HypercubeTopology{dims};
+  if (!hot) s.traffic = core::UniformTraffic{};
+  return s;
+}
+ScenarioSpec mmpp(ScenarioSpec s) {
+  s.arrivals = core::MmppArrivals{};
+  return s;
+}
+ScenarioSpec pure_wait(ScenarioSpec s) {
+  s.blocking = BlockingVariant::kPureWait;
+  return s;
+}
+ScenarioSpec inclusive(ScenarioSpec s) {
+  s.busy_basis = ServiceBasis::kInclusive;
+  return s;
+}
+
+TEST(ChannelClassSolve, ConstantBlockingTakesTheMapsDepthFromAnyStart) {
+  struct Case {
+    const char* name;
+    ScenarioSpec spec;
+    int sweeps;
+  };
+  const Case cases[] = {
+      {"hotspot torus k=8", hotspot_torus(8), 3},
+      {"hotspot torus k=16", hotspot_torus(16), 3},
+      {"hotspot torus k=16 pure wait", pure_wait(hotspot_torus(16)), 3},
+      {"uniform torus k=16", uniform_torus(16), 3},
+      {"mmpp hotspot torus k=8", mmpp(hotspot_torus(8)), 3},
+      {"mmpp uniform torus k=8", mmpp(uniform_torus(8)), 3},
+      {"uniform mesh k=8", mesh(8, 2, false), 2},
+      {"uniform mesh k=4 n=3 pure wait", pure_wait(mesh(4, 3, false)), 2},
+      {"hotspot mesh k=9", mesh(9, 2, true), 2},
+      {"hotspot mesh k=8 pure wait", pure_wait(mesh(8, 2, true)), 2},
+      {"hotspot hypercube dims=6", hypercube(6, true), 2},
+      {"uniform hypercube dims=5", hypercube(5, false), 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const core::ModelDispatch d = core::make_analytical_model(c.spec);
+    ASSERT_TRUE(d.has_model());
+    const double sat = core::model_saturation_rate(c.spec).rate;
+    const std::vector<double> fractions = {0.05, 0.4, 0.8, 0.99};
+    std::vector<std::vector<double>> states;
+    for (const double f : fractions) {
+      std::vector<double> state;
+      const ModelResult cold = d.model->solve_at(f * sat, nullptr, &state);
+      ASSERT_FALSE(cold.saturated) << f;
+      EXPECT_EQ(cold.iterations, c.sweeps) << "cold at " << f;
+      states.push_back(std::move(state));
+    }
+    // Every converged state seeds every rate, above and below its own; a
+    // rate's own fixed point reproduces itself on the first sweep.
+    for (std::size_t i = 0; i < fractions.size(); ++i) {
+      for (std::size_t j = 0; j < states.size(); ++j) {
+        const ModelResult warm = d.model->solve_at(fractions[i] * sat, &states[j], nullptr);
+        EXPECT_EQ(warm.iterations, i == j ? 1 : c.sweeps)
+            << "at " << fractions[i] << " from the state at " << fractions[j];
+      }
+    }
+  }
+}
+
+TEST(ChannelClassSolve, UndampedCycleFallsBackToTheDampedIteration) {
+  // s0 = 2 - s1_in and s1 = 2 - s0_in: no blocking, so nothing depends on
+  // the state but the continuations, yet the undamped sweep alternates
+  // between (0, 0) and (2, 2) forever. The damped fallback lands on (1, 1).
+  engine::ChannelClassSystem sys(2, engine::EngineOptions{});
+  engine::ChannelClass c0;
+  c0.input_continuation = engine::StateExpr::weighted(1.0, 1.0, {{1, -1.0}});
+  engine::ChannelClass c1;
+  c1.input_continuation = engine::StateExpr::weighted(1.0, 1.0, {{0, -1.0}});
+  sys.set_class(0, c0);
+  sys.set_class(1, c1);
+
+  std::vector<double> state;
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
+  EXPECT_TRUE(fp.converged);
+  EXPECT_FALSE(fp.diverged);
+  EXPECT_EQ(state, (std::vector<double>{1.0, 1.0}));
+
+  // A warm start on the cycle takes the same way out.
+  const std::vector<double> on_cycle = {2.0, 2.0};
+  const FixedPointResult warm = sys.solve(state, engine::SolvePolicy{}, &on_cycle);
+  EXPECT_TRUE(warm.converged);
+  EXPECT_EQ(state, (std::vector<double>{1.0, 1.0}));
+}
+
+TEST(ChannelClassSolve, InclusiveBasisKeepsTheDampedIterationCounts) {
+  // Cold solves at 0.2, 0.6 and 0.9 of saturation, then an ascending warm
+  // chain over the same rates; recorded before the undamped path existed.
+  struct Case {
+    const char* name;
+    ScenarioSpec spec;
+    std::vector<int> iterations;
+  };
+  const Case cases[] = {
+      {"hotspot torus k=8", inclusive(hotspot_torus(8)), {35, 42, 43, 35, 41, 42}},
+      {"hotspot torus k=16", inclusive(hotspot_torus(16)), {38, 40, 43, 38, 40, 42}},
+      {"mmpp hotspot torus k=8", inclusive(mmpp(hotspot_torus(8))), {37, 48, 58, 37, 48, 58}},
+      {"uniform mesh k=8", inclusive(mesh(8, 2, false)), {31, 50, 41, 31, 50, 41}},
+      {"hotspot mesh k=9", inclusive(mesh(9, 2, true)), {30, 57, 38, 30, 57, 38}},
+      {"hotspot hypercube dims=6", inclusive(hypercube(6, true)), {29, 38, 35, 29, 38, 35}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const core::ModelDispatch d = core::make_analytical_model(c.spec);
+    ASSERT_TRUE(d.has_model());
+    const double sat = core::model_saturation_rate(c.spec).rate;
+    std::vector<int> got;
+    for (const double f : {0.2, 0.6, 0.9}) got.push_back(d.model->solve_at(f * sat).iterations);
+    std::vector<double> chain;
+    for (const double f : {0.2, 0.6, 0.9}) {
+      std::vector<double> state;
+      got.push_back(
+          d.model->solve_at(f * sat, chain.empty() ? nullptr : &chain, &state).iterations);
+      chain = std::move(state);
+    }
+    EXPECT_EQ(got, c.iterations);
+  }
+}
+
+}  // namespace
+}  // namespace kncube::model

@@ -102,6 +102,27 @@ TEST(FixedPoint, ConvergesImmediatelyAtFixedPoint) {
   EXPECT_EQ(state[0], 4.0);
 }
 
+TEST(FixedPoint, ReproducingSweepIsNotPolishedAgain) {
+  // A constant map run undamped: the second sweep returns its input bit for
+  // bit, which is already the stationary point, so no polish sweep follows.
+  FixedPointOptions undamped;
+  undamped.damping = 1.0;
+  int sweeps = 0;
+  std::vector<double> state = {0.0};
+  const auto res = solve_fixed_point(
+      state,
+      [&sweeps](const std::vector<double>&, std::vector<double>& out) {
+        ++sweeps;
+        out[0] = 3.0;
+        return true;
+      },
+      undamped);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, 2);
+  EXPECT_EQ(sweeps, 2);
+  EXPECT_EQ(state[0], 3.0);
+}
+
 TEST(FixedPoint, NonFiniteValuesAreDivergence) {
   std::vector<double> state = {1.0};
   const auto res = solve_fixed_point(
