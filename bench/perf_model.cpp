@@ -4,8 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/saturation.hpp"
-#include "model/hotspot_model.hpp"
-#include "model/uniform_model.hpp"
+#include "model/analytical_model.hpp"
 
 namespace {
 
@@ -19,11 +18,11 @@ void BM_ModelSolve(benchmark::State& state) {
   cfg.vcs = 2;
   cfg.message_length = 32;
   cfg.hot_fraction = 0.2;
-  cfg.injection_rate =
-      load_pct / 100.0 * model::HotspotModel(cfg).estimated_saturation_rate();
+  const model::AnalyticalModel hotspot(cfg);
+  const double lambda = load_pct / 100.0 * hotspot.estimated_saturation_rate();
   int iterations = 0;
   for (auto _ : state) {
-    const model::ModelResult r = model::HotspotModel(cfg).solve();
+    const model::ModelResult r = hotspot.solve_at(lambda);
     iterations = r.iterations;
     benchmark::DoNotOptimize(r.latency);
   }
@@ -32,11 +31,11 @@ void BM_ModelSolve(benchmark::State& state) {
 BENCHMARK(BM_ModelSolve)->ArgsProduct({{8, 16, 32}, {20, 60, 90}});
 
 void BM_ModelSaturationSearch(benchmark::State& state) {
-  core::Scenario s;
-  s.k = static_cast<int>(state.range(0));
+  core::ScenarioSpec s;
+  s.torus().k = static_cast<int>(state.range(0));
   s.vcs = 2;
   s.message_length = 32;
-  s.hot_fraction = 0.2;
+  s.hotspot().fraction = 0.2;
   for (auto _ : state) {
     const auto sat = core::model_saturation_rate(s);
     benchmark::DoNotOptimize(sat.rate);
@@ -45,13 +44,14 @@ void BM_ModelSaturationSearch(benchmark::State& state) {
 BENCHMARK(BM_ModelSaturationSearch)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_UniformModelSolve(benchmark::State& state) {
-  model::UniformModelConfig cfg;
+  model::ModelConfig cfg;
   cfg.k = 16;
+  cfg.hot_fraction = std::nullopt;  // uniform traffic
   cfg.vcs = 2;
   cfg.message_length = 32;
-  cfg.injection_rate = 1e-3;
+  const model::AnalyticalModel uniform(cfg);
   for (auto _ : state) {
-    const auto r = model::UniformTorusModel(cfg).solve();
+    const auto r = uniform.solve_at(1e-3);
     benchmark::DoNotOptimize(r.latency);
   }
 }

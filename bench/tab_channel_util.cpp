@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "model/traffic_rates.hpp"
 #include "sim/simulator.hpp"
 #include "topology/hotspot_geometry.hpp"
 

@@ -167,51 +167,58 @@ int main(int argc, char** argv) {
   }
 
   // --------------------------------------------------------------- local ---
-  core::SweepEngine engine(spec);
+  // Model and simulator errors (e.g. a --hi that pushes a rate past 1) end
+  // the run with a message, as in client mode.
+  try {
+    core::SweepEngine engine(spec);
 
-  // Sweep anchor: the model's bisected saturation boundary when the
-  // registry dispatched a model, else the explicit --max-rate ceiling.
-  std::vector<double> lambdas;
-  if (engine.has_model()) {
-    std::cout << "analytical model: " << engine.analytical_model().name()
-              << " (zero-load latency "
-              << engine.analytical_model().zero_load_latency() << " cycles)\n";
-    const core::SaturationResult sat = engine.saturation_rate();
-    std::cout << "model saturation rate: " << sat.rate << " messages/node/cycle ("
-              << sat.probes << " probes)\n\n";
-    lambdas = engine.lambda_sweep(points, lo, hi);
-  } else {
-    std::cout << "analytical model: none — " << engine.sim_only_reason()
-              << " (simulator only)\n\n";
-    if (max_rate <= 0.0) {
-      std::cerr << "kncube_run: sim-only scenario needs --max-rate to anchor "
-                   "the sweep\n";
-      return EXIT_FAILURE;
-    }
-    for (int i = 0; i < points; ++i) {
-      const double f = lo + (hi - lo) * static_cast<double>(i) /
-                                static_cast<double>(points - 1);
-      lambdas.push_back(f * max_rate);
-    }
-  }
-
-  const auto pts = engine.run(lambdas, with_sim);
-  print_table(pts, args);
-  if (verbose) {
-    std::cout << "\ncache stats: "
-              << core::format_cache_stats(engine.cache_stats()) << "\n";
-    // Surface the shard resolution: sim.threads is clamped so every shard
-    // keeps enough routers, and a silent clamp reads as a perf mystery.
-    for (const auto& p : pts) {
-      if (!p.has_sim) continue;
-      std::cout << "sim shards: " << p.sim.sim_shards << " ("
-                << p.sim.sim_shards_requested << " requested";
-      if (p.sim.sim_shards < p.sim.sim_shards_requested) {
-        std::cout << ", clamped by network size";
+    // Sweep anchor: the model's bisected saturation boundary when the
+    // registry dispatched a model, else the explicit --max-rate ceiling.
+    std::vector<double> lambdas;
+    if (engine.has_model()) {
+      std::cout << "analytical model: " << engine.analytical_model().name()
+                << " (zero-load latency "
+                << engine.analytical_model().zero_load_latency() << " cycles)\n";
+      const core::SaturationResult sat = engine.saturation_rate();
+      std::cout << "model saturation rate: " << sat.rate << " messages/node/cycle ("
+                << sat.probes << " probes)\n\n";
+      lambdas = engine.lambda_sweep(points, lo, hi);
+    } else {
+      std::cout << "analytical model: none — " << engine.sim_only_reason()
+                << " (simulator only)\n\n";
+      if (max_rate <= 0.0) {
+        std::cerr << "kncube_run: sim-only scenario needs --max-rate to anchor "
+                     "the sweep\n";
+        return EXIT_FAILURE;
       }
-      std::cout << ")\n";
-      break;
+      for (int i = 0; i < points; ++i) {
+        const double f = lo + (hi - lo) * static_cast<double>(i) /
+                                  static_cast<double>(points - 1);
+        lambdas.push_back(f * max_rate);
+      }
     }
+
+    const auto pts = engine.run(lambdas, with_sim);
+    print_table(pts, args);
+    if (verbose) {
+      std::cout << "\ncache stats: "
+                << core::format_cache_stats(engine.cache_stats()) << "\n";
+      // Surface the shard resolution: sim.threads is clamped so every shard
+      // keeps enough routers, and a silent clamp reads as a perf mystery.
+      for (const auto& p : pts) {
+        if (!p.has_sim) continue;
+        std::cout << "sim shards: " << p.sim.sim_shards << " ("
+                  << p.sim.sim_shards_requested << " requested";
+        if (p.sim.sim_shards < p.sim.sim_shards_requested) {
+          std::cout << ", clamped by network size";
+        }
+        std::cout << ")\n";
+        break;
+      }
+    }
+  } catch (const std::exception& e) {
+    std::cerr << "kncube_run: " << e.what() << "\n";
+    return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;
 }

@@ -9,41 +9,6 @@
 
 namespace kncube::core {
 
-ScenarioSpec to_spec(const Scenario& s) {
-  ScenarioSpec spec;
-  spec.topology = TorusTopology{s.k, 2, false};
-  spec.traffic = HotspotTraffic{s.hot_fraction, -1};
-  spec.arrivals = BernoulliArrivals{};
-  spec.vcs = s.vcs;
-  spec.buffer_depth = s.buffer_depth;
-  spec.message_length = s.message_length;
-  spec.seed = s.seed;
-  spec.warmup_cycles = s.warmup_cycles;
-  spec.target_messages = s.target_messages;
-  spec.max_cycles = s.max_cycles;
-  spec.blocking = s.blocking;
-  spec.busy_basis = s.busy_basis;
-  spec.vcmux_basis = s.vcmux_basis;
-  return spec;
-}
-
-model::ModelConfig to_model_config(const Scenario& s, double lambda) {
-  model::ModelConfig cfg;
-  cfg.k = s.k;
-  cfg.vcs = s.vcs;
-  cfg.message_length = s.message_length;
-  cfg.injection_rate = lambda;
-  cfg.hot_fraction = s.hot_fraction;
-  cfg.blocking = s.blocking;
-  cfg.busy_basis = s.busy_basis;
-  cfg.vcmux_basis = s.vcmux_basis;
-  return cfg;
-}
-
-sim::SimConfig to_sim_config(const Scenario& s, double lambda) {
-  return to_sim_config(to_spec(s), lambda);
-}
-
 double PointResult::relative_error() const {
   // NaN — never inf or a garbage ratio — whenever either side has no usable
   // finite latency: missing sim, saturated model, a non-finite model latency
@@ -63,21 +28,10 @@ std::vector<PointResult> run_series(const ScenarioSpec& spec,
   return engine.run(lambdas, run_sim);
 }
 
-std::vector<PointResult> run_series(const Scenario& scenario,
-                                    const std::vector<double>& lambdas,
-                                    bool run_sim) {
-  return run_series(to_spec(scenario), lambdas, run_sim);
-}
-
 std::vector<double> lambda_sweep(const ScenarioSpec& spec, int points,
                                  double lo_frac, double hi_frac) {
   SweepEngine engine(spec);
   return engine.lambda_sweep(points, lo_frac, hi_frac);
-}
-
-std::vector<double> lambda_sweep(const Scenario& scenario, int points,
-                                 double lo_frac, double hi_frac) {
-  return lambda_sweep(to_spec(scenario), points, lo_frac, hi_frac);
 }
 
 }  // namespace kncube::core

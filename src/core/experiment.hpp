@@ -6,44 +6,14 @@
 // analytical model by the registry (core/model_registry.hpp).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/scenario_spec.hpp"
-#include "model/hotspot_model.hpp"
+#include "model/analytical_model.hpp"
 #include "sim/config.hpp"
 #include "sim/simulator.hpp"
 
 namespace kncube::core {
-
-/// DEPRECATED shim (one release): the pre-ScenarioSpec flat scenario, which
-/// could only describe the paper's hotspot 2-D unidirectional torus. New
-/// code should build a ScenarioSpec (or parse one); `to_spec` converts
-/// field-for-field for callers migrating incrementally.
-struct Scenario {
-  int k = 16;
-  int vcs = 2;
-  int message_length = 32;
-  double hot_fraction = 0.2;
-  int buffer_depth = 2;  ///< simulator only (the model abstracts buffers away)
-  std::uint64_t seed = 0xC0FFEE;
-  // Simulation effort; benches lower these when KNCUBE_QUICK is set.
-  std::uint64_t target_messages = 2500;
-  std::uint64_t max_cycles = 3'000'000;
-  std::uint64_t warmup_cycles = 20000;
-  // Model-approximation knobs, forwarded verbatim to model::ModelConfig so
-  // ablation scenarios can flip them without dropping down a layer.
-  model::BlockingVariant blocking = model::BlockingVariant::kPaper;
-  model::ServiceBasis busy_basis = model::ServiceBasis::kTransmission;
-  model::ServiceBasis vcmux_basis = model::ServiceBasis::kTransmission;
-};
-
-/// Field-for-field conversion of the legacy flat scenario: a hotspot,
-/// Bernoulli, 2-D unidirectional torus spec.
-ScenarioSpec to_spec(const Scenario& s);
-
-model::ModelConfig to_model_config(const Scenario& s, double lambda);
-sim::SimConfig to_sim_config(const Scenario& s, double lambda);
 
 /// One operating point: the model prediction (when the scenario has an
 /// analytical model) and the simulation measurement at the same rate.
@@ -71,17 +41,12 @@ struct PointResult {
 std::vector<PointResult> run_series(const ScenarioSpec& spec,
                                     const std::vector<double>& lambdas,
                                     bool run_sim = true);
-std::vector<PointResult> run_series(const Scenario& scenario,
-                                    const std::vector<double>& lambdas,
-                                    bool run_sim = true);
 
 /// A sweep of `points` rates from `lo_frac` to `hi_frac` of the model's
 /// saturation rate (found by bisection), mirroring how the paper's figures
 /// sample each curve from light load up to the latency asymptote. Requires
 /// a scenario with an analytical model.
 std::vector<double> lambda_sweep(const ScenarioSpec& spec, int points,
-                                 double lo_frac = 0.1, double hi_frac = 0.95);
-std::vector<double> lambda_sweep(const Scenario& scenario, int points,
                                  double lo_frac = 0.1, double hi_frac = 0.95);
 
 }  // namespace kncube::core

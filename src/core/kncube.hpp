@@ -8,17 +8,18 @@
 //                  channel geometry;
 //   * sim/       — flit-level wormhole simulator with virtual channels
 //                  (the paper's validation substrate);
-//   * model/     — the analytical models behind one polymorphic
-//                  model::AnalyticalModel interface: the hot-spot torus
-//                  model (the contribution), the uniform-traffic baseline,
-//                  the hypercube lineage model, the k-ary n-mesh model
-//                  (position-dependent channel classes), and the shared queueing
-//                  primitives;
+//   * model/     — one model::ModelConfig and one model::AnalyticalModel over
+//                  five families built on the shared channel-class engine:
+//                  the hot-spot torus model (the contribution), the
+//                  uniform-traffic baseline, the hypercube lineage model and
+//                  the uniform and hot-spot k-ary n-mesh models, plus MMPP
+//                  (bursty) arrivals on the torus families;
 //   * core/      — the public facade. core::ScenarioSpec is the one typed
 //                  scenario language (topology × traffic × arrivals plus
 //                  router/measurement/ablation knobs); the model registry
 //                  dispatches a spec to its analytical model (or reports it
-//                  sim-only), and core::SweepEngine evaluates operating
+//                  sim-only, e.g. for permutation patterns or faulty
+//                  networks), and core::SweepEngine evaluates operating
 //                  points for any valid spec with memoization, warm-started
 //                  continuation, parallel sweeps and saturation bisection;
 //   * validate/  — the statistical validation subsystem: ReplicationRunner
@@ -36,8 +37,7 @@
 // Specs are text round-trippable — `parse_scenario` / `format_scenario`
 // read and write a canonical `key=value` form (e.g. `topology.kind=torus`,
 // `traffic.hot_fraction=0.2`), and `examples/kncube_run` drives any spec
-// file from the command line. The pre-v2 flat core::Scenario remains as a
-// deprecated shim for one release (core/experiment.hpp).
+// file from the command line.
 #pragma once
 
 #include "core/experiment.hpp"   // IWYU pragma: export
@@ -47,10 +47,6 @@
 #include "core/scenario_spec.hpp"  // IWYU pragma: export
 #include "core/sweep_engine.hpp" // IWYU pragma: export
 #include "model/analytical_model.hpp"  // IWYU pragma: export
-#include "model/hotspot_model.hpp"  // IWYU pragma: export
-#include "model/hypercube_model.hpp"  // IWYU pragma: export
-#include "model/mesh_model.hpp"  // IWYU pragma: export
-#include "model/uniform_model.hpp"  // IWYU pragma: export
 #include "sim/simulator.hpp"     // IWYU pragma: export
 #include "topology/hotspot_geometry.hpp"  // IWYU pragma: export
 #include "topology/mesh_geometry.hpp"  // IWYU pragma: export

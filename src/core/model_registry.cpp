@@ -4,97 +4,24 @@ namespace kncube::core {
 
 namespace {
 
-ModelDispatch sim_only(std::string reason) {
-  ModelDispatch d;
-  d.sim_only_reason = std::move(reason);
-  return d;
-}
-
-/// True when any model-approximation knob differs from its default. Families
-/// that cannot represent a knob must not silently ignore a non-default
-/// setting — the caller would believe they ran an ablation that never
-/// happened — so they dispatch sim-only instead.
-bool nondefault_blocking(const ScenarioSpec& spec) {
-  return spec.blocking != model::BlockingVariant::kPaper;
-}
-bool nondefault_bases(const ScenarioSpec& spec) {
-  return spec.busy_basis != model::ServiceBasis::kTransmission ||
-         spec.vcmux_basis != model::ServiceBasis::kTransmission;
-}
-
-/// Mirrors core::MmppArrivals into the model layer's shape struct.
-model::MmppArrivalShape mmpp_shape(const ScenarioSpec& spec) {
-  const MmppArrivals& m = spec.mmpp();
-  return {m.burst_multiplier, m.p_enter_burst, m.p_leave_burst};
-}
-
-ModelDispatch torus_dispatch(const ScenarioSpec& spec) {
-  const TorusTopology& t = spec.torus();
-  if (t.bidirectional) {
-    return sim_only("analytical models assume unidirectional links");
+/// The sim-only reasons no ModelConfig can express.
+std::string spec_only_reason(const ScenarioSpec& spec) {
+  if (!spec.failures.empty()) {
+    // Every analytical family assumes the pristine network: silently solving
+    // the pristine model for a degraded scenario would report latencies for
+    // a network that does not exist.
+    return "fault-aware analytical model not yet implemented";
   }
-  if (t.n != 2) {
-    return sim_only("analytical torus models are 2-D (n == 2)");
+  if (spec.is_torus() && spec.torus().bidirectional) {
+    return "analytical models assume unidirectional links";
   }
-  if (spec.is_hotspot()) {
-    model::ModelConfig cfg;
-    cfg.k = t.k;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = spec.hotspot().fraction;
-    cfg.blocking = spec.blocking;
-    cfg.busy_basis = spec.busy_basis;
-    cfg.vcmux_basis = spec.vcmux_basis;
-    ModelDispatch d;
-    if (spec.is_mmpp()) {
-      d.model = std::make_unique<model::MmppHotspotAnalyticalModel>(
-          cfg, mmpp_shape(spec));
-    } else {
-      d.model = std::make_unique<model::HotspotAnalyticalModel>(cfg);
-    }
-    return d;
+  if (!spec.is_hotspot() && !std::holds_alternative<UniformTraffic>(spec.traffic)) {
+    return "no analytical counterpart for this traffic pattern";
   }
-  if (std::holds_alternative<UniformTraffic>(spec.traffic)) {
-    if (nondefault_blocking(spec) || nondefault_bases(spec)) {
-      return sim_only(
-          "uniform-torus model has no blocking/basis ablation variants");
-    }
-    model::UniformModelConfig cfg;
-    cfg.k = t.k;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    ModelDispatch d;
-    if (spec.is_mmpp()) {
-      d.model = std::make_unique<model::MmppUniformAnalyticalModel>(
-          cfg, mmpp_shape(spec));
-    } else {
-      d.model = std::make_unique<model::UniformAnalyticalModel>(cfg);
-    }
-    return d;
-  }
-  return sim_only("no analytical counterpart for this traffic pattern");
-}
-
-ModelDispatch mesh_dispatch(const ScenarioSpec& spec) {
-  const MeshTopology& m = spec.mesh();
-  if (std::holds_alternative<UniformTraffic>(spec.traffic)) {
-    model::MeshModelConfig cfg;
-    cfg.k = m.k;
-    cfg.n = m.n;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.blocking = spec.blocking;
-    cfg.busy_basis = spec.busy_basis;
-    cfg.vcmux_basis = spec.vcmux_basis;
-    ModelDispatch d;
-    d.model = std::make_unique<model::MeshAnalyticalModel>(cfg);
-    return d;
-  }
-  if (spec.is_hotspot()) {
-    // The hot-spot mesh model exploits the centre node's mirror symmetry
-    // (mesh_hotspot_model.hpp): the hot load on a dimension-d line depends
-    // only on the distance to the centre and on whether the line is hot
-    // (earlier coordinates already corrected), giving O(n k) classes. An
+  if (spec.is_mesh() && spec.is_hotspot()) {
+    // The hot-spot mesh model exploits the centre node's mirror symmetry:
+    // the hot load on a dimension-d line depends only on the distance to
+    // the centre and on whether the line is hot, giving O(n k) classes. An
     // off-centre hot node breaks that symmetry — every channel gets its own
     // load — so the simulator carries that variant.
     const MeshTopology& m = spec.mesh();
@@ -104,70 +31,54 @@ ModelDispatch mesh_dispatch(const ScenarioSpec& spec) {
     }
     const std::int64_t hot = spec.hotspot().hot_node;
     if (hot != -1 && hot != centre) {
-      return sim_only(
-          "mesh hot-spot model covers the centre hot node only (off-centre "
-          "load is per-channel with no class symmetry)");
+      return "mesh hot-spot model covers the centre hot node only (off-centre "
+             "load is per-channel with no class symmetry)";
     }
-    model::MeshHotspotModelConfig cfg;
-    cfg.k = m.k;
-    cfg.n = m.n;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = spec.hotspot().fraction;
-    cfg.blocking = spec.blocking;
-    cfg.busy_basis = spec.busy_basis;
-    cfg.vcmux_basis = spec.vcmux_basis;
-    ModelDispatch d;
-    d.model = std::make_unique<model::HotspotMeshAnalyticalModel>(cfg);
-    return d;
   }
-  return sim_only("no analytical counterpart for this traffic pattern");
+  return {};
 }
 
-ModelDispatch hypercube_dispatch(const ScenarioSpec& spec) {
-  const bool uniform = std::holds_alternative<UniformTraffic>(spec.traffic);
-  if (!spec.is_hotspot() && !uniform) {
-    return sim_only("no analytical counterpart for this traffic pattern");
+model::ModelConfig model_config(const ScenarioSpec& spec) {
+  model::ModelConfig cfg;
+  if (spec.is_torus()) {
+    cfg.topology = model::TopologyKind::kTorus;
+    cfg.k = spec.torus().k;
+    cfg.n = spec.torus().n;
+  } else if (spec.is_mesh()) {
+    cfg.topology = model::TopologyKind::kMesh;
+    cfg.k = spec.mesh().k;
+    cfg.n = spec.mesh().n;
+  } else {
+    cfg.topology = model::TopologyKind::kHypercube;
+    cfg.k = 2;
+    cfg.n = spec.hypercube().dims;
   }
-  if (nondefault_blocking(spec)) {
-    return sim_only("hypercube model has no blocking-form ablation variant");
-  }
-  model::HypercubeModelConfig cfg;
-  cfg.dims = spec.hypercube().dims;
+  cfg.hot_fraction = spec.is_hotspot() ? std::optional(spec.hotspot().fraction)
+                                       : std::nullopt;
   cfg.vcs = spec.vcs;
   cfg.message_length = spec.message_length;
-  // Uniform traffic is the h = 0 degeneration of the hot-spot model (the
-  // hot streams vanish and every channel carries the regular background).
-  cfg.hot_fraction = uniform ? 0.0 : spec.hotspot().fraction;
+  cfg.blocking = spec.blocking;
   cfg.busy_basis = spec.busy_basis;
   cfg.vcmux_basis = spec.vcmux_basis;
-  ModelDispatch d;
-  d.model = std::make_unique<model::HypercubeAnalyticalModel>(cfg);
-  return d;
+  if (spec.is_mmpp()) {
+    const MmppArrivals& m = spec.mmpp();
+    cfg.mmpp = model::MmppArrivalShape{m.burst_multiplier, m.p_enter_burst,
+                                       m.p_leave_burst};
+  }
+  return cfg;
 }
 
 }  // namespace
 
 ModelDispatch make_analytical_model(const ScenarioSpec& spec) {
   spec.validate();
-  if (!spec.failures.empty()) {
-    // Every analytical family assumes the pristine network: silently solving
-    // the pristine model for a degraded scenario would report latencies for
-    // a network that does not exist. Checked before any family dispatch so
-    // no faulty spec can slip through a family-specific branch.
-    return sim_only("fault-aware analytical model not yet implemented");
-  }
-  if (spec.is_mmpp() && !spec.is_torus()) {
-    // The bursty (MMPP) service stage — engine/bursty.hpp, the paper's §5
-    // future work — is wired into the torus families only; the mesh and
-    // hypercube builders do not thread an arrival IDC yet.
-    return sim_only(
-        "bursty-arrival model covers the torus families only (mesh and "
-        "hypercube models assume Bernoulli arrivals)");
-  }
-  if (spec.is_torus()) return torus_dispatch(spec);
-  if (spec.is_mesh()) return mesh_dispatch(spec);
-  return hypercube_dispatch(spec);
+  ModelDispatch d;
+  d.sim_only_reason = spec_only_reason(spec);
+  if (!d.sim_only_reason.empty()) return d;
+  model::ModelConfig cfg = model_config(spec);
+  d.sim_only_reason = model::unsupported_reason(cfg);
+  if (d.sim_only_reason.empty()) d.model.emplace(std::move(cfg));
+  return d;
 }
 
 }  // namespace kncube::core

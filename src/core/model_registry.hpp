@@ -1,31 +1,28 @@
 // Model registry: ScenarioSpec -> AnalyticalModel dispatch.
 //
-// Maps each (topology, traffic, arrivals) combination to the analytical
-// model family that covers it, or reports "sim-only" with a reason when no
-// analytical counterpart exists. This is the single place that knows which
-// corner of the scenario space each model family covers:
+// Maps a spec onto the model layer's one ModelConfig, or reports "sim-only"
+// with a reason when no analytical counterpart exists. Two places know which
+// corner of the scenario space the models cover:
 //
-//   torus n=2 uni  × hotspot  × bernoulli  -> hotspot-torus   (the paper)
-//   torus n=2 uni  × uniform  × bernoulli  -> uniform-torus   (baseline)
-//   hypercube      × hotspot  × bernoulli  -> hotspot-hypercube (ref. [12])
-//   hypercube      × uniform  × bernoulli  -> hotspot-hypercube with h = 0
-//   mesh (any n)   × uniform  × bernoulli  -> uniform-mesh    (per-position
-//                                             channel classes, DESIGN.md §8)
-//   anything else (mesh hot-spot — per-channel load with no class
-//   reduction; permutation patterns, MMPP arrivals, bidirectional links,
-//   n ≠ 2 tori)                            -> sim-only
+//  * this registry, for what only a spec can express: failed routers or
+//    links, bidirectional torus links, permutation traffic patterns and an
+//    off-centre mesh hot node;
+//  * model::unsupported_reason, for what a ModelConfig can express: torus
+//    n != 2, MMPP arrivals off the torus, and ablation knobs a family has no
+//    variant for (uniform torus: blocking and bases; hypercube: blocking).
 //
-// A family that cannot represent a requested model-ablation knob (the
-// uniform-torus model has no blocking/basis variants; the hypercube model
-// has no blocking-form variant) also reports sim-only rather than silently
-// running the default approximation under an ablation's name.
+// Every other (topology, traffic, arrivals) combination is modeled: the
+// hot-spot and uniform 2-D torus, the uniform and centre-hot-spot k-ary
+// n-mesh, the hypercube under either traffic (uniform is its h = 0
+// degeneration), and MMPP arrivals on both torus families. The family table
+// is in model/analytical_model.hpp.
 //
 // SweepEngine holds the dispatched model and solves every operating point
 // through it, so memoization, warm-started continuation and saturation
 // bisection work identically for all families.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "core/scenario_spec.hpp"
@@ -34,12 +31,12 @@
 namespace kncube::core {
 
 struct ModelDispatch {
-  /// The matching analytical model, or nullptr when the spec is sim-only.
-  std::unique_ptr<model::AnalyticalModel> model;
+  /// The matching analytical model, or nullopt when the spec is sim-only.
+  std::optional<model::AnalyticalModel> model;
   /// Why no analytical model applies (empty when `model` is set).
   std::string sim_only_reason;
 
-  bool has_model() const noexcept { return model != nullptr; }
+  bool has_model() const noexcept { return model.has_value(); }
 };
 
 /// Dispatches a validated spec to its analytical model family. Throws

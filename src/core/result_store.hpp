@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "core/saturation.hpp"
-#include "model/hotspot_model.hpp"
+#include "model/analytical_model.hpp"
 #include "sim/simulator.hpp"
 
 namespace kncube::core {

@@ -1,6 +1,7 @@
 #include "core/saturation.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/sweep_engine.hpp"
 
@@ -11,6 +12,12 @@ namespace kncube::core {
 SaturationResult bisect_saturation(double initial_guess, double rel_tol,
                                    const std::function<bool(double)>& stable) {
   SaturationResult res;
+  if (!(std::isfinite(initial_guess) && initial_guess > 0.0)) {
+    // A NaN guess would make every bracket comparison false and "converge"
+    // on a rate that was never probed.
+    res.failed = true;
+    return res;
+  }
   double lo = 0.0;
   double hi = initial_guess;
 
@@ -63,10 +70,6 @@ SaturationResult model_saturation_rate(const ScenarioSpec& spec, double rel_tol)
   return SweepEngine(spec).saturation_rate(rel_tol);
 }
 
-SaturationResult model_saturation_rate(const Scenario& scenario, double rel_tol) {
-  return model_saturation_rate(to_spec(scenario), rel_tol);
-}
-
 SaturationResult sim_saturation_rate(const ScenarioSpec& spec, double rel_tol) {
   // Each probe is a full simulation: cap the per-probe effort. A saturated
   // probe reveals itself quickly (backlog growth), a stable one converges.
@@ -84,10 +87,6 @@ SaturationResult sim_saturation_rate(const ScenarioSpec& spec, double rel_tol) {
     const sim::SimResult r = sim::simulate(to_sim_config(probe_spec, rate));
     return !r.saturated;
   });
-}
-
-SaturationResult sim_saturation_rate(const Scenario& scenario, double rel_tol) {
-  return sim_saturation_rate(to_spec(scenario), rel_tol);
 }
 
 }  // namespace kncube::core

@@ -18,15 +18,17 @@ namespace kncube::core {
 struct SaturationResult {
   double rate = 0.0;    ///< highest stable injection rate found
   int probes = 0;       ///< model solves / simulations performed
-  /// True when no stable rate was ever observed: the shrink phase collapsed
-  /// the bracket to ~0 without a single stable probe. `rate` is 0 in that
-  /// case — callers must not treat it as a converged saturation boundary.
+  /// True when no stable rate was ever observed: the initial guess was not a
+  /// positive finite rate, or the shrink phase collapsed the bracket to ~0
+  /// without a single stable probe. `rate` is 0 in that case — callers must
+  /// not treat it as a converged saturation boundary.
   bool failed = false;
 };
 
 /// Generic bracketing + bisection on a stable(rate) predicate: grows/shrinks
 /// from `initial_guess` until the boundary is bracketed, then bisects to
-/// relative width `rel_tol`. Exposed so callers with memoized probes (e.g.
+/// relative width `rel_tol`. A non-finite or non-positive guess reports
+/// `failed` without probing. Exposed so callers with memoized probes (e.g.
 /// core::SweepEngine) can reuse the search.
 SaturationResult bisect_saturation(double initial_guess, double rel_tol,
                                    const std::function<bool(double)>& stable);
@@ -35,12 +37,9 @@ SaturationResult bisect_saturation(double initial_guess, double rel_tol,
 /// `rel_tol`. Throws std::logic_error for sim-only specs.
 SaturationResult model_saturation_rate(const ScenarioSpec& spec,
                                        double rel_tol = 1e-3);
-SaturationResult model_saturation_rate(const Scenario& scenario,
-                                       double rel_tol = 1e-3);
 
 /// Bisects the simulator's saturation boundary. `rel_tol` is coarser by
 /// default because every probe is a full simulation.
 SaturationResult sim_saturation_rate(const ScenarioSpec& spec, double rel_tol = 0.05);
-SaturationResult sim_saturation_rate(const Scenario& scenario, double rel_tol = 0.05);
 
 }  // namespace kncube::core

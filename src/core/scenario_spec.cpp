@@ -1,6 +1,7 @@
 #include "core/scenario_spec.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -30,6 +31,11 @@ double parse_double(const std::string& key, const std::string& value) {
   const double v = std::strtod(value.c_str(), &end);
   if (end == value.c_str() || *end != '\0') {
     fail(key + ": expected a number, got '" + value + "'");
+  }
+  // nan/inf (and overflowing literals) would slip past every range check
+  // written as `x < lo || x > hi`.
+  if (!std::isfinite(v)) {
+    fail(key + ": expected a finite number, got '" + value + "'");
   }
   return v;
 }
@@ -193,7 +199,7 @@ void ScenarioSpec::validate() const {
   const std::uint64_t size = node_count();
   if (is_hotspot()) {
     const HotspotTraffic& t = hotspot();
-    if (t.fraction < 0.0 || t.fraction > 1.0) fail("hot fraction must be in [0,1]");
+    if (!(0.0 <= t.fraction && t.fraction <= 1.0)) fail("hot fraction must be in [0,1]");
     // Resolved-topology bounds live here, not just at sim-config time: -1 is
     // the only placeholder (centre node); any other negative would silently
     // alias it in SimConfig::resolved_hot_node, and ids must fit the node
@@ -215,11 +221,11 @@ void ScenarioSpec::validate() const {
 
   if (is_mmpp()) {
     const MmppArrivals& m = mmpp();
-    if (m.p_enter_burst <= 0.0 || m.p_enter_burst > 1.0 ||
-        m.p_leave_burst <= 0.0 || m.p_leave_burst > 1.0) {
+    if (!(0.0 < m.p_enter_burst && m.p_enter_burst <= 1.0) ||
+        !(0.0 < m.p_leave_burst && m.p_leave_burst <= 1.0)) {
       fail("MMPP transition probabilities must be in (0,1]");
     }
-    if (m.burst_multiplier < 1.0) fail("MMPP burst multiplier must be >= 1");
+    if (!(1.0 <= m.burst_multiplier)) fail("MMPP burst multiplier must be >= 1");
     // Degenerate stationary chains: pi_burst must stay strictly inside (0,1)
     // *in double precision* — extreme p_enter/p_leave ratios round it to 0 or
     // 1, a chain that (effectively) never or always bursts, so the burst
@@ -319,7 +325,7 @@ void ScenarioSpec::validate() const {
       last_link_key = link_key;
     }
 
-    if (failures.random_rate < 0.0 || failures.random_rate >= 1.0) {
+    if (!(0.0 <= failures.random_rate && failures.random_rate < 1.0)) {
       fail("fault.rate must be in [0,1)");
     }
   }

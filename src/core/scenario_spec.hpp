@@ -4,13 +4,13 @@
 // (topology × traffic × arrivals) space the code implements — the hot-spot
 // 2-D torus the paper analyses, the uniform/hypercube baselines it validates
 // against, the k-ary n-mesh (wrap-around links removed; position-dependent
-// channel load), and the simulator-only extensions (permutation patterns,
-// MMPP bursts, bidirectional links, n ≠ 2). Every workload flows through this
-// type into the core facade: `SweepEngine`, `run_series`,
-// `model_saturation_rate` and `to_sim_config` all accept a spec, and the
-// model registry (core/model_registry.hpp) dispatches it to the matching
-// analytical model — or reports "sim-only" when no analytical counterpart
-// exists.
+// channel load), MMPP bursts, and the simulator-only extensions
+// (permutation patterns, bidirectional links, n ≠ 2 tori, faults). Every
+// workload flows through this type into the core facade: `SweepEngine`,
+// `run_series`, `model_saturation_rate` and `to_sim_config` all accept a
+// spec, and the model registry (core/model_registry.hpp) dispatches it to
+// the matching analytical model — or reports "sim-only" when no analytical
+// counterpart exists.
 //
 // Specs are file- and CLI-drivable: `format_scenario` emits a canonical
 // `key=value` text form, `parse_scenario` reads it back field-for-field, and
@@ -76,7 +76,8 @@ using Traffic = std::variant<HotspotTraffic, UniformTraffic, TransposeTraffic,
 /// analytical models assume.
 struct BernoulliArrivals {};
 
-/// Two-state modulated Bernoulli — the §5 bursty extension (sim-only).
+/// Two-state modulated Bernoulli — the §5 bursty extension (modeled on the
+/// torus families, sim-only elsewhere).
 struct MmppArrivals {
   double burst_multiplier = 4.0;  ///< rate in burst state = mult * mean rate
   double p_enter_burst = 0.0005;  ///< idle -> burst transition prob per cycle

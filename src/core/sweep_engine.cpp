@@ -26,9 +26,6 @@ SweepEngine::SweepEngine(ScenarioSpec spec, std::shared_ptr<ResultStore> store)
   if (!store_) store_ = std::make_shared<MemoryResultStore>();
 }
 
-SweepEngine::SweepEngine(const Scenario& scenario)
-    : SweepEngine(to_spec(scenario)) {}
-
 const model::AnalyticalModel& SweepEngine::analytical_model() const {
   if (!model_) {
     throw std::logic_error("SweepEngine: scenario is sim-only (" +
@@ -77,7 +74,7 @@ model::ModelResult SweepEngine::model_point(double lambda) {
       inflight = std::make_shared<Inflight<ModelEntry>>();
       inflight_model_.emplace(key, inflight);
       owner = true;
-      if (warm_start_) store_->warm_state_at_or_below(spec_key_, key, &warm);
+      store_->warm_state_at_or_below(spec_key_, key, &warm);
     }
   }
   if (!owner) return inflight->wait().result;
@@ -225,24 +222,6 @@ CacheStats SweepEngine::cache_stats() const {
 std::size_t SweepEngine::inflight_solves() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return inflight_model_.size() + inflight_sim_.size();
-}
-
-std::size_t SweepEngine::model_cache_size() const {
-  return static_cast<std::size_t>(store_->sizes().model);
-}
-
-std::size_t SweepEngine::sim_cache_size() const {
-  return static_cast<std::size_t>(store_->sizes().sim);
-}
-
-std::uint64_t SweepEngine::model_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return model_hits_;
-}
-
-std::uint64_t SweepEngine::sim_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sim_hits_;
 }
 
 void SweepEngine::clear_cache() {

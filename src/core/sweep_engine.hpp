@@ -4,12 +4,12 @@
 // parameter studies, the capacity-planning daemon — ultimately evaluates
 // (scenario, lambda) points. The engine centralises that loop for *any*
 // valid ScenarioSpec: the model registry (core/model_registry.hpp)
-// dispatches the spec to its analytical model family (hot-spot torus,
-// uniform torus, hot-spot hypercube, uniform mesh) at construction, and
-// every model_point goes through that polymorphic interface; sim-only specs
-// (permutation patterns, MMPP arrivals, bidirectional links, n ≠ 2 tori,
-// faulty networks) still run simulations through the same engine with the
-// model side reported absent. Points are batched across the global thread
+// dispatches the spec to its model::AnalyticalModel at construction, and
+// every model_point goes through it; sim-only specs (the cases the registry
+// lists: permutation patterns, faulty networks, bidirectional links, n ≠ 2
+// tori, an off-centre mesh hot node, MMPP arrivals off the torus, ...)
+// still run simulations through the same engine with the model side
+// reported absent. Points are batched across the global thread
 // pool (util/thread_pool, KNCUBE_THREADS), simulator seeds are derived
 // per-point so series are reproducible regardless of scheduling, and
 // repeated points are memoized through a pluggable ResultStore
@@ -52,7 +52,8 @@
 // still converge from a warm seed (warm starting can only *add* converged
 // points, never lose or alter one); no such budget-marginal point has been
 // observed in this model family, and tests/model/warm_start_test pins
-// warm-on/warm-off equivalence across sweeps including the knee.
+// warm-started engine answers to cold solve_at calls across sweeps including
+// the knee.
 #pragma once
 
 #include <condition_variable>
@@ -61,6 +62,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -81,8 +83,6 @@ class SweepEngine {
   /// this engine; the default is a private in-memory store.
   explicit SweepEngine(ScenarioSpec spec,
                        std::shared_ptr<ResultStore> store = nullptr);
-  /// DEPRECATED shim: accepts the legacy flat Scenario via to_spec.
-  explicit SweepEngine(const Scenario& scenario);
 
   const ScenarioSpec& spec() const noexcept { return spec_; }
   /// The spec's canonical key — the store's scenario dimension.
@@ -90,7 +90,7 @@ class SweepEngine {
   const std::shared_ptr<ResultStore>& store() const noexcept { return store_; }
 
   /// True when the registry dispatched an analytical model for this spec.
-  bool has_model() const noexcept { return model_ != nullptr; }
+  bool has_model() const noexcept { return model_.has_value(); }
   /// Why the spec is sim-only (empty when has_model()).
   const std::string& sim_only_reason() const noexcept { return sim_only_reason_; }
   /// The dispatched model; throws std::logic_error for sim-only specs.
@@ -133,20 +133,8 @@ class SweepEngine {
   /// Solves this engine currently has in flight (owner threads running).
   std::size_t inflight_solves() const;
 
-  // Narrow legacy accessors, kept for existing call sites; equivalent to
-  // the matching cache_stats() fields.
-  std::size_t model_cache_size() const;
-  std::size_t sim_cache_size() const;
-  std::uint64_t model_cache_hits() const;
-  std::uint64_t sim_cache_hits() const;
   /// Clears the backing store (every spec, when shared) and the counters.
   void clear_cache();
-
-  /// Disables/enables warm-started model solves (default on). Results are
-  /// bit-identical either way (see the header comment); the toggle exists
-  /// for benchmarking and for the tests that verify that very claim.
-  void set_warm_start(bool enabled) noexcept { warm_start_ = enabled; }
-  bool warm_start() const noexcept { return warm_start_; }
 
  private:
   /// Rendezvous for threads that asked for a key another thread is already
@@ -189,9 +177,8 @@ class SweepEngine {
   ScenarioSpec spec_;
   std::uint64_t spec_key_ = 0;
   std::shared_ptr<ResultStore> store_;
-  std::unique_ptr<model::AnalyticalModel> model_;  ///< null for sim-only specs
+  std::optional<model::AnalyticalModel> model_;  ///< nullopt for sim-only specs
   std::string sim_only_reason_;
-  bool warm_start_ = true;
 
   mutable std::mutex mutex_;  ///< counters + in-flight maps
   std::map<std::uint64_t, std::shared_ptr<Inflight<ModelEntry>>> inflight_model_;

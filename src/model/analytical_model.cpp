@@ -1,262 +1,137 @@
 #include "model/analytical_model.hpp"
 
+#include <cmath>
+#include <stdexcept>
+
 #include "model/engine/bursty.hpp"
+#include "model/families.hpp"
+#include "topology/torus.hpp"  // topo::kMaxDims
 
 namespace kncube::model {
 
+struct ModelFamily {
+  const char* name;
+  ModelResult (*solve)(const ModelConfig& cfg, double lambda, double arrival_idc,
+                       const std::vector<double>* warm_start,
+                       std::vector<double>* converged_state);
+  double (*zero_load_latency)(const ModelConfig& cfg);
+  double (*estimated_saturation_rate)(const ModelConfig& cfg);
+};
+
 namespace {
 
-/// Probe rate for lambda-independent queries (zero-load latency, saturation
-/// estimates): small enough to be deep in the stable region, positive so
-/// rate ratios stay well-defined.
-constexpr double kProbeRate = 1e-9;
+const ModelFamily kHotspotTorus{"hotspot-torus", solve_hotspot_torus,
+                                hotspot_torus_zero_load_latency,
+                                hotspot_torus_saturation_estimate};
+const ModelFamily kUniformTorus{"uniform-torus", solve_uniform_torus,
+                                uniform_torus_zero_load_latency,
+                                uniform_torus_saturation_estimate};
+const ModelFamily kHypercube{"hotspot-hypercube", solve_hypercube,
+                             hypercube_zero_load_latency,
+                             hypercube_saturation_estimate};
+const ModelFamily kUniformMesh{"uniform-mesh", solve_uniform_mesh,
+                               uniform_mesh_zero_load_latency,
+                               uniform_mesh_saturation_estimate};
+const ModelFamily kHotspotMesh{"hotspot-mesh", solve_hotspot_mesh,
+                               hotspot_mesh_zero_load_latency,
+                               hotspot_mesh_saturation_estimate};
+
+const ModelFamily& family_of(const ModelConfig& cfg) {
+  const bool hot = cfg.hot_fraction.has_value();
+  switch (cfg.topology) {
+    case TopologyKind::kTorus: return hot ? kHotspotTorus : kUniformTorus;
+    case TopologyKind::kMesh: return hot ? kHotspotMesh : kUniformMesh;
+    case TopologyKind::kHypercube: break;
+  }
+  return kHypercube;
+}
+
+[[noreturn]] void fail(const std::string& msg) {
+  throw std::invalid_argument("ModelConfig: " + msg);
+}
 
 }  // namespace
 
-// ------------------------------------------------------------ hot-spot ---
-
-HotspotAnalyticalModel::HotspotAnalyticalModel(ModelConfig base)
-    : base_(std::move(base)) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
+void ModelConfig::validate() const {
+  if (k < 2) fail("radix k must be >= 2");
+  if (topology == TopologyKind::kHypercube && k != 2) {
+    fail("the hypercube is the k = 2 n-cube");
+  }
+  if (n < 1 || n > topo::kMaxDims) fail("dimension count n out of range");
+  if (vcs < 1) fail("need at least one virtual channel");
+  if (message_length < 1) fail("message length must be >= 1");
+  if (hot_fraction && !(*hot_fraction >= 0.0 && *hot_fraction <= 1.0)) {
+    fail("hot fraction must be in [0,1]");
+  }
+  if (mmpp) {
+    if (!(mmpp->p_enter_burst > 0.0 && mmpp->p_enter_burst <= 1.0 &&
+          mmpp->p_leave_burst > 0.0 && mmpp->p_leave_burst <= 1.0)) {
+      fail("MMPP transition probabilities must be in (0,1]");
+    }
+    if (!(std::isfinite(mmpp->burst_multiplier) && mmpp->burst_multiplier >= 1.0)) {
+      fail("MMPP burst multiplier must be finite and >= 1");
+    }
+  }
 }
 
-ModelResult HotspotAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  ModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  return HotspotModel(cfg).solve(warm_start, converged_state);
+std::string unsupported_reason(const ModelConfig& cfg) {
+  const bool default_bases = cfg.busy_basis == ServiceBasis::kTransmission &&
+                             cfg.vcmux_basis == ServiceBasis::kTransmission;
+  switch (cfg.topology) {
+    case TopologyKind::kTorus:
+      if (cfg.n != 2) return "analytical torus models are 2-D (n == 2)";
+      if (!cfg.hot_fraction &&
+          (cfg.blocking != BlockingVariant::kPaper || !default_bases)) {
+        return "uniform-torus model has no blocking/basis ablation variants";
+      }
+      return {};
+    case TopologyKind::kMesh:
+    case TopologyKind::kHypercube:
+      // The bursty service stage is threaded through the torus builders
+      // only; the mesh and hypercube builders assume Bernoulli arrivals.
+      if (cfg.mmpp) {
+        return "bursty-arrival model covers the torus families only (mesh and "
+               "hypercube models assume Bernoulli arrivals)";
+      }
+      if (cfg.topology == TopologyKind::kHypercube &&
+          cfg.blocking != BlockingVariant::kPaper) {
+        return "hypercube model has no blocking-form ablation variant";
+      }
+      return {};
+  }
+  return {};
 }
 
-double HotspotAnalyticalModel::zero_load_latency() const {
-  return HotspotModel(base_).zero_load_latency();
+AnalyticalModel::AnalyticalModel(ModelConfig cfg)
+    : cfg_(std::move(cfg)), family_(&family_of(cfg_)) {
+  cfg_.validate();
+  if (std::string reason = unsupported_reason(cfg_); !reason.empty()) {
+    throw std::invalid_argument("AnalyticalModel: " + reason);
+  }
+  name_ = cfg_.mmpp ? std::string("mmpp-") + family_->name : family_->name;
 }
 
-double HotspotAnalyticalModel::estimated_saturation_rate() const {
-  return HotspotModel(base_).estimated_saturation_rate();
+ModelResult AnalyticalModel::solve_at(double lambda,
+                                      const std::vector<double>* warm_start,
+                                      std::vector<double>* converged_state) const {
+  if (!(lambda >= 0.0 && lambda <= 1.0)) {
+    throw std::invalid_argument("AnalyticalModel: injection rate must be in [0,1]");
+  }
+  // The IDC depends on the operating point's mean rate; burst_multiplier == 1
+  // makes it exactly 1, so such solves are bitwise the Bernoulli ones.
+  const double idc = cfg_.mmpp ? mmpp_arrival_idc(lambda, cfg_.mmpp->burst_multiplier,
+                                                  cfg_.mmpp->p_enter_burst,
+                                                  cfg_.mmpp->p_leave_burst)
+                               : 1.0;
+  return family_->solve(cfg_, lambda, idc, warm_start, converged_state);
 }
 
-// ------------------------------------------------------------- uniform ---
-
-UniformAnalyticalModel::UniformAnalyticalModel(UniformModelConfig base)
-    : base_(std::move(base)) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
+double AnalyticalModel::zero_load_latency() const {
+  return family_->zero_load_latency(cfg_);
 }
 
-ModelResult UniformAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  UniformModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  const UniformModelResult r =
-      UniformTorusModel(cfg).solve(warm_start, converged_state);
-  ModelResult out;
-  out.latency = r.latency;
-  out.saturated = r.saturated;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.regular_latency = r.latency;  // all traffic is regular under h = 0
-  out.hot_latency = 0.0;
-  out.regular_network_latency = r.network_latency;
-  out.source_wait_regular = r.source_wait;
-  out.vc_mux_x = r.vc_mux_x;
-  out.vc_mux_hot_y = r.vc_mux_y;
-  out.vc_mux_nonhot_y = r.vc_mux_y;
-  out.max_channel_utilization = r.channel_utilization;
-  return out;
-}
-
-double UniformAnalyticalModel::zero_load_latency() const {
-  return UniformTorusModel(base_).zero_load_latency();
-}
-
-double UniformAnalyticalModel::estimated_saturation_rate() const {
-  // The x channel is the capacity bound: per-channel rate lambda (k-1)/2 at
-  // holding time tx_x = Lm + k/2 - 1 + (k-1)/2 cycles per message.
-  const double k = static_cast<double>(base_.k);
-  const double tx_x =
-      static_cast<double>(base_.message_length) + k / 2.0 - 1.0 + (k - 1.0) / 2.0;
-  return 2.0 / ((k - 1.0) * tx_x);
-}
-
-// -------------------------------------------------------- MMPP (bursty) ---
-
-MmppHotspotAnalyticalModel::MmppHotspotAnalyticalModel(ModelConfig base,
-                                                       MmppArrivalShape shape)
-    : base_(std::move(base)), shape_(shape) {
-  base_.injection_rate = kProbeRate;
-  base_.arrival_idc = 1.0;  // per-lambda value substituted in solve_at
-  base_.validate();
-}
-
-ModelResult MmppHotspotAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  ModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  cfg.arrival_idc =
-      mmpp_arrival_idc(lambda, shape_.burst_multiplier, shape_.p_enter_burst,
-                       shape_.p_leave_burst);
-  return HotspotModel(cfg).solve(warm_start, converged_state);
-}
-
-double MmppHotspotAnalyticalModel::zero_load_latency() const {
-  // Closed form, no queueing: burstiness does not shift the lambda -> 0 limit.
-  return HotspotModel(base_).zero_load_latency();
-}
-
-double MmppHotspotAnalyticalModel::estimated_saturation_rate() const {
-  // The stability pole is a bandwidth property (R8) that the IDC does not
-  // move; the Bernoulli bottleneck estimate remains the right bisection seed.
-  return HotspotModel(base_).estimated_saturation_rate();
-}
-
-MmppUniformAnalyticalModel::MmppUniformAnalyticalModel(UniformModelConfig base,
-                                                       MmppArrivalShape shape)
-    : base_(std::move(base)), shape_(shape) {
-  base_.injection_rate = kProbeRate;
-  base_.arrival_idc = 1.0;
-  base_.validate();
-}
-
-ModelResult MmppUniformAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  UniformModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  cfg.arrival_idc =
-      mmpp_arrival_idc(lambda, shape_.burst_multiplier, shape_.p_enter_burst,
-                       shape_.p_leave_burst);
-  const UniformModelResult r =
-      UniformTorusModel(cfg).solve(warm_start, converged_state);
-  ModelResult out;
-  out.latency = r.latency;
-  out.saturated = r.saturated;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.regular_latency = r.latency;
-  out.hot_latency = 0.0;
-  out.regular_network_latency = r.network_latency;
-  out.source_wait_regular = r.source_wait;
-  out.vc_mux_x = r.vc_mux_x;
-  out.vc_mux_hot_y = r.vc_mux_y;
-  out.vc_mux_nonhot_y = r.vc_mux_y;
-  out.max_channel_utilization = r.channel_utilization;
-  return out;
-}
-
-double MmppUniformAnalyticalModel::zero_load_latency() const {
-  return UniformTorusModel(base_).zero_load_latency();
-}
-
-double MmppUniformAnalyticalModel::estimated_saturation_rate() const {
-  const double k = static_cast<double>(base_.k);
-  const double tx_x =
-      static_cast<double>(base_.message_length) + k / 2.0 - 1.0 + (k - 1.0) / 2.0;
-  return 2.0 / ((k - 1.0) * tx_x);
-}
-
-// ----------------------------------------------------------- hypercube ---
-
-HypercubeAnalyticalModel::HypercubeAnalyticalModel(HypercubeModelConfig base)
-    : base_(std::move(base)) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
-}
-
-ModelResult HypercubeAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  HypercubeModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  const HypercubeModelResult r =
-      HypercubeHotspotModel(cfg).solve(warm_start, converged_state);
-  ModelResult out;
-  out.latency = r.latency;
-  out.saturated = r.saturated;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.regular_latency = r.regular_latency;
-  out.hot_latency = r.hot_latency;
-  out.regular_network_latency = 0.0;  // not decomposed by the hypercube model
-  out.source_wait_regular = r.source_wait;
-  out.vc_mux_hot_y = r.vc_mux_bottleneck;  // the funnel channel into the hot node
-  out.max_channel_utilization = r.max_channel_utilization;
-  return out;
-}
-
-double HypercubeAnalyticalModel::zero_load_latency() const {
-  return HypercubeHotspotModel(base_).zero_load_latency();
-}
-
-double HypercubeAnalyticalModel::estimated_saturation_rate() const {
-  return HypercubeHotspotModel(base_).estimated_saturation_rate();
-}
-
-// ---------------------------------------------------------------- mesh ---
-
-MeshAnalyticalModel::MeshAnalyticalModel(MeshModelConfig base)
-    : base_(std::move(base)) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
-}
-
-ModelResult MeshAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  MeshModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  const MeshModelResult r =
-      MeshUniformModel(cfg).solve(warm_start, converged_state);
-  ModelResult out;
-  out.latency = r.latency;
-  out.saturated = r.saturated;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.regular_latency = r.latency;  // all traffic is regular under uniform
-  out.hot_latency = 0.0;
-  out.regular_network_latency = r.network_latency;
-  out.source_wait_regular = r.source_wait;
-  out.vc_mux_x = r.vc_mux_first_dim;
-  out.vc_mux_hot_y = r.vc_mux_last_dim;
-  out.vc_mux_nonhot_y = r.vc_mux_last_dim;
-  out.max_channel_utilization = r.max_channel_utilization;
-  return out;
-}
-
-double MeshAnalyticalModel::zero_load_latency() const {
-  return MeshUniformModel(base_).zero_load_latency();
-}
-
-double MeshAnalyticalModel::estimated_saturation_rate() const {
-  return MeshUniformModel(base_).estimated_saturation_rate();
-}
-
-// ------------------------------------------------------- hot-spot mesh ---
-
-HotspotMeshAnalyticalModel::HotspotMeshAnalyticalModel(
-    MeshHotspotModelConfig base)
-    : base_(base) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
-}
-
-ModelResult HotspotMeshAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  MeshHotspotModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  return MeshHotspotModel(cfg).solve(warm_start, converged_state);
-}
-
-double HotspotMeshAnalyticalModel::zero_load_latency() const {
-  return MeshHotspotModel(base_).zero_load_latency();
-}
-
-double HotspotMeshAnalyticalModel::estimated_saturation_rate() const {
-  return MeshHotspotModel(base_).estimated_saturation_rate();
+double AnalyticalModel::estimated_saturation_rate() const {
+  return family_->estimated_saturation_rate(cfg_);
 }
 
 }  // namespace kncube::model

@@ -1,194 +1,138 @@
-// AnalyticalModel: the polymorphic solve interface over the four model
-// families (hot-spot torus, uniform torus, hot-spot hypercube, uniform
-// mesh).
+// AnalyticalModel: one configuration, one result and one solve interface for
+// every analytical model family in the repository. All five families are
+// builders over the shared channel-class engine (engine/channel_class.hpp);
+// the model picks its family from the configured topology and traffic:
 //
-// Each adapter fixes a base configuration (topology, Lm, V, h, approximation
-// knobs) and exposes solve_at(lambda): build the concrete model at that
-// injection rate and solve, with the same warm-start/continuation contract
-// as the direct classes — warm solves are bit-identical to cold ones, a warm
-// failure falls back to the cold path, and `converged_state` receives the
-// converged iterate for chaining (empty when saturated). Results are
-// returned as the common ModelResult; the uniform and hypercube adapters map
-// their native result fields onto it by straight copies, so every double is
-// bit-identical to what the direct model class reports (pinned by
-// tests/model/engine_parity_test.cpp).
+//   topology   traffic    family              source
+//   torus      hot-spot   hotspot-torus       the paper (eqs 1-37)
+//   torus      uniform    uniform-torus       the h = 0 baseline
+//   mesh       uniform    uniform-mesh        DESIGN.md §8
+//   mesh       hot-spot   hotspot-mesh        DESIGN.md §13 (centre hot node)
+//   hypercube  either     hotspot-hypercube   paper ref. [12]; uniform is h = 0
 //
-// Saturation semantics are uniform: `saturated == true` means the operating
-// point has no steady state (the blank region past the latency asymptote),
-// and `estimated_saturation_rate()` gives the coarse closed-form bottleneck
-// estimate used to seed bisection searches. core/model_registry.hpp
-// dispatches a core::ScenarioSpec to the matching adapter.
+// Bursty (MMPP) arrivals add the engine's two-moment service stage
+// (engine/bursty.hpp) to the torus families; the family name then carries an
+// `mmpp-` prefix. `unsupported_reason` names every configuration no family
+// covers, and the constructor throws for those rather than silently solving
+// the default approximation under an ablation's name.
+//
+// solve_at(lambda) has the warm-start/continuation contract of
+// ChannelClassSystem::solve: warm solves are bit-identical to cold ones, a
+// warm failure falls back to the cold path, and `converged_state` receives
+// the converged iterate for chaining (empty when saturated). `saturated ==
+// true` means the operating point has no steady state (the blank region past
+// the latency asymptote). core/model_registry.hpp maps a core::ScenarioSpec
+// onto a ModelConfig.
 #pragma once
 
-#include <memory>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "model/hotspot_model.hpp"
-#include "model/hypercube_model.hpp"
-#include "model/mesh_hotspot_model.hpp"
-#include "model/mesh_model.hpp"
-#include "model/uniform_model.hpp"
+#include "model/engine/channel_class.hpp"  // BlockingVariant, ServiceBasis
 
 namespace kncube::model {
 
-class AnalyticalModel {
- public:
-  virtual ~AnalyticalModel() = default;
-
-  /// Short family name ("hotspot-torus", "uniform-torus",
-  /// "hotspot-hypercube", "uniform-mesh").
-  virtual const char* name() const noexcept = 0;
-
-  /// Solves the model at injection rate `lambda`. `warm_start` (optional)
-  /// seeds the fixed-point iteration with a nearby converged state;
-  /// `converged_state` (optional) receives the converged iterate (empty when
-  /// saturated). See HotspotModel::solve for the full contract.
-  virtual ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                               std::vector<double>* converged_state) const = 0;
-
-  ModelResult solve_at(double lambda) const { return solve_at(lambda, nullptr, nullptr); }
-
-  /// Exact zero-load latency (the lambda -> 0 limit of solve_at().latency).
-  virtual double zero_load_latency() const = 0;
-
-  /// Coarse closed-form bottleneck estimate of the saturation rate, used to
-  /// seed bisection searches. Independent of any particular lambda.
-  virtual double estimated_saturation_rate() const = 0;
-};
-
-/// The paper's hot-spot 2-D torus model. `base.injection_rate` is ignored;
-/// solve_at substitutes its lambda.
-class HotspotAnalyticalModel final : public AnalyticalModel {
- public:
-  explicit HotspotAnalyticalModel(ModelConfig base);
-  const char* name() const noexcept override { return "hotspot-torus"; }
-  ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state) const override;
-  double zero_load_latency() const override;
-  double estimated_saturation_rate() const override;
-
- private:
-  ModelConfig base_;
-};
-
-/// The uniform-traffic torus baseline. Native UniformModelResult fields map
-/// onto ModelResult as: latency/saturated/converged/iterations verbatim;
-/// regular_latency = latency (all traffic is regular), hot_latency = 0;
-/// network_latency -> regular_network_latency; source_wait ->
-/// source_wait_regular; vc_mux_x verbatim; vc_mux_y -> both y-mux slots;
-/// channel_utilization -> max_channel_utilization.
-class UniformAnalyticalModel final : public AnalyticalModel {
- public:
-  explicit UniformAnalyticalModel(UniformModelConfig base);
-  const char* name() const noexcept override { return "uniform-torus"; }
-  ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state) const override;
-  double zero_load_latency() const override;
-  double estimated_saturation_rate() const override;
-
- private:
-  UniformModelConfig base_;
-};
-
-/// The hypercube lineage model (paper ref. [12]). Native fields map onto
-/// ModelResult as: latency/saturated/converged/iterations and the latency
-/// decomposition verbatim; source_wait -> source_wait_regular;
-/// vc_mux_bottleneck -> vc_mux_hot_y (the funnel is the hypercube's hot-y
-/// analogue); max_channel_utilization verbatim.
-class HypercubeAnalyticalModel final : public AnalyticalModel {
- public:
-  explicit HypercubeAnalyticalModel(HypercubeModelConfig base);
-  const char* name() const noexcept override { return "hotspot-hypercube"; }
-  ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state) const override;
-  double zero_load_latency() const override;
-  double estimated_saturation_rate() const override;
-
- private:
-  HypercubeModelConfig base_;
-};
+enum class TopologyKind : int { kTorus = 0, kMesh = 1, kHypercube = 2 };
 
 /// Shape of the two-state MMPP arrival chain (core::MmppArrivals mirrored
 /// into the model layer, which cannot depend on core/). The arrival IDC fed
-/// to the engine depends on the operating point's mean rate, so the MMPP
-/// adapters recompute it inside every solve_at instead of freezing it at
-/// construction.
+/// to the engine depends on the operating point's mean rate, so solve_at
+/// recomputes it at every lambda.
 struct MmppArrivalShape {
   double burst_multiplier = 4.0;
   double p_enter_burst = 0.0005;
   double p_leave_burst = 0.002;
 };
 
-/// Hot-spot torus under bursty (MMPP) arrivals: the Bernoulli hot-spot model
-/// with the engine's two-moment bursty service stage (engine/bursty.hpp),
-/// arrival_idc recomputed from the MMPP stationary chain at each lambda.
-/// burst_multiplier == 1 makes every solve bitwise-identical to
-/// HotspotAnalyticalModel (the IDC is exactly 1).
-class MmppHotspotAnalyticalModel final : public AnalyticalModel {
- public:
-  MmppHotspotAnalyticalModel(ModelConfig base, MmppArrivalShape shape);
-  const char* name() const noexcept override { return "mmpp-hotspot-torus"; }
-  ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state) const override;
-  double zero_load_latency() const override;
-  double estimated_saturation_rate() const override;
+/// Everything but the injection rate: AnalyticalModel::solve_at supplies it.
+struct ModelConfig {
+  TopologyKind topology = TopologyKind::kTorus;
+  int k = 16;  ///< radix; the hypercube is the k = 2 n-cube
+  int n = 2;   ///< dimensions (the hypercube's dims)
+  /// h of Pfister–Norton hot-spot traffic; nullopt = uniform traffic. A
+  /// hot-spot config with h = 0 still runs the hot-spot builder.
+  std::optional<double> hot_fraction = 0.2;
+  int vcs = 2;               ///< V virtual channels per physical channel
+  int message_length = 32;   ///< Lm flits
+  BlockingVariant blocking = BlockingVariant::kPaper;
+  /// Basis for the busy probability Pb of eq (27).
+  ServiceBasis busy_basis = ServiceBasis::kTransmission;
+  /// Basis for the occupancy rho of the VC-multiplexing chain (eq 33).
+  ServiceBasis vcmux_basis = ServiceBasis::kTransmission;
+  /// Bursty arrivals; nullopt = Bernoulli (the paper's arrivals).
+  std::optional<MmppArrivalShape> mmpp;
 
- private:
-  ModelConfig base_;
-  MmppArrivalShape shape_;
+  void validate() const;  ///< throws std::invalid_argument when inconsistent
 };
 
-/// Uniform torus under bursty (MMPP) arrivals; same contract as the hot-spot
-/// MMPP adapter.
-class MmppUniformAnalyticalModel final : public AnalyticalModel {
- public:
-  MmppUniformAnalyticalModel(UniformModelConfig base, MmppArrivalShape shape);
-  const char* name() const noexcept override { return "mmpp-uniform-torus"; }
-  ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state) const override;
-  double zero_load_latency() const override;
-  double estimated_saturation_rate() const override;
+/// Why no family models `cfg` (empty when one does): torus n != 2, MMPP off
+/// the torus, and ablation knobs the family has no variant for.
+std::string unsupported_reason(const ModelConfig& cfg);
 
- private:
-  UniformModelConfig base_;
-  MmppArrivalShape shape_;
+/// One solved operating point. Disk-store records and wire blobs are this
+/// struct's raw bytes: keep its fields and layout.
+struct ModelResult {
+  /// Mean message latency in cycles (eq 10); +inf when saturated.
+  double latency = std::numeric_limits<double>::infinity();
+  bool saturated = true;
+  bool converged = false;
+  /// Fixed-point sweeps to tolerance: 2-3 on constant-blocking systems (the
+  /// transmission basis and pure wait), tens of damped sweeps on the
+  /// inclusive basis, where it also depends on the warm start. Describes the
+  /// solve, not the answer, so bitwise comparisons leave it out.
+  int iterations = 0;
+
+  // Decomposition (finite only when !saturated):
+  double regular_latency = 0.0;      ///< S_r of eq (11), scaled
+  double hot_latency = 0.0;          ///< S_h of eq (21), scaled
+  double regular_network_latency = 0.0;  ///< S_r^net of eq (31), unscaled
+  double source_wait_regular = 0.0;      ///< Ws_r of eq (32)
+
+  // Virtual-channel multiplexing degrees (eqs 35-37):
+  double vc_mux_x = 1.0;         ///< average over all x channels
+  double vc_mux_hot_y = 1.0;     ///< average over hot-y-ring channels
+  double vc_mux_nonhot_y = 1.0;  ///< non-hot y channels
+
+  /// Maximum channel utilisation Pb over all channel classes; the hot-y-ring
+  /// channel adjacent to the hot node in all non-degenerate cases.
+  double max_channel_utilization = 0.0;
 };
 
-/// The k-ary n-mesh uniform model (position-dependent channel classes).
-/// Native MeshModelResult fields map onto ModelResult as:
-/// latency/saturated/converged/iterations verbatim; regular_latency =
-/// latency (all traffic is regular), hot_latency = 0; network_latency ->
-/// regular_network_latency; source_wait -> source_wait_regular;
-/// vc_mux_first_dim -> vc_mux_x; vc_mux_last_dim -> both y-mux slots;
-/// max_channel_utilization verbatim.
-class MeshAnalyticalModel final : public AnalyticalModel {
+struct ModelFamily;  // one row of the family table (analytical_model.cpp)
+
+class AnalyticalModel {
  public:
-  explicit MeshAnalyticalModel(MeshModelConfig base);
-  const char* name() const noexcept override { return "uniform-mesh"; }
+  /// Throws std::invalid_argument when `cfg` is inconsistent or names
+  /// anything unsupported_reason reports.
+  explicit AnalyticalModel(ModelConfig cfg);
+
+  /// Family name ("hotspot-torus", "uniform-mesh", "mmpp-uniform-torus", ...).
+  const char* name() const noexcept { return name_.c_str(); }
+  const ModelConfig& config() const noexcept { return cfg_; }
+
+  /// Solves the model at injection rate `lambda` (throws
+  /// std::invalid_argument outside [0, 1]). `warm_start` (optional) seeds
+  /// the fixed-point iteration with a nearby converged state;
+  /// `converged_state` (optional) receives the converged iterate (empty
+  /// when saturated).
   ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state) const override;
-  double zero_load_latency() const override;
-  double estimated_saturation_rate() const override;
+                       std::vector<double>* converged_state) const;
+  ModelResult solve_at(double lambda) const { return solve_at(lambda, nullptr, nullptr); }
+
+  /// Exact zero-load latency (the lambda -> 0 limit of solve_at().latency).
+  double zero_load_latency() const;
+
+  /// Coarse closed-form bottleneck estimate of the saturation rate, used to
+  /// seed bisection searches. Burstiness does not move it: the stability
+  /// pole is a bandwidth property.
+  double estimated_saturation_rate() const;
 
  private:
-  MeshModelConfig base_;
-};
-
-/// The centre-hot-spot k-ary n-mesh model (mesh_hotspot_model.hpp). The
-/// native result already is the shared ModelResult, so solve_at is a straight
-/// passthrough. Only the simulator's default (centre) hot node is modeled;
-/// core/model_registry.cpp keeps off-centre hot nodes sim-only.
-class HotspotMeshAnalyticalModel final : public AnalyticalModel {
- public:
-  explicit HotspotMeshAnalyticalModel(MeshHotspotModelConfig base);
-  const char* name() const noexcept override { return "hotspot-mesh"; }
-  ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state) const override;
-  double zero_load_latency() const override;
-  double estimated_saturation_rate() const override;
-
- private:
-  MeshHotspotModelConfig base_;
+  ModelConfig cfg_;
+  const ModelFamily* family_;
+  std::string name_;
 };
 
 }  // namespace kncube::model

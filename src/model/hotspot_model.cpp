@@ -1,16 +1,24 @@
-#include "model/hotspot_model.hpp"
-
+// The paper's contribution: an analytical model of mean message latency in a
+// deterministically-routed, wormhole-switched 2-D unidirectional torus under
+// Pfister–Norton hot-spot traffic (eqs (1)-(37)).
+//
+// See DESIGN.md §3 for the full equation inventory and the reconstruction
+// notes for the handful of OCR-ambiguous prefactors. The model is solved by
+// fixed-point iteration (engine/channel_class.hpp); operating points whose
+// iteration diverges, fails a utilisation bound, or does not converge are
+// reported as *saturated* — the network has no steady state there, exactly
+// the regime the paper's figures leave blank past the latency asymptote.
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <limits>
 #include <vector>
 
 #include "model/engine/channel_class.hpp"
 #include "model/engine/mg1.hpp"
 #include "model/engine/vcmux.hpp"
+#include "model/families.hpp"
 #include "model/path_probabilities.hpp"
-#include "util/assert.hpp"
-#include "util/log.hpp"
+#include "model/traffic_rates.hpp"
 
 namespace kncube::model {
 
@@ -69,9 +77,11 @@ struct Entrances {
 /// latencies (eqs 10-15, 21-24, 31-37) from the converged state.
 class Builder {
  public:
-  Builder(const ModelConfig& cfg, const TrafficRates& rates)
+  Builder(const ModelConfig& cfg, const TrafficRates& rates, double arrival_idc)
       : cfg_(cfg),
         rates_(rates),
+        h_(*cfg.hot_fraction),
+        idc_(arrival_idc),
         probs_(path_probabilities(cfg.k)),
         lay_(cfg.k),
         lm_(static_cast<double>(cfg.message_length)),
@@ -80,8 +90,6 @@ class Builder {
         ent_ybar_(StateExpr::average(lay_.ybar, lay_.ns)),
         ent_yhot_(StateExpr::average(lay_.yhot, lay_.ns)),
         ent_x_(StateExpr::average(lay_.x, lay_.ns)) {}
-
-  const Layout& layout() const { return lay_; }
 
   // --- contention-free (transmission) holding times, R8 ---
   // A hot message acquiring the hot-y channel j hops from the hot node keeps
@@ -138,7 +146,7 @@ class Builder {
     opts.service_floor = lm_;
     opts.blocking = cfg_.blocking;
     opts.busy_basis = cfg_.busy_basis;
-    opts.arrival_idc = cfg_.arrival_idc;
+    opts.arrival_idc = idc_;
     ChannelClassSystem sys(lay_.total, opts);
 
     // --- averaged blocking groups ---
@@ -235,7 +243,7 @@ class Builder {
     const int k = cfg_.k;
     const double n_nodes = static_cast<double>(k) * static_cast<double>(k);
     const double lr = rates_.regular_rate;
-    const double h = cfg_.hot_fraction;
+    const double h = h_;
     const int vcs = cfg_.vcs;
     const Entrances e = entrances(s);
 
@@ -248,7 +256,7 @@ class Builder {
     // --- source waits: per-VC M/G/1 queues with arrival lambda/V (eq 32) ---
     const double arr = rates_.lambda / static_cast<double>(vcs);
     const auto source_wait = [&](double service, double& w) {
-      const QueueDelay q = mg1_wait(arr, service, lm_, cfg_.arrival_idc);
+      const QueueDelay q = mg1_wait(arr, service, lm_, idc_);
       if (q.saturated) return false;
       w = q.value;
       return true;
@@ -385,6 +393,8 @@ class Builder {
  private:
   const ModelConfig& cfg_;
   const TrafficRates& rates_;
+  double h_;
+  double idc_;
   PathProbabilities probs_;
   Layout lay_;
   double lm_;
@@ -393,38 +403,18 @@ class Builder {
 
 }  // namespace
 
-void ModelConfig::validate() const {
-  auto fail = [](const char* msg) { throw std::invalid_argument(msg); };
-  if (k < 2) fail("ModelConfig: radix k must be >= 2");
-  if (vcs < 1) fail("ModelConfig: need at least one virtual channel");
-  if (message_length < 1) fail("ModelConfig: message length must be >= 1");
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("ModelConfig: injection rate must be in [0,1]");
-  }
-  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
-    fail("ModelConfig: hot fraction must be in [0,1]");
-  }
-  if (!(arrival_idc >= 0.0)) {
-    fail("ModelConfig: arrival dispersion must be >= 0");
-  }
-}
-
-HotspotModel::HotspotModel(const ModelConfig& cfg) : cfg_(cfg) {
-  cfg.validate();  // throws before any derived computation on bad input
-  rates_ = traffic_rates(cfg.k, cfg.injection_rate, cfg.hot_fraction);
-}
-
-ModelResult HotspotModel::solve(const std::vector<double>* warm_start,
-                                std::vector<double>* converged_state) const {
-  const Builder builder(cfg_, rates_);
+ModelResult solve_hotspot_torus(const ModelConfig& cfg, double lambda,
+                                double arrival_idc,
+                                const std::vector<double>* warm_start,
+                                std::vector<double>* converged_state) {
+  const TrafficRates rates = traffic_rates(cfg.k, lambda, *cfg.hot_fraction);
+  const Builder builder(cfg, rates, arrival_idc);
   ModelResult res;
   if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = builder.build();
-  engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{}, warm_start);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) {
@@ -441,10 +431,12 @@ ModelResult HotspotModel::solve(const std::vector<double>* warm_start,
   return res;
 }
 
-double HotspotModel::zero_load_latency() const {
-  const int k = cfg_.k;
-  const double lm = static_cast<double>(cfg_.message_length);
+/// Mean hops + Lm - 1, averaged over the hot/regular mix.
+double hotspot_torus_zero_load_latency(const ModelConfig& cfg) {
+  const int k = cfg.k;
+  const double lm = static_cast<double>(cfg.message_length);
   const double kd = static_cast<double>(k);
+  const double h = *cfg.hot_fraction;
   const PathProbabilities p = path_probabilities(k);
 
   const double one_dim = kd / 2.0 + lm - 1.0;  // mean over 1..k-1 hops
@@ -460,13 +452,16 @@ double HotspotModel::zero_load_latency() const {
   }
   sh0 /= kd * kd - 1.0;
 
-  return (1.0 - cfg_.hot_fraction) * sr0 + cfg_.hot_fraction * sh0;
+  return (1.0 - h) * sr0 + h * sh0;
 }
 
-double HotspotModel::estimated_saturation_rate() const {
-  const double kd = static_cast<double>(cfg_.k);
-  const double h = cfg_.hot_fraction;
-  const double lm = static_cast<double>(cfg_.message_length);
+/// From the bottleneck (hot-y, j=1) channel: lambda_sat ~ 1 / (S0 *
+/// (lambda_1/lambda)) with S0 the zero-load hot-path service time.
+/// Intentionally simple, not part of the paper.
+double hotspot_torus_saturation_estimate(const ModelConfig& cfg) {
+  const double kd = static_cast<double>(cfg.k);
+  const double h = *cfg.hot_fraction;
+  const double lm = static_cast<double>(cfg.message_length);
   // Bottleneck: the hot-y channel adjacent to the hot node carries
   // lambda * ((1-h)(k-1)/2 + h k (k-1)) messages/cycle, each holding the
   // channel for at least ~Lm cycles.

@@ -1,13 +1,37 @@
-#include "model/hypercube_model.hpp"
-
+// Hot-spot latency model for the deterministically-routed binary hypercube —
+// the paper's direct predecessor (its ref. [12]: Loucif & Ould-Khaoua,
+// "Modelling latency in deterministic wormhole-routed hypercubes under
+// hot-spot traffic", J. Supercomputing 27(3), 2004), rebuilt here with the
+// same queueing machinery as the torus model so the two lineage models can
+// be compared on equal footing.
+//
+// Topology: N = 2^n nodes; node v's dimension-d channel links it to
+// v XOR (1<<d). E-cube (dimension-order) routing corrects differing bits in
+// increasing dimension order — exactly the k = 2 instance of this
+// repository's k-ary n-cube simulator, which is what the tests validate
+// against.
+//
+// Structure (mirrors DESIGN.md §3 with hypercube geometry):
+//  * regular per-channel rate: lambda (1-h) 2^{n-1}/(2^n - 1)  (~lambda/2);
+//  * hot-spot traffic funnels: the dim-d channel pointing at the hot node
+//    from a node whose bits below d already match carries lambda h 2^d
+//    (2^{n-d-1} such channels exist; conservation: sum_d 2^d 2^{n-d-1}
+//    = n 2^{n-1} = total hot hop flux);
+//  * a message at its dim-d channel next visits dim d' > d with probability
+//    2^{-(d'-d)} and is delivered with probability 2^{-(n-1-d)} (source
+//    address bits above d are i.i.d. fair coins);
+//  * per-dimension service times S^r_d, S^h_d close through the same
+//    blocking/waiting primitives (mg1.hpp) and Dally VC chain (vcmux.hpp),
+//    solved by the shared fixed-point driver.
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <limits>
 #include <vector>
 
 #include "model/engine/channel_class.hpp"
 #include "model/engine/mg1.hpp"
 #include "model/engine/vcmux.hpp"
+#include "model/families.hpp"
 #include "util/assert.hpp"
 
 namespace kncube::model {
@@ -35,30 +59,30 @@ struct Lay {
 /// the e-cube next-dimension mixture, with funnel/plain blocking mixtures.
 class Builder {
  public:
-  explicit Builder(const HypercubeModelConfig& cfg)
-      : cfg_(cfg), lay_{cfg.dims}, lm_(static_cast<double>(cfg.message_length)) {
-    const int n = cfg_.dims;
-    lambda_r_ = cfg.injection_rate * (1.0 - cfg.hot_fraction) * pow2(n - 1) /
-                (pow2(n) - 1.0);
+  Builder(const ModelConfig& cfg, double lambda)
+      : cfg_(cfg),
+        lay_{cfg.n},
+        lm_(static_cast<double>(cfg.message_length)),
+        lambda_(lambda),
+        h_(cfg.hot_fraction.value_or(0.0)) {
+    const int n = cfg_.n;
+    lambda_r_ = lambda * (1.0 - h_) * pow2(n - 1) / (pow2(n) - 1.0);
     hot_rate_.resize(static_cast<std::size_t>(n));
     funnel_fraction_.resize(static_cast<std::size_t>(n));
     for (int d = 0; d < n; ++d) {
-      hot_rate_[static_cast<std::size_t>(d)] =
-          cfg.injection_rate * cfg.hot_fraction * pow2(d);
+      hot_rate_[static_cast<std::size_t>(d)] = hypercube_hot_funnel_rate(lambda, h_, d);
       // Funnel channels at dim d: 2^{n-d-1} of the 2^n dim-d channels.
       funnel_fraction_[static_cast<std::size_t>(d)] = pow2(-(d + 1));
     }
   }
 
-  const Lay& layout() const { return lay_; }
-  double lambda_r() const { return lambda_r_; }
   double hot_rate(int d) const { return hot_rate_[static_cast<std::size_t>(d)]; }
 
   /// Contention-free holding time of a dim-d channel: Lm flits plus the
   /// header's expected remaining hops (each higher dimension differs with
   /// probability 1/2) — identical for hot and regular streams.
   double tx(int d) const {
-    return lm_ + static_cast<double>(cfg_.dims - 1 - d) / 2.0;
+    return lm_ + static_cast<double>(cfg_.n - 1 - d) / 2.0;
   }
 
   /// P(next corrected dimension is d' | currently at dim d); delivery
@@ -67,7 +91,7 @@ class Builder {
     KNC_DEBUG_ASSERT(dp > d);
     return pow2(-(dp - d));
   }
-  double delivery_probability(int d) const { return pow2(-(cfg_.dims - 1 - d)); }
+  double delivery_probability(int d) const { return pow2(-(cfg_.n - 1 - d)); }
 
   StreamSpec reg_stream(int d) const {
     return {lambda_r_, StateExpr::slot(lay_.r(d)), tx(d)};
@@ -77,7 +101,7 @@ class Builder {
   }
 
   ChannelClassSystem build() const {
-    const int n = cfg_.dims;
+    const int n = cfg_.n;
 
     engine::EngineOptions opts;
     opts.service_floor = lm_;
@@ -143,16 +167,15 @@ class Builder {
     return sys;
   }
 
-  bool assemble(const std::vector<double>& s, HypercubeModelResult& res) const {
-    const int n = cfg_.dims;
-    const double h = cfg_.hot_fraction;
+  bool assemble(const std::vector<double>& s, ModelResult& res) const {
+    const int n = cfg_.n;
+    const double h = h_;
     const int vcs = cfg_.vcs;
-    const double n_nodes = pow2(n);
 
     // Entry distribution over the first corrected dimension.
     std::vector<double> p_first(static_cast<std::size_t>(n));
     for (int d = 0; d < n; ++d) {
-      p_first[static_cast<std::size_t>(d)] = pow2(n - 1 - d) / (n_nodes - 1.0);
+      p_first[static_cast<std::size_t>(d)] = hypercube_first_dim_probability(n, d);
     }
 
     double sr_net = 0.0;
@@ -165,10 +188,10 @@ class Builder {
     }
 
     // Source queue: per-VC M/G/1 with the node-averaged network latency.
-    const double arr = cfg_.injection_rate / static_cast<double>(vcs);
+    const double arr = lambda_ / static_cast<double>(vcs);
     const QueueDelay ws = mg1_wait(arr, (1.0 - h) * sr_net + h * sh_net, lm_);
     if (ws.saturated) return false;
-    res.source_wait = ws.value;
+    res.source_wait_regular = ws.value;
 
     // VC multiplexing per dimension, funnel and plain channel classes.
     const bool mux_incl = cfg_.vcmux_basis == ServiceBasis::kInclusive;
@@ -195,7 +218,9 @@ class Builder {
       sh_total += p_first[static_cast<std::size_t>(d)] *
                   (s[static_cast<std::size_t>(lay_.h(d))] + ws.value) * v_funnel;
       max_util = std::max(max_util, busy_probability(reg, hot, busy_incl));
-      if (d == n - 1) res.vc_mux_bottleneck = v_funnel;
+      // The funnel channel into the hot node is the hypercube's hot-y
+      // analogue; vc_mux_x and vc_mux_nonhot_y keep their defaults.
+      if (d == n - 1) res.vc_mux_hot_y = v_funnel;
     }
     res.regular_latency = sr_total;
     res.hot_latency = sh_total;
@@ -206,9 +231,11 @@ class Builder {
   }
 
  private:
-  const HypercubeModelConfig& cfg_;
+  const ModelConfig& cfg_;
   Lay lay_;
   double lm_;
+  double lambda_;
+  double h_;
   double lambda_r_ = 0.0;
   std::vector<double> hot_rate_;
   std::vector<double> funnel_fraction_;
@@ -216,52 +243,26 @@ class Builder {
 
 }  // namespace
 
-void HypercubeModelConfig::validate() const {
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (dims < 1 || dims > 24) fail("HypercubeModelConfig: dims out of range");
-  if (vcs < 1) fail("HypercubeModelConfig: need at least one VC");
-  if (message_length < 1) fail("HypercubeModelConfig: message length must be >= 1");
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("HypercubeModelConfig: rate must be in [0,1]");
-  }
-  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
-    fail("HypercubeModelConfig: hot fraction must be in [0,1]");
-  }
+double hypercube_hot_funnel_rate(double lambda, double hot_fraction, int d) {
+  return lambda * hot_fraction * pow2(d);
 }
 
-HypercubeHotspotModel::HypercubeHotspotModel(const HypercubeModelConfig& cfg)
-    : cfg_(cfg) {
-  cfg.validate();
+double hypercube_first_dim_probability(int n, int d) {
+  KNC_ASSERT(d >= 0 && d < n);
+  return pow2(n - 1 - d) / (pow2(n) - 1.0);
 }
 
-double HypercubeHotspotModel::regular_channel_rate() const {
-  const int n = cfg_.dims;
-  return cfg_.injection_rate * (1.0 - cfg_.hot_fraction) * pow2(n - 1) /
-         (pow2(n) - 1.0);
-}
-
-double HypercubeHotspotModel::hot_funnel_rate(int d) const {
-  KNC_ASSERT(d >= 0 && d < cfg_.dims);
-  return cfg_.injection_rate * cfg_.hot_fraction * pow2(d);
-}
-
-double HypercubeHotspotModel::first_dim_probability(int d) const {
-  KNC_ASSERT(d >= 0 && d < cfg_.dims);
-  return pow2(cfg_.dims - 1 - d) / (pow2(cfg_.dims) - 1.0);
-}
-
-HypercubeModelResult HypercubeHotspotModel::solve(
-    const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  const Builder builder(cfg_);
-  HypercubeModelResult res;
+ModelResult solve_hypercube(const ModelConfig& cfg, double lambda,
+                            double /*arrival_idc: Bernoulli only*/,
+                            const std::vector<double>* warm_start,
+                            std::vector<double>* converged_state) {
+  const Builder builder(cfg, lambda);
+  ModelResult res;
   if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = builder.build();
-  engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{}, warm_start);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) {
@@ -277,18 +278,22 @@ HypercubeModelResult HypercubeHotspotModel::solve(
   return res;
 }
 
-double HypercubeHotspotModel::zero_load_latency() const {
+/// Mean e-cube hops + Lm - 1 over the hot/regular mix (hot and regular
+/// coincide: both are uniform over the other nodes' bit patterns).
+double hypercube_zero_load_latency(const ModelConfig& cfg) {
   // Mean e-cube hops over a uniform non-equal pair: n 2^{n-1} / (2^n - 1).
-  const int n = cfg_.dims;
+  const int n = cfg.n;
   const double hops = static_cast<double>(n) * pow2(n - 1) / (pow2(n) - 1.0);
-  return hops + static_cast<double>(cfg_.message_length) - 1.0;
+  return hops + static_cast<double>(cfg.message_length) - 1.0;
 }
 
-double HypercubeHotspotModel::estimated_saturation_rate() const {
-  const int n = cfg_.dims;
-  const double coeff = cfg_.hot_fraction * pow2(n - 1) +
-                       (1.0 - cfg_.hot_fraction) * 0.5;
-  return 1.0 / (coeff * (static_cast<double>(cfg_.message_length) + 1.0));
+/// The dim n-1 funnel channel carries lambda h 2^{n-1} (+ background) at
+/// ~Lm cycles per message.
+double hypercube_saturation_estimate(const ModelConfig& cfg) {
+  const int n = cfg.n;
+  const double h = cfg.hot_fraction.value_or(0.0);
+  const double coeff = h * pow2(n - 1) + (1.0 - h) * 0.5;
+  return 1.0 / (coeff * (static_cast<double>(cfg.message_length) + 1.0));
 }
 
 }  // namespace kncube::model

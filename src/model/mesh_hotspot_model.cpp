@@ -1,16 +1,28 @@
-#include "model/mesh_hotspot_model.hpp"
-
+// Hot-spot analytical model for the deterministically-routed k-ary n-mesh,
+// built on the shared channel-class engine.
+//
+// The hot node sits at the centre coordinate c = k/2 of every dimension (the
+// simulator's resolved default). Under dimension-order routing a hot-spot
+// message corrects dimension 0 first, so on dimension d it travels only on
+// the "hot lines" whose coordinates in dimensions < d already equal the hot
+// node's — a fraction q_d = k^-d of that dimension's lines (every dimension-0
+// line is hot; by dimension n-1 only the single funnel line into the hot node
+// remains, carrying k^{n-1} sources per position). Removing the torus wrap
+// also breaks the mirror fold at the centre: the + links below c and the -
+// links above c carry different hot loads, so the hot classes split into a
+// +chain (positions 0..c-1) and a -chain (positions c+1..k-1) per dimension,
+// while the regular classes keep the uniform-mesh fold and see the hot
+// streams through a (1-q_d, q_d/2, q_d/2) blocking mixture over the plain /
+// +hot / -hot line cases. DESIGN.md §13 derives the rates and recursions.
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "model/engine/mg1.hpp"
 #include "model/engine/vcmux.hpp"
+#include "model/families.hpp"
 #include "topology/mesh_geometry.hpp"
-#include "topology/torus.hpp"  // topo::kMaxDims
-#include "util/assert.hpp"
 
 namespace kncube::model {
 
@@ -67,15 +79,16 @@ void add_scaled(Lin& out, const Lin& in, double scale) {
 
 /// Builder: shared geometry, rates and holding times for build + assembly.
 struct Geo {
-  const MeshHotspotModelConfig& cfg;
+  const ModelConfig& cfg;
   Lay lay;
-  double lm, h, md_uniform, md_hot;
+  double lambda, lm, h, md_uniform, md_hot;
 
-  explicit Geo(const MeshHotspotModelConfig& c)
+  Geo(const ModelConfig& c, double rate)
       : cfg(c),
         lay(c.k, c.n),
+        lambda(rate),
         lm(static_cast<double>(c.message_length)),
-        h(c.hot_fraction),
+        h(*c.hot_fraction),
         md_uniform(topo::mesh_mean_line_hops(c.k)),
         md_hot(mean_hot_line_hops(c.k)) {}
 
@@ -87,7 +100,7 @@ struct Geo {
   /// combination of the already-corrected coordinates), each offering
   /// h*lambda toward the centre.
   double funnel(int d) const {
-    return std::pow(static_cast<double>(lay.k), d) * h * cfg.injection_rate;
+    return std::pow(static_cast<double>(lay.k), d) * h * lambda;
   }
   double sp_rate(int d, int p) const {
     return static_cast<double>(p + 1) * funnel(d);
@@ -96,7 +109,7 @@ struct Geo {
     return static_cast<double>(lay.k - x) * funnel(d);
   }
   double reg_rate(int i) const {
-    return topo::mesh_channel_rate((1.0 - h) * cfg.injection_rate, lay.k,
+    return topo::mesh_channel_rate((1.0 - h) * lambda, lay.k,
                                    lay.n, i);
   }
 
@@ -151,7 +164,7 @@ struct Geo {
 /// mixture. `eh` and `eh0` (optional) receive the E_h(0) expression and its
 /// zero-load value for the assembly phase.
 ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
-  const MeshHotspotModelConfig& cfg = geo.cfg;
+  const ModelConfig& cfg = geo.cfg;
   const Lay& lay = geo.lay;
   const int k = lay.k;
   const int n = lay.n;
@@ -300,31 +313,11 @@ ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
 
 }  // namespace
 
-void MeshHotspotModelConfig::validate() const {
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (k < 2) fail("MeshHotspotModelConfig: k must be >= 2");
-  if (n < 1 || n > topo::kMaxDims) fail("MeshHotspotModelConfig: n out of range");
-  if (vcs < 1) fail("MeshHotspotModelConfig: need at least one VC");
-  if (message_length < 1) {
-    fail("MeshHotspotModelConfig: message length must be >= 1");
-  }
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("MeshHotspotModelConfig: rate must be in [0,1]");
-  }
-  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
-    fail("MeshHotspotModelConfig: hot fraction must be in [0,1]");
-  }
-}
-
-MeshHotspotModel::MeshHotspotModel(const MeshHotspotModelConfig& cfg)
-    : cfg_(cfg) {
-  cfg.validate();
-}
-
-ModelResult MeshHotspotModel::solve(
-    const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  const Geo geo(cfg_);
+ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
+                               double /*arrival_idc: Bernoulli only*/,
+                               const std::vector<double>* warm_start,
+                               std::vector<double>* converged_state) {
+  const Geo geo(cfg, lambda);
   const Lay& lay = geo.lay;
   const int k = lay.k;
   const int n = lay.n;
@@ -337,10 +330,8 @@ ModelResult MeshHotspotModel::solve(
   Lin eh;
   double eh0 = 0.0;
   const ChannelClassSystem sys = build_system(geo, &eh, &eh0);
-  engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{}, warm_start);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) return res;  // saturated (diverged or no steady state)
@@ -372,7 +363,7 @@ ModelResult MeshHotspotModel::solve(
   }
 
   // --- source wait: per-VC M/G/1 over the h-mixed network service.
-  const double arr = cfg_.injection_rate / static_cast<double>(cfg_.vcs);
+  const double arr = lambda / static_cast<double>(cfg.vcs);
   const double s_mix = (1.0 - h) * s_net + h * eh_net;
   const QueueDelay ws = mg1_wait(arr, s_mix, lm);
   if (ws.saturated) return res;
@@ -382,7 +373,7 @@ ModelResult MeshHotspotModel::solve(
   // path (folded-pair mean rate includes the hot share of the line mix) and
   // entry-weighted over the funnel dimension's chains for the hot path.
   const auto mux_service_reg = [&](int d, int i) {
-    return cfg_.vcmux_basis == ServiceBasis::kTransmission
+    return cfg.vcmux_basis == ServiceBasis::kTransmission
                ? geo.tx_reg(d, i)
                : state[static_cast<std::size_t>(lay.reg(d, i))];
   };
@@ -397,7 +388,7 @@ ModelResult MeshHotspotModel::solve(
           qd * 0.5 * (geo.hot_on_plus(j, i).rate + geo.hot_on_minus(j, i).rate);
       vbar += topo::mesh_entrance_weight(k, i) *
               vc_multiplexing_degree(geo.reg_rate(i) + hot_pair,
-                                     mux_service_reg(j, i), cfg_.vcs);
+                                     mux_service_reg(j, i), cfg.vcs);
     }
     if (j == 0) vbar_first = vbar;
     if (j == n - 1) vbar_last = vbar;
@@ -415,16 +406,16 @@ ModelResult MeshHotspotModel::solve(
     double service = lm;
     if (x < lay.c) {
       rate = geo.sp_rate(fd, x) + geo.reg_rate(x);
-      service = cfg_.vcmux_basis == ServiceBasis::kTransmission
+      service = cfg.vcmux_basis == ServiceBasis::kTransmission
                     ? geo.tx_sp(fd, x)
                     : state[static_cast<std::size_t>(lay.sp(fd, x))];
     } else if (x > lay.c) {
       rate = geo.sm_rate(fd, x) + geo.reg_rate(k - 1 - x);
-      service = cfg_.vcmux_basis == ServiceBasis::kTransmission
+      service = cfg.vcmux_basis == ServiceBasis::kTransmission
                     ? geo.tx_sm(fd, x)
                     : state[static_cast<std::size_t>(lay.sm(fd, x))];
     }
-    vbar_hot += vc_multiplexing_degree(rate, service, cfg_.vcs) /
+    vbar_hot += vc_multiplexing_degree(rate, service, cfg.vcs) /
                 static_cast<double>(k);
   }
   res.vc_mux_hot_y = vbar_hot;
@@ -458,30 +449,36 @@ ModelResult MeshHotspotModel::solve(
   return res;
 }
 
-double MeshHotspotModel::zero_load_latency() const {
-  const double reg = topo::mesh_mean_hops_uniform(cfg_.k, cfg_.n) +
-                     static_cast<double>(cfg_.message_length) - 1.0;
-  const double hot = static_cast<double>(cfg_.n) * mean_hot_line_hops(cfg_.k) +
-                     static_cast<double>(cfg_.message_length) - 1.0;
-  return (1.0 - cfg_.hot_fraction) * reg + cfg_.hot_fraction * hot;
+/// The h-weighted mix of the uniform mean Manhattan distance and the mean
+/// distance to the centre, plus Lm - 1.
+double hotspot_mesh_zero_load_latency(const ModelConfig& cfg) {
+  const double h = *cfg.hot_fraction;
+  const double reg = topo::mesh_mean_hops_uniform(cfg.k, cfg.n) +
+                     static_cast<double>(cfg.message_length) - 1.0;
+  const double hot = static_cast<double>(cfg.n) * mean_hot_line_hops(cfg.k) +
+                     static_cast<double>(cfg.message_length) - 1.0;
+  return (1.0 - h) * reg + h * hot;
 }
 
-double MeshHotspotModel::estimated_saturation_rate() const {
-  const Geo geo(cfg_);
+/// The tighter of the regular bisection-link pole and the hot funnel-link
+/// pole.
+double hotspot_mesh_saturation_estimate(const ModelConfig& cfg) {
+  const double h = *cfg.hot_fraction;
+  const Geo geo(cfg, 0.0);  // holding times only: rate-independent
   const Lay& lay = geo.lay;
   // Regular pole: the dimension-0 bisection link at the uniform component.
   const double coef_reg =
-      topo::mesh_bottleneck_rate(1.0, cfg_.k, cfg_.n) * (1.0 - cfg_.hot_fraction);
+      topo::mesh_bottleneck_rate(1.0, cfg.k, cfg.n) * (1.0 - h);
   const double sat_reg =
-      1.0 / (coef_reg * geo.tx_reg(0, (cfg_.k - 2) / 2));
-  if (cfg_.hot_fraction <= 0.0) return sat_reg;
+      1.0 / (coef_reg * geo.tx_reg(0, (cfg.k - 2) / 2));
+  if (h <= 0.0) return sat_reg;
   // Funnel pole: the last + link into the centre of the funnel dimension
   // carries c * k^{n-1} hot sources plus the line's regular share.
-  const int fd = cfg_.n - 1;
+  const int fd = cfg.n - 1;
   const double coef_funnel =
       static_cast<double>(lay.c) *
-          std::pow(static_cast<double>(cfg_.k), fd) * cfg_.hot_fraction +
-      topo::mesh_channel_rate(1.0 - cfg_.hot_fraction, cfg_.k, cfg_.n,
+          std::pow(static_cast<double>(cfg.k), fd) * h +
+      topo::mesh_channel_rate(1.0 - h, cfg.k, cfg.n,
                               lay.c - 1);
   const double sat_funnel = 1.0 / (coef_funnel * geo.tx_sp(fd, lay.c - 1));
   return std::min(sat_reg, sat_funnel);

@@ -1,16 +1,28 @@
-#include "model/mesh_model.hpp"
-
+// Uniform-traffic analytical model for the deterministically-routed k-ary
+// n-mesh, built on the shared channel-class engine.
+//
+// Removing the torus's wrap-around links breaks vertex-transitivity: under
+// dimension-order routing the load of a line's + link at position i is
+// proportional to (i+1)(k-1-i) — peaking at the line's centre (the bisection
+// links) — so the paper's "all channels of a dimension alike" classes no
+// longer exist. The mesh model instead declares one channel class per
+// (dimension, position): n(k-1) classes (the - direction folds onto the +
+// classes by mirror symmetry, and the per-position rates are the same in
+// every dimension), each with its own blocking group fed by the exact
+// path-counting rates of src/topology/mesh_geometry.hpp, coupled through the
+// same S = B + 1 + continuation recursion as the paper's eqs (16)-(25) and
+// closed by the same warm-started fixed point. DESIGN.md §8 derives
+// the per-class rate and continuation equations and maps each to its paper
+// counterpart.
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "model/engine/mg1.hpp"
 #include "model/engine/vcmux.hpp"
+#include "model/families.hpp"
 #include "topology/mesh_geometry.hpp"
-#include "topology/torus.hpp"  // topo::kMaxDims
-#include "util/assert.hpp"
 
 namespace kncube::model {
 
@@ -52,7 +64,7 @@ void add_scaled(Lin& out, const Lin& in, double scale) {
 /// hops still ahead once the link is crossed — (m-1)/2 within the line
 /// (destinations are uniform over the m = k-1-i coordinates beyond the
 /// link) plus the iid mean line distance for each uncorrected dimension.
-double holding_time(const MeshModelConfig& cfg, int d, int i) {
+double holding_time(const ModelConfig& cfg, int d, int i) {
   const double lm = static_cast<double>(cfg.message_length);
   return lm + static_cast<double>(cfg.k - 2 - i) / 2.0 +
          static_cast<double>(cfg.n - 1 - d) * topo::mesh_mean_line_hops(cfg.k);
@@ -67,7 +79,7 @@ double holding_time(const MeshModelConfig& cfg, int d, int i) {
 ///   S_d(k-2) = B_d(k-2) + 1 + G_{d+1}
 ///   G_j      = 1/k * G_{j+1} + (k-1)/k * E_enter(j),  G_n = Lm - 1
 ///   E_enter(j) = sum_i w_i S_j(i),  w_i = mesh_entrance_weight(k, i)
-ChannelClassSystem build_system(const MeshModelConfig& cfg) {
+ChannelClassSystem build_system(const ModelConfig& cfg, double lambda) {
   const int k = cfg.k;
   const int n = cfg.n;
   const double lm = static_cast<double>(cfg.message_length);
@@ -104,7 +116,7 @@ ChannelClassSystem build_system(const MeshModelConfig& cfg) {
       cls.name = "mesh";
       cls.blocking = sys.add_blocking(
           {{{1.0,
-             {topo::mesh_channel_rate(cfg.injection_rate, k, n, i),
+             {topo::mesh_channel_rate(lambda, k, n, i),
               StateExpr::slot(lay.slot(d, i)), holding_time(cfg, d, i)},
              {}}},
            1.0});
@@ -141,44 +153,33 @@ ChannelClassSystem build_system(const MeshModelConfig& cfg) {
 
 }  // namespace
 
-void MeshModelConfig::validate() const {
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (k < 2) fail("MeshModelConfig: k must be >= 2");
-  if (n < 1 || n > topo::kMaxDims) fail("MeshModelConfig: n out of range");
-  if (vcs < 1) fail("MeshModelConfig: need at least one VC");
-  if (message_length < 1) fail("MeshModelConfig: message length must be >= 1");
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("MeshModelConfig: rate must be in [0,1]");
-  }
-}
-
-MeshUniformModel::MeshUniformModel(const MeshModelConfig& cfg) : cfg_(cfg) {
-  cfg.validate();
-}
-
-double MeshUniformModel::channel_rate(int i) const noexcept {
-  return topo::mesh_channel_rate(cfg_.injection_rate, cfg_.k, cfg_.n, i);
-}
-
-MeshModelResult MeshUniformModel::solve(
-    const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  const int k = cfg_.k;
-  const int n = cfg_.n;
-  const double lm = static_cast<double>(cfg_.message_length);
+ModelResult solve_uniform_mesh(const ModelConfig& cfg, double lambda,
+                               double /*arrival_idc: Bernoulli only*/,
+                               const std::vector<double>* warm_start,
+                               std::vector<double>* converged_state) {
+  const int k = cfg.k;
+  const int n = cfg.n;
+  const double lm = static_cast<double>(cfg.message_length);
   const Lay lay(k, n);
+  const auto channel_rate = [&](int i) {
+    return topo::mesh_channel_rate(lambda, k, n, i);
+  };
 
-  MeshModelResult res;
+  ModelResult res;
+  // All traffic is regular: regular_latency mirrors latency on every path,
+  // +inf when saturated.
+  const auto finish = [&res] {
+    res.regular_latency = res.latency;
+    return res;
+  };
   if (converged_state != nullptr) converged_state->clear();
 
-  const ChannelClassSystem sys = build_system(cfg_);
-  engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
+  const ChannelClassSystem sys = build_system(cfg, lambda);
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{}, warm_start);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
-  if (!fp.converged) return res;  // saturated (diverged or no steady state)
+  if (!fp.converged) return finish();  // saturated (diverged or no steady state)
 
   // First-correcting-dimension path probabilities are exact: dimensions
   // 0..j-1 match with probability k^-j, dimension j differs with (k-1)/k,
@@ -199,33 +200,37 @@ MeshModelResult MeshUniformModel::solve(
         (static_cast<double>(k - 1) / static_cast<double>(k)) / (1.0 - p_self);
     s_net += p_first[static_cast<std::size_t>(j)] * e;
   }
-  res.network_latency = s_net;
+  res.regular_network_latency = s_net;
 
-  const double arr = cfg_.injection_rate / static_cast<double>(cfg_.vcs);
+  const double arr = lambda / static_cast<double>(cfg.vcs);
   const QueueDelay ws = mg1_wait(arr, s_net, lm);
-  if (ws.saturated) return res;
-  res.source_wait = ws.value;
+  if (ws.saturated) return finish();
+  res.source_wait_regular = ws.value;
 
   // Entrance-weighted VC multiplexing per first dimension (eqs 33-35 per
-  // class), on the configured occupancy basis.
+  // class), on the configured occupancy basis. Dimension 0 carries the
+  // longest continuations (vc_mux_x); the last dimension drains into the
+  // destination (both y slots).
   double latency = 0.0;
   for (int j = 0; j < n; ++j) {
     double vbar = 0.0;
     for (int i = 0; i < k - 1; ++i) {
       const double service =
-          cfg_.vcmux_basis == ServiceBasis::kTransmission
-              ? holding_time(cfg_, j, i)
+          cfg.vcmux_basis == ServiceBasis::kTransmission
+              ? holding_time(cfg, j, i)
               : state[static_cast<std::size_t>(lay.slot(j, i))];
       vbar += topo::mesh_entrance_weight(k, i) *
-              vc_multiplexing_degree(channel_rate(i), service, cfg_.vcs);
+              vc_multiplexing_degree(channel_rate(i), service, cfg.vcs);
     }
-    if (j == 0) res.vc_mux_first_dim = vbar;
-    if (j == n - 1) res.vc_mux_last_dim = vbar;
+    if (j == 0) res.vc_mux_x = vbar;
+    if (j == n - 1) res.vc_mux_hot_y = res.vc_mux_nonhot_y = vbar;
     latency += p_first[static_cast<std::size_t>(j)] *
                (entrance[static_cast<std::size_t>(j)] + ws.value) * vbar;
   }
   res.latency = latency;
 
+  // The most loaded class: a centre (bisection) link of dimension 0 in all
+  // non-degenerate cases.
   double util = 0.0;
   for (int d = 0; d < n; ++d) {
     for (int i = 0; i < k - 1; ++i) {
@@ -236,19 +241,20 @@ MeshModelResult MeshUniformModel::solve(
   res.max_channel_utilization = std::min(1.0, util);
   res.saturated = false;
   if (converged_state != nullptr) *converged_state = std::move(state);
-  return res;
+  return finish();
 }
 
-double MeshUniformModel::zero_load_latency() const {
-  return topo::mesh_mean_hops_uniform(cfg_.k, cfg_.n) +
-         static_cast<double>(cfg_.message_length) - 1.0;
+/// E[Manhattan distance | dst != src] + Lm - 1.
+double uniform_mesh_zero_load_latency(const ModelConfig& cfg) {
+  return topo::mesh_mean_hops_uniform(cfg.k, cfg.n) +
+         static_cast<double>(cfg.message_length) - 1.0;
 }
 
-double MeshUniformModel::estimated_saturation_rate() const {
+double uniform_mesh_saturation_estimate(const ModelConfig& cfg) {
   // Bandwidth pole of the most loaded class: the dimension-0 centre link,
   // whose M/G/1 wait diverges when rate * tx -> 1.
-  const double coef = topo::mesh_bottleneck_rate(1.0, cfg_.k, cfg_.n);
-  return 1.0 / (coef * holding_time(cfg_, 0, (cfg_.k - 2) / 2));
+  const double coef = topo::mesh_bottleneck_rate(1.0, cfg.k, cfg.n);
+  return 1.0 / (coef * holding_time(cfg, 0, (cfg.k - 2) / 2));
 }
 
 }  // namespace kncube::model

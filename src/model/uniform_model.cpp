@@ -1,13 +1,18 @@
-#include "model/uniform_model.hpp"
-
+// Baseline: uniform-traffic analytical model for the deterministically-routed
+// 2-D unidirectional torus (the h = 0 special case, in the lineage of the
+// classic wormhole models [4, 6, 18] the paper builds on).
+//
+// This is an *independent* three-class implementation (x-only, x-then-y,
+// y-only), not the hot-spot builder at h = 0: the hot-spot model with h = 0
+// must reproduce it to solver tolerance, which the tests use as a strong
+// structural cross-check of both implementations.
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "model/engine/channel_class.hpp"
 #include "model/engine/mg1.hpp"
 #include "model/engine/vcmux.hpp"
-#include "util/assert.hpp"
+#include "model/families.hpp"
 
 namespace kncube::model {
 
@@ -45,7 +50,8 @@ HoldingTimes holding_times(int k, double lm) {
 /// Declares the three uniform path classes (y-only, x-only, x-then-y) over
 /// the shared engine: one blocking group per dimension, chained per-hop
 /// recursions, x-then-y entering the y dimension at its entrance average.
-ChannelClassSystem build_system(const UniformModelConfig& cfg, double lc) {
+ChannelClassSystem build_system(const ModelConfig& cfg, double lc,
+                                double arrival_idc) {
   const int k = cfg.k;
   const double lm = static_cast<double>(cfg.message_length);
   const Lay lay(k);
@@ -56,7 +62,7 @@ ChannelClassSystem build_system(const UniformModelConfig& cfg, double lc) {
   opts.service_floor = lm;
   opts.blocking = BlockingVariant::kPaper;
   opts.busy_basis = ServiceBasis::kTransmission;
-  opts.arrival_idc = cfg.arrival_idc;
+  opts.arrival_idc = arrival_idc;
   ChannelClassSystem sys(lay.total, opts);
 
   const int b_y = sys.add_blocking(
@@ -105,47 +111,36 @@ ChannelClassSystem build_system(const UniformModelConfig& cfg, double lc) {
 
 }  // namespace
 
-void UniformModelConfig::validate() const {
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (k < 2) fail("UniformModelConfig: k must be >= 2");
-  if (vcs < 1) fail("UniformModelConfig: need at least one VC");
-  if (message_length < 1) fail("UniformModelConfig: message length must be >= 1");
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("UniformModelConfig: rate must be in [0,1]");
-  }
-  if (!(arrival_idc >= 0.0)) {
-    fail("UniformModelConfig: arrival dispersion must be >= 0");
-  }
+double uniform_torus_channel_rate(int k, double lambda) {
+  return lambda * static_cast<double>(k - 1) / 2.0;
 }
 
-UniformTorusModel::UniformTorusModel(const UniformModelConfig& cfg) : cfg_(cfg) {
-  cfg.validate();
-}
-
-double UniformTorusModel::channel_rate() const noexcept {
-  return cfg_.injection_rate * static_cast<double>(cfg_.k - 1) / 2.0;
-}
-
-UniformModelResult UniformTorusModel::solve(
-    const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  const int k = cfg_.k;
-  const double lm = static_cast<double>(cfg_.message_length);
-  const double lc = channel_rate();
+ModelResult solve_uniform_torus(const ModelConfig& cfg, double lambda,
+                                double arrival_idc,
+                                const std::vector<double>* warm_start,
+                                std::vector<double>* converged_state) {
+  const int k = cfg.k;
+  const double lm = static_cast<double>(cfg.message_length);
+  const double lc = uniform_torus_channel_rate(k, lambda);
   const Lay lay(k);
 
-  UniformModelResult res;
+  ModelResult res;
+  // All traffic is regular: regular_latency mirrors latency on every path,
+  // +inf when saturated.
+  const auto finish = [&res] {
+    res.regular_latency = res.latency;
+    return res;
+  };
   if (converged_state != nullptr) converged_state->clear();
 
-  const ChannelClassSystem sys = build_system(cfg_, lc);
+  const ChannelClassSystem sys = build_system(cfg, lc, arrival_idc);
   engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
   policy.retry_with_stronger_damping = false;
   std::vector<double> state;
   const FixedPointResult fp = sys.solve(state, policy, warm_start);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
-  if (!fp.converged) return res;  // saturated (diverged or no steady state)
+  if (!fp.converged) return finish();  // saturated (diverged or no steady state)
 
   const double ey = avg(state, lay.y, lay.ns);
   const double ex = avg(state, lay.x, lay.ns);
@@ -159,30 +154,31 @@ UniformModelResult UniformTorusModel::solve(
                       (n - 1.0);
 
   const double s_net = p_xonly * ex + p_xy * exy + p_yonly * ey;
-  res.network_latency = s_net;
+  res.regular_network_latency = s_net;
 
-  const double arr = cfg_.injection_rate / static_cast<double>(cfg_.vcs);
-  const QueueDelay ws = mg1_wait(arr, s_net, lm, cfg_.arrival_idc);
-  if (ws.saturated) return res;
-  res.source_wait = ws.value;
+  const double arr = lambda / static_cast<double>(cfg.vcs);
+  const QueueDelay ws = mg1_wait(arr, s_net, lm, arrival_idc);
+  if (ws.saturated) return finish();
+  res.source_wait_regular = ws.value;
 
   // Transmission-basis occupancy, matching the hot-spot model's default.
   const auto [tx_y, tx_x] = holding_times(k, lm);
-  res.vc_mux_x = vc_multiplexing_degree(lc, tx_x, cfg_.vcs);
-  res.vc_mux_y = vc_multiplexing_degree(lc, tx_y, cfg_.vcs);
+  res.vc_mux_x = vc_multiplexing_degree(lc, tx_x, cfg.vcs);
+  res.vc_mux_hot_y = vc_multiplexing_degree(lc, tx_y, cfg.vcs);
+  res.vc_mux_nonhot_y = res.vc_mux_hot_y;
 
   res.latency = p_xonly * (ex + ws.value) * res.vc_mux_x +
                 p_xy * (exy + ws.value) * res.vc_mux_x +
-                p_yonly * (ey + ws.value) * res.vc_mux_y;
-  res.channel_utilization = std::min(1.0, lc * ex);
+                p_yonly * (ey + ws.value) * res.vc_mux_hot_y;
+  res.max_channel_utilization = std::min(1.0, lc * ex);  // identical on every channel
   res.saturated = false;
   if (converged_state != nullptr) *converged_state = std::move(state);
-  return res;
+  return finish();
 }
 
-double UniformTorusModel::zero_load_latency() const {
-  const int k = cfg_.k;
-  const double lm = static_cast<double>(cfg_.message_length);
+double uniform_torus_zero_load_latency(const ModelConfig& cfg) {
+  const int k = cfg.k;
+  const double lm = static_cast<double>(cfg.message_length);
   const double kd = static_cast<double>(k);
   const double n = kd * kd;
   const double p_xonly = (kd - 1.0) / (n - 1.0);
@@ -191,6 +187,15 @@ double UniformTorusModel::zero_load_latency() const {
   const double one_dim = kd / 2.0 + lm - 1.0;
   const double two_dim = kd + lm - 1.0;
   return (p_xonly + p_yonly) * one_dim + p_xy * two_dim;
+}
+
+double uniform_torus_saturation_estimate(const ModelConfig& cfg) {
+  // The x channel is the capacity bound: per-channel rate lambda (k-1)/2 at
+  // holding time tx_x = Lm + k/2 - 1 + (k-1)/2 cycles per message.
+  const double k = static_cast<double>(cfg.k);
+  const double tx_x =
+      static_cast<double>(cfg.message_length) + k / 2.0 - 1.0 + (k - 1.0) / 2.0;
+  return 2.0 / ((k - 1.0) * tx_x);
 }
 
 }  // namespace kncube::model

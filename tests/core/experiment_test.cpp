@@ -4,15 +4,18 @@
 
 #include <cmath>
 
+#include "core/model_registry.hpp"
+
 namespace kncube::core {
 namespace {
 
-Scenario small_scenario() {
-  Scenario s;
-  s.k = 8;
+/// An 8x8 hot-spot torus, V=2, Lm=8, h=0.3, with reduced simulation effort.
+ScenarioSpec small_scenario() {
+  ScenarioSpec s;
+  s.torus().k = 8;
   s.vcs = 2;
   s.message_length = 8;
-  s.hot_fraction = 0.3;
+  s.hotspot().fraction = 0.3;
   s.target_messages = 500;
   s.warmup_cycles = 2000;
   s.max_cycles = 300000;
@@ -20,17 +23,21 @@ Scenario small_scenario() {
 }
 
 TEST(Experiment, ModelConfigMapping) {
-  const Scenario s = small_scenario();
-  const model::ModelConfig mc = to_model_config(s, 1.25e-4);
+  const ModelDispatch d = make_analytical_model(small_scenario());
+  ASSERT_TRUE(d.has_model());
+  const model::ModelConfig& mc = d.model->config();
+  EXPECT_EQ(mc.topology, model::TopologyKind::kTorus);
   EXPECT_EQ(mc.k, 8);
+  EXPECT_EQ(mc.n, 2);
   EXPECT_EQ(mc.vcs, 2);
   EXPECT_EQ(mc.message_length, 8);
-  EXPECT_DOUBLE_EQ(mc.hot_fraction, 0.3);
-  EXPECT_DOUBLE_EQ(mc.injection_rate, 1.25e-4);
+  ASSERT_TRUE(mc.hot_fraction.has_value());
+  EXPECT_DOUBLE_EQ(*mc.hot_fraction, 0.3);
+  EXPECT_FALSE(mc.mmpp.has_value());
 }
 
 TEST(Experiment, SimConfigMapping) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_scenario();
   const sim::SimConfig sc = to_sim_config(s, 2e-4);
   EXPECT_EQ(sc.k, 8);
   EXPECT_EQ(sc.n, 2);
@@ -43,7 +50,7 @@ TEST(Experiment, SimConfigMapping) {
 }
 
 TEST(Experiment, ModelOnlySeriesPreservesOrder) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_scenario();
   const std::vector<double> lams = {1e-4, 5e-5, 2e-4};
   const auto pts = run_series(s, lams, /*run_sim=*/false);
   ASSERT_EQ(pts.size(), 3u);
@@ -57,7 +64,7 @@ TEST(Experiment, ModelOnlySeriesPreservesOrder) {
 }
 
 TEST(Experiment, SeriesWithSimProducesComparablePoints) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_scenario();
   const auto pts = run_series(s, {8e-4}, /*run_sim=*/true);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_TRUE(pts[0].has_sim);
@@ -69,7 +76,7 @@ TEST(Experiment, SeriesWithSimProducesComparablePoints) {
 }
 
 TEST(Experiment, SeriesIsReproducibleAcrossRuns) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_scenario();
   const auto a = run_series(s, {5e-4, 8e-4});
   const auto b = run_series(s, {5e-4, 8e-4});
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -79,7 +86,7 @@ TEST(Experiment, SeriesIsReproducibleAcrossRuns) {
 
 TEST(Experiment, PointSeedsDifferAcrossIndices) {
   // Identical lambdas at different indices get decorrelated seeds.
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_scenario();
   const auto pts = run_series(s, {8e-4, 8e-4});
   EXPECT_NE(pts[0].sim.mean_latency, pts[1].sim.mean_latency);
 }
@@ -100,7 +107,7 @@ TEST(Experiment, RelativeErrorNanCases) {
 }
 
 TEST(Experiment, LambdaSweepSpansRequestedRange) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_scenario();
   const auto lams = lambda_sweep(s, 5, 0.2, 0.9);
   ASSERT_EQ(lams.size(), 5u);
   for (std::size_t i = 1; i < lams.size(); ++i) EXPECT_GT(lams[i], lams[i - 1]);

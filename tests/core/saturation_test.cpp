@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "core/model_registry.hpp"
+
 namespace kncube::core {
 namespace {
 
-Scenario scenario(int k, int lm, double h) {
-  Scenario s;
-  s.k = k;
+ScenarioSpec scenario(int k, int lm, double h) {
+  ScenarioSpec s;
+  s.torus().k = k;
   s.message_length = lm;
-  s.hot_fraction = h;
+  s.hotspot().fraction = h;
   s.target_messages = 500;
   s.warmup_cycles = 2000;
   s.max_cycles = 150000;
@@ -17,14 +22,13 @@ Scenario scenario(int k, int lm, double h) {
 }
 
 TEST(ModelSaturation, BoundaryIsTight) {
-  const Scenario s = scenario(16, 32, 0.2);
+  const ScenarioSpec s = scenario(16, 32, 0.2);
   const SaturationResult sat = model_saturation_rate(s, 1e-4);
   EXPECT_GT(sat.rate, 0.0);
   // Just below: stable. Just above: saturated.
-  EXPECT_FALSE(
-      model::HotspotModel(to_model_config(s, sat.rate * 0.999)).solve().saturated);
-  EXPECT_TRUE(
-      model::HotspotModel(to_model_config(s, sat.rate * 1.01)).solve().saturated);
+  const ModelDispatch d = make_analytical_model(s);
+  EXPECT_FALSE(d.model->solve_at(sat.rate * 0.999).saturated);
+  EXPECT_TRUE(d.model->solve_at(sat.rate * 1.01).saturated);
 }
 
 TEST(ModelSaturation, DecreasesWithHotFraction) {
@@ -81,6 +85,23 @@ TEST(BisectSaturation, DegenerateBracketReportsFailure) {
   EXPECT_EQ(res.probes, probes);
 }
 
+TEST(BisectSaturation, NonFiniteOrNonPositiveGuessReportsFailure) {
+  // A NaN guess makes every bracket comparison false: the search used to
+  // "converge" on rate=nan with failed=false without a meaningful probe.
+  for (const double guess : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    int probes = 0;
+    const SaturationResult res = bisect_saturation(guess, 1e-3, [&](double r) {
+      ++probes;
+      return r < 0.5;
+    });
+    EXPECT_TRUE(res.failed) << guess;
+    EXPECT_EQ(res.rate, 0.0) << guess;
+    EXPECT_EQ(res.probes, 0) << guess;
+    EXPECT_EQ(probes, 0) << guess;
+  }
+}
+
 TEST(BisectSaturation, StablePathUnchangedAndNotFailed) {
   // Normal boundary at 0.5: bracketing + bisection converges and the result
   // is a probed, stable rate with the failure flag clear.
@@ -94,7 +115,7 @@ TEST(BisectSaturation, StablePathUnchangedAndNotFailed) {
 TEST(SimSaturation, AgreesWithModelBoundary) {
   // Small network so each probe is fast. The sim boundary should land within
   // ~35% of the model's (the model is approximate, not exact).
-  const Scenario s = scenario(8, 8, 0.3);
+  const ScenarioSpec s = scenario(8, 8, 0.3);
   const double model_rate = model_saturation_rate(s).rate;
   const double sim_rate = sim_saturation_rate(s, 0.1).rate;
   EXPECT_GT(sim_rate, 0.65 * model_rate);

@@ -46,6 +46,47 @@ TEST(ScenarioErrors, MalformedValues) {
   expect_throws("arrivals.kind", "poisson");
 }
 
+TEST(ScenarioErrors, NonFiniteDoublesFailParseAndValidate) {
+  // Range checks written as `x < lo || x > hi` are false for NaN: a NaN hot
+  // fraction or burst multiplier used to pass validate() and abort the
+  // process inside the model or simulator; a NaN fault rate simulated a
+  // pristine network. Every double key rejects non-finite text with its
+  // line number, and validate() rejects non-finite struct values.
+  ScenarioSpec mmpp;
+  mmpp.arrivals = MmppArrivals{};
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e999"}) {
+    expect_throws("traffic.hot_fraction", bad);
+    expect_throws("arrivals.burst_multiplier", bad, mmpp);
+    expect_throws("arrivals.p_enter_burst", bad, mmpp);
+    expect_throws("arrivals.p_leave_burst", bad, mmpp);
+    expect_throws("fault.rate", bad);
+  }
+  try {
+    parse_scenario("topology.kind=torus\ntraffic.hot_fraction=nan\n");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    ScenarioSpec hot;
+    hot.hotspot().fraction = bad;
+    EXPECT_THROW(hot.validate(), std::invalid_argument) << bad;
+    for (int field = 0; field < 3; ++field) {
+      ScenarioSpec bursty = mmpp;
+      (field == 0   ? bursty.mmpp().burst_multiplier
+       : field == 1 ? bursty.mmpp().p_enter_burst
+                    : bursty.mmpp().p_leave_burst) = bad;
+      EXPECT_THROW(bursty.validate(), std::invalid_argument) << bad << " " << field;
+    }
+    ScenarioSpec faulty;
+    faulty.failures.random_rate = bad;
+    EXPECT_THROW(faulty.validate(), std::invalid_argument) << bad;
+  }
+}
+
 TEST(ScenarioErrors, OutOfRangeIntegers) {
   // Values beyond int32 must fail the parse, not wrap silently.
   const std::string big = std::to_string(

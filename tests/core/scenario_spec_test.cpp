@@ -291,7 +291,27 @@ struct DispatchCase {
   const char* name;
   ScenarioSpec spec;
   const char* model_name;  ///< nullptr = sim-only
+  const char* reason;      ///< the exact sim-only reason (nullptr = modeled)
 };
+
+// The user-visible sim-only reasons, one cause each.
+constexpr const char* kFaultReason =
+    "fault-aware analytical model not yet implemented";
+constexpr const char* kBidirectionalReason =
+    "analytical models assume unidirectional links";
+constexpr const char* kPatternReason =
+    "no analytical counterpart for this traffic pattern";
+constexpr const char* kOffCentreReason =
+    "mesh hot-spot model covers the centre hot node only (off-centre load is "
+    "per-channel with no class symmetry)";
+constexpr const char* kTorusDimsReason = "analytical torus models are 2-D (n == 2)";
+constexpr const char* kMmppReason =
+    "bursty-arrival model covers the torus families only (mesh and hypercube "
+    "models assume Bernoulli arrivals)";
+constexpr const char* kUniformTorusKnobReason =
+    "uniform-torus model has no blocking/basis ablation variants";
+constexpr const char* kHypercubeKnobReason =
+    "hypercube model has no blocking-form ablation variant";
 
 std::vector<DispatchCase> dispatch_cases() {
   std::vector<DispatchCase> cases;
@@ -306,79 +326,109 @@ std::vector<DispatchCase> dispatch_cases() {
     s.traffic = std::move(traffic);
     return s;
   };
-  cases.push_back({"torus_hotspot", torus(HotspotTraffic{}), "hotspot-torus"});
-  cases.push_back({"torus_uniform", torus(UniformTraffic{}), "uniform-torus"});
-  cases.push_back({"torus_transpose", torus(TransposeTraffic{}), nullptr});
-  cases.push_back({"torus_bit_complement", torus(BitComplementTraffic{}), nullptr});
-  cases.push_back({"torus_bit_reversal", torus(BitReversalTraffic{}), nullptr});
-  cases.push_back({"cube_hotspot", cube(HotspotTraffic{}), "hotspot-hypercube"});
-  cases.push_back({"cube_uniform", cube(UniformTraffic{}), "hotspot-hypercube"});
-  cases.push_back({"cube_bit_complement", cube(BitComplementTraffic{}), nullptr});
-  cases.push_back({"cube_bit_reversal", cube(BitReversalTraffic{}), nullptr});
-
-  DispatchCase bidir{"torus_bidirectional_hotspot", torus(HotspotTraffic{}), nullptr};
-  bidir.spec.torus().bidirectional = true;
-  cases.push_back(bidir);
-
-  DispatchCase torus3d{"torus_3d_hotspot", torus(HotspotTraffic{}), nullptr};
-  torus3d.spec.torus() = TorusTopology{8, 3, false};
-  cases.push_back(torus3d);
-
-  // MMPP arrivals: modeled on the torus families via the bursty service
-  // stage, sim-only elsewhere (no arrival-IDC threading in those builders).
-  DispatchCase mmpp{"torus_hotspot_mmpp", torus(HotspotTraffic{}),
-                    "mmpp-hotspot-torus"};
-  mmpp.spec.arrivals = MmppArrivals{};
-  cases.push_back(mmpp);
-
-  DispatchCase mmpp_uniform{"torus_uniform_mmpp", torus(UniformTraffic{}),
-                            "mmpp-uniform-torus"};
-  mmpp_uniform.spec.arrivals = MmppArrivals{};
-  cases.push_back(mmpp_uniform);
-
-  DispatchCase mmpp_cube{"cube_hotspot_mmpp", cube(HotspotTraffic{}), nullptr};
-  mmpp_cube.spec.arrivals = MmppArrivals{};
-  cases.push_back(mmpp_cube);
-
-  // Mesh hot-spots: the centre (default) hot node is modeled; an off-centre
-  // hot node breaks the class symmetry and stays sim-only.
   auto mesh = [](Traffic traffic) {
     ScenarioSpec s;
     s.topology = MeshTopology{8, 2};
     s.traffic = std::move(traffic);
     return s;
   };
+  auto with = [](ScenarioSpec s, auto&& edit) {
+    edit(s);
+    return s;
+  };
+  cases.push_back({"torus_hotspot", torus(HotspotTraffic{}), "hotspot-torus", nullptr});
+  cases.push_back({"torus_uniform", torus(UniformTraffic{}), "uniform-torus", nullptr});
+  cases.push_back(
+      {"torus_transpose", torus(TransposeTraffic{}), nullptr, kPatternReason});
+  cases.push_back(
+      {"torus_bit_complement", torus(BitComplementTraffic{}), nullptr, kPatternReason});
+  cases.push_back(
+      {"torus_bit_reversal", torus(BitReversalTraffic{}), nullptr, kPatternReason});
+  cases.push_back({"cube_hotspot", cube(HotspotTraffic{}), "hotspot-hypercube", nullptr});
+  cases.push_back({"cube_uniform", cube(UniformTraffic{}), "hotspot-hypercube", nullptr});
+  cases.push_back(
+      {"cube_bit_complement", cube(BitComplementTraffic{}), nullptr, kPatternReason});
+  cases.push_back(
+      {"cube_bit_reversal", cube(BitReversalTraffic{}), nullptr, kPatternReason});
+  cases.push_back({"mesh_transpose", mesh(TransposeTraffic{}), nullptr, kPatternReason});
+
+  cases.push_back({"torus_bidirectional_hotspot",
+                   with(torus(HotspotTraffic{}),
+                        [](ScenarioSpec& s) { s.torus().bidirectional = true; }),
+                   nullptr, kBidirectionalReason});
+  cases.push_back({"torus_3d_hotspot",
+                   with(torus(HotspotTraffic{}),
+                        [](ScenarioSpec& s) { s.torus() = TorusTopology{8, 3, false}; }),
+                   nullptr, kTorusDimsReason});
+  cases.push_back({"torus_3d_uniform",
+                   with(torus(UniformTraffic{}),
+                        [](ScenarioSpec& s) { s.torus() = TorusTopology{4, 3, false}; }),
+                   nullptr, kTorusDimsReason});
+  cases.push_back({"torus_hotspot_faulty",
+                   with(torus(HotspotTraffic{}),
+                        [](ScenarioSpec& s) { s.failures.routers = {1}; }),
+                   nullptr, kFaultReason});
+  cases.push_back({"mesh_uniform_faulty",
+                   with(mesh(UniformTraffic{}),
+                        [](ScenarioSpec& s) { s.failures.random_rate = 0.05; }),
+                   nullptr, kFaultReason});
+
+  // MMPP arrivals: modeled on the torus families via the bursty service
+  // stage, sim-only elsewhere (no arrival-IDC threading in those builders).
+  const auto mmpp = [](ScenarioSpec& s) { s.arrivals = MmppArrivals{}; };
+  cases.push_back({"torus_hotspot_mmpp", with(torus(HotspotTraffic{}), mmpp),
+                   "mmpp-hotspot-torus", nullptr});
+  cases.push_back({"torus_uniform_mmpp", with(torus(UniformTraffic{}), mmpp),
+                   "mmpp-uniform-torus", nullptr});
+  cases.push_back(
+      {"cube_hotspot_mmpp", with(cube(HotspotTraffic{}), mmpp), nullptr, kMmppReason});
+  cases.push_back(
+      {"cube_uniform_mmpp", with(cube(UniformTraffic{}), mmpp), nullptr, kMmppReason});
+  cases.push_back(
+      {"mesh_uniform_mmpp", with(mesh(UniformTraffic{}), mmpp), nullptr, kMmppReason});
+  cases.push_back({"mesh_hotspot_centre_mmpp",
+                   with(mesh(HotspotTraffic{0.2, -1}), mmpp), nullptr, kMmppReason});
+
+  // Mesh hot-spots: the centre (default) hot node is modeled; an off-centre
+  // hot node breaks the class symmetry and stays sim-only.
   cases.push_back({"mesh_hotspot_centre", mesh(HotspotTraffic{0.2, -1}),
-                   "hotspot-mesh"});
+                   "hotspot-mesh", nullptr});
   // Node 36 = (4, 4) is the resolved centre of the 8x8 mesh; naming it
   // explicitly must dispatch identically to -1.
   cases.push_back({"mesh_hotspot_centre_explicit", mesh(HotspotTraffic{0.2, 36}),
-                   "hotspot-mesh"});
-  cases.push_back({"mesh_hotspot_corner", mesh(HotspotTraffic{0.2, 0}), nullptr});
-
-  DispatchCase mmpp_mesh{"mesh_uniform_mmpp", mesh(UniformTraffic{}), nullptr};
-  mmpp_mesh.spec.arrivals = MmppArrivals{};
-  cases.push_back(mmpp_mesh);
+                   "hotspot-mesh", nullptr});
+  cases.push_back(
+      {"mesh_hotspot_corner", mesh(HotspotTraffic{0.2, 0}), nullptr, kOffCentreReason});
 
   // Ablation knobs a family cannot represent dispatch sim-only rather than
   // silently running the default approximation; the hot-spot torus model
   // supports all of them.
-  DispatchCase uniform_basis{"torus_uniform_inclusive_basis",
-                             torus(UniformTraffic{}), nullptr};
-  uniform_basis.spec.busy_basis = model::ServiceBasis::kInclusive;
-  cases.push_back(uniform_basis);
-
-  DispatchCase cube_blocking{"cube_hotspot_pure_wait", cube(HotspotTraffic{}),
-                             nullptr};
-  cube_blocking.spec.blocking = model::BlockingVariant::kPureWait;
-  cases.push_back(cube_blocking);
-
-  DispatchCase hotspot_knobs{"torus_hotspot_all_knobs", torus(HotspotTraffic{}),
-                             "hotspot-torus"};
-  hotspot_knobs.spec.blocking = model::BlockingVariant::kPureWait;
-  hotspot_knobs.spec.busy_basis = model::ServiceBasis::kInclusive;
-  hotspot_knobs.spec.vcmux_basis = model::ServiceBasis::kInclusive;
-  cases.push_back(hotspot_knobs);
+  cases.push_back({"torus_uniform_inclusive_basis",
+                   with(torus(UniformTraffic{}),
+                        [](ScenarioSpec& s) {
+                          s.busy_basis = model::ServiceBasis::kInclusive;
+                        }),
+                   nullptr, kUniformTorusKnobReason});
+  cases.push_back({"torus_uniform_pure_wait",
+                   with(torus(UniformTraffic{}),
+                        [](ScenarioSpec& s) {
+                          s.blocking = model::BlockingVariant::kPureWait;
+                        }),
+                   nullptr, kUniformTorusKnobReason});
+  cases.push_back({"cube_hotspot_pure_wait",
+                   with(cube(HotspotTraffic{}),
+                        [](ScenarioSpec& s) {
+                          s.blocking = model::BlockingVariant::kPureWait;
+                        }),
+                   nullptr, kHypercubeKnobReason});
+  cases.push_back({"torus_hotspot_all_knobs",
+                   with(torus(HotspotTraffic{}),
+                        [](ScenarioSpec& s) {
+                          s.blocking = model::BlockingVariant::kPureWait;
+                          s.busy_basis = model::ServiceBasis::kInclusive;
+                          s.vcmux_basis = model::ServiceBasis::kInclusive;
+                        }),
+                   "hotspot-torus", nullptr});
   return cases;
 }
 
@@ -391,7 +441,7 @@ TEST(ModelRegistry, DispatchesEveryTopologyTrafficPair) {
       EXPECT_TRUE(d.sim_only_reason.empty()) << c.name;
     } else {
       EXPECT_FALSE(d.has_model()) << c.name;
-      EXPECT_FALSE(d.sim_only_reason.empty()) << c.name;
+      EXPECT_EQ(d.sim_only_reason, c.reason) << c.name;
     }
   }
   // Invalid specs throw out of dispatch rather than mis-routing.
@@ -408,15 +458,13 @@ TEST(ModelRegistry, HypercubeUniformIsTheZeroHotFractionModel) {
   const ModelDispatch d = make_analytical_model(uniform);
   ASSERT_TRUE(d.has_model());
 
-  model::HypercubeModelConfig direct;
-  direct.dims = 6;
-  direct.vcs = uniform.vcs;
-  direct.message_length = uniform.message_length;
-  direct.hot_fraction = 0.0;
+  ScenarioSpec zero_h = uniform;
+  zero_h.traffic = HotspotTraffic{0.0, -1};
+  const ModelDispatch hot = make_analytical_model(zero_h);
+  ASSERT_TRUE(hot.has_model());
   for (double rate : {1e-4, 2e-3}) {
-    direct.injection_rate = rate;
     EXPECT_EQ(bits(d.model->solve_at(rate).latency),
-              bits(model::HypercubeHotspotModel(direct).solve().latency))
+              bits(hot.model->solve_at(rate).latency))
         << rate;
   }
 }

@@ -17,12 +17,13 @@
 namespace kncube::core {
 namespace {
 
-Scenario small_scenario() {
-  Scenario s;
-  s.k = 8;
+/// An 8x8 hot-spot torus, V=2, Lm=8, h=0.3, with reduced simulation effort.
+ScenarioSpec small_scenario() {
+  ScenarioSpec s;
+  s.torus().k = 8;
   s.vcs = 2;
   s.message_length = 8;
-  s.hot_fraction = 0.3;
+  s.hotspot().fraction = 0.3;
   s.target_messages = 500;
   s.warmup_cycles = 2000;
   s.max_cycles = 300000;
@@ -32,11 +33,11 @@ Scenario small_scenario() {
 TEST(SweepEngine, MemoizesRepeatedModelPoints) {
   SweepEngine engine(small_scenario());
   const auto a = engine.model_point(2e-4);
-  EXPECT_EQ(engine.model_cache_size(), 1u);
-  EXPECT_EQ(engine.model_cache_hits(), 0u);
+  EXPECT_EQ(engine.cache_stats().model_entries, 1u);
+  EXPECT_EQ(engine.cache_stats().model_hits, 0u);
   const auto b = engine.model_point(2e-4);
-  EXPECT_EQ(engine.model_cache_size(), 1u);
-  EXPECT_EQ(engine.model_cache_hits(), 1u);
+  EXPECT_EQ(engine.cache_stats().model_entries, 1u);
+  EXPECT_EQ(engine.cache_stats().model_hits, 1u);
   EXPECT_EQ(a.latency, b.latency);
   EXPECT_EQ(a.iterations, b.iterations);
 }
@@ -45,10 +46,10 @@ TEST(SweepEngine, OverlappingSweepsShareModelSolves) {
   SweepEngine engine(small_scenario());
   const std::vector<double> lams = {1e-4, 2e-4, 3e-4};
   const auto first = engine.run(lams, /*run_sim=*/false);
-  const auto hits_before = engine.model_cache_hits();
+  const auto hits_before = engine.cache_stats().model_hits;
   const auto second = engine.run(lams, /*run_sim=*/false);
-  EXPECT_EQ(engine.model_cache_size(), 3u);
-  EXPECT_EQ(engine.model_cache_hits(), hits_before + 3);
+  EXPECT_EQ(engine.cache_stats().model_entries, 3u);
+  EXPECT_EQ(engine.cache_stats().model_hits, hits_before + 3);
   for (std::size_t i = 0; i < lams.size(); ++i) {
     EXPECT_EQ(first[i].model.latency, second[i].model.latency);
   }
@@ -64,15 +65,15 @@ TEST(SweepEngine, DuplicateLambdasInOneBatchStayIndependentReplicates) {
   EXPECT_NE(pts[0].sim.mean_latency, pts[1].sim.mean_latency);
   // The deterministic model side is shared.
   EXPECT_EQ(pts[0].model.latency, pts[1].model.latency);
-  EXPECT_EQ(engine.sim_cache_size(), 2u);
+  EXPECT_EQ(engine.cache_stats().sim_entries, 2u);
 }
 
 TEST(SweepEngine, RepeatedBatchesReuseSimResults) {
   SweepEngine engine(small_scenario());
   const auto a = engine.run({5e-4}, /*run_sim=*/true);
-  EXPECT_EQ(engine.sim_cache_hits(), 0u);
+  EXPECT_EQ(engine.cache_stats().sim_hits, 0u);
   const auto b = engine.run({5e-4}, /*run_sim=*/true);
-  EXPECT_EQ(engine.sim_cache_hits(), 1u);
+  EXPECT_EQ(engine.cache_stats().sim_hits, 1u);
   EXPECT_EQ(a[0].sim.mean_latency, b[0].sim.mean_latency);
 }
 
@@ -80,13 +81,11 @@ TEST(SweepEngine, ClearCacheResetsEverything) {
   SweepEngine engine(small_scenario());
   engine.run({1e-4, 2e-4}, /*run_sim=*/false);
   engine.model_point(1e-4);
-  EXPECT_GT(engine.model_cache_size(), 0u);
-  EXPECT_GT(engine.model_cache_hits(), 0u);
+  EXPECT_GT(engine.cache_stats().model_entries, 0u);
+  EXPECT_GT(engine.cache_stats().model_hits, 0u);
   engine.clear_cache();
-  EXPECT_EQ(engine.model_cache_size(), 0u);
-  EXPECT_EQ(engine.sim_cache_size(), 0u);
-  EXPECT_EQ(engine.model_cache_hits(), 0u);
-  EXPECT_EQ(engine.sim_cache_hits(), 0u);
+  EXPECT_EQ(format_cache_stats(engine.cache_stats()),
+            format_cache_stats(CacheStats{}));
 }
 
 TEST(SweepEngine, SaturationBisectionSharesTheModelCache) {
@@ -95,12 +94,13 @@ TEST(SweepEngine, SaturationBisectionSharesTheModelCache) {
   EXPECT_GT(sat.rate, 0.0);
   EXPECT_GT(sat.probes, 0);
   // Every bisection probe landed in the model cache...
-  EXPECT_EQ(engine.model_cache_size(), static_cast<std::size_t>(sat.probes));
+  EXPECT_EQ(engine.cache_stats().model_entries,
+            static_cast<std::uint64_t>(sat.probes));
   // ...and the boundary itself is cached: repeating costs no new solves.
-  const std::size_t solves_before = engine.model_cache_size();
+  const std::uint64_t solves_before = engine.cache_stats().model_solves;
   const SaturationResult again = engine.saturation_rate();
   EXPECT_EQ(again.rate, sat.rate);
-  EXPECT_EQ(engine.model_cache_size(), solves_before);
+  EXPECT_EQ(engine.cache_stats().model_solves, solves_before);
 }
 
 TEST(SweepEngine, LambdaSweepSpansRequestedRange) {
@@ -112,23 +112,24 @@ TEST(SweepEngine, LambdaSweepSpansRequestedRange) {
 }
 
 TEST(SweepEngine, ScenarioBasisKnobsReachTheModel) {
-  // Scenario forwards all three model-approximation knobs (not just the
-  // blocking variant) to ModelConfig...
-  Scenario s = small_scenario();
+  // The spec forwards all three model-approximation knobs (not just the
+  // blocking variant) to the ModelConfig...
+  ScenarioSpec s = small_scenario();
   s.blocking = model::BlockingVariant::kPureWait;
   s.busy_basis = model::ServiceBasis::kInclusive;
   s.vcmux_basis = model::ServiceBasis::kInclusive;
-  const model::ModelConfig mc = to_model_config(s, 1e-4);
+  const SweepEngine engine(s);
+  const model::ModelConfig& mc = engine.analytical_model().config();
   EXPECT_EQ(mc.blocking, model::BlockingVariant::kPureWait);
   EXPECT_EQ(mc.busy_basis, model::ServiceBasis::kInclusive);
   EXPECT_EQ(mc.vcmux_basis, model::ServiceBasis::kInclusive);
 
   // ...and each basis knob changes the solved latency.
   const double lambda = 8e-4;
-  Scenario base = small_scenario();
-  Scenario busy = small_scenario();
+  ScenarioSpec base = small_scenario();
+  ScenarioSpec busy = small_scenario();
   busy.busy_basis = model::ServiceBasis::kInclusive;
-  Scenario mux = small_scenario();
+  ScenarioSpec mux = small_scenario();
   mux.vcmux_basis = model::ServiceBasis::kInclusive;
   const auto rb = SweepEngine(base).model_point(lambda);
   const auto ri = SweepEngine(busy).model_point(lambda);
@@ -215,7 +216,7 @@ void await_inflight_waits(const SweepEngine& engine, std::uint64_t expected) {
 
 TEST(SweepEngine, ConcurrentIdenticalModelPointsPayExactlyOneSolve) {
   auto store = std::make_shared<GatedStore>();
-  SweepEngine engine(to_spec(small_scenario()), store);
+  SweepEngine engine(small_scenario(), store);
   constexpr int kCallers = 4;
   const double lambda = 2e-4;
 
@@ -245,7 +246,7 @@ TEST(SweepEngine, ConcurrentIdenticalModelPointsPayExactlyOneSolve) {
 
 TEST(SweepEngine, ConcurrentIdenticalSimPointsPayExactlyOneRun) {
   auto store = std::make_shared<GatedStore>();
-  SweepEngine engine(to_spec(small_scenario()), store);
+  SweepEngine engine(small_scenario(), store);
   constexpr int kCallers = 3;
   const double lambda = 5e-4;
   const std::uint64_t seed = 42;
@@ -274,7 +275,7 @@ TEST(SweepEngine, ConcurrentIdenticalSimPointsPayExactlyOneRun) {
 
 TEST(SweepEngine, SharedStoreServesASecondEngineWithoutResolving) {
   auto store = std::make_shared<MemoryResultStore>();
-  const ScenarioSpec spec = to_spec(small_scenario());
+  const ScenarioSpec spec = small_scenario();
   const double lambda = 3e-4;
 
   model::ModelResult cold;
@@ -310,7 +311,7 @@ TEST(SweepEngine, SimRunMatchesASerialIndexOrderLoop) {
   // simulating index by index, each point with its positional seed. Unsorted
   // input with a duplicate lambda: the two copies keep their own seeds,
   // hence their own simulations.
-  const ScenarioSpec spec = to_spec(small_scenario());
+  const ScenarioSpec spec = small_scenario();
   const std::vector<double> lambdas = {3e-4, 9e-4, 1e-4, 6e-4, 9e-4};
   SweepEngine engine(spec);
   const std::vector<PointResult> pts = engine.run(lambdas, /*run_sim=*/true);

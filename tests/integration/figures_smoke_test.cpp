@@ -9,11 +9,11 @@ namespace kncube::core {
 namespace {
 
 TEST(FigureSmoke, PanelPipelineProducesPaperShapedSeries) {
-  Scenario s;
-  s.k = 8;
+  ScenarioSpec s;
+  s.torus().k = 8;
   s.vcs = 2;
   s.message_length = 16;
-  s.hot_fraction = 0.2;
+  s.hotspot().fraction = 0.2;
   s.target_messages = 900;
   s.warmup_cycles = 3000;
   s.max_cycles = 400000;
@@ -43,13 +43,13 @@ TEST(FigureSmoke, PanelPipelineProducesPaperShapedSeries) {
 TEST(FigureSmoke, HigherHotFractionSaturatesEarlier) {
   // Across panels (the h=20/40/70% structure of Figures 1-2), saturation
   // moves to lower rates as h grows — the headline qualitative result.
-  Scenario s;
-  s.k = 8;
+  ScenarioSpec s;
+  s.torus().k = 8;
   s.vcs = 2;
   s.message_length = 16;
   double prev = 1.0;
   for (double h : {0.2, 0.4, 0.7}) {
-    s.hot_fraction = h;
+    s.hotspot().fraction = h;
     const double sat = model_saturation_rate(s).rate;
     EXPECT_LT(sat, prev) << "h=" << h;
     prev = sat;
@@ -59,10 +59,10 @@ TEST(FigureSmoke, HigherHotFractionSaturatesEarlier) {
 TEST(FigureSmoke, LongerMessagesShiftTheWholePanel) {
   // Figure 2 vs Figure 1: Lm=100 curves sit higher and saturate earlier
   // than Lm=32 at equal h.
-  Scenario short_s;
-  short_s.k = 8;
+  ScenarioSpec short_s;
+  short_s.torus().k = 8;
   short_s.message_length = 8;
-  Scenario long_s = short_s;
+  ScenarioSpec long_s = short_s;
   long_s.message_length = 32;
 
   const double short_sat = model_saturation_rate(short_s).rate;

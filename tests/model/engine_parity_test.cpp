@@ -6,29 +6,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "core/model_registry.hpp"
-#include "core/scenario_spec.hpp"
+#include "model/analytical_model.hpp"
 #include "model/engine/mg1.hpp"
 #include "model/engine/vcmux.hpp"
-#include "model/hotspot_model.hpp"
-#include "model/hypercube_model.hpp"
-#include "model/mesh_model.hpp"
 #include "model/path_probabilities.hpp"
 #include "model/solver.hpp"
-#include "model/uniform_model.hpp"
+#include "model/traffic_rates.hpp"
 
 namespace kncube::model {
 namespace {
 
 // ---------------------------------------------------------------------------
 // Reference implementations: the pre-engine (seed) solvers, trimmed to the
-// quantities the parity assertions compare. Any change in engine semantics
-// shows up as a divergence from these.
+// quantities the parity assertions compare, reading their inputs from the
+// shared ModelConfig plus the injection rate and the solver's default
+// options. Any change in engine semantics shows up as a divergence from
+// these.
 // ---------------------------------------------------------------------------
 namespace reference {
 
@@ -37,10 +36,11 @@ struct Outcome {
   double latency = std::numeric_limits<double>::infinity();
 };
 
-Outcome uniform_solve(const UniformModelConfig& cfg) {
+Outcome uniform_solve(const ModelConfig& cfg, double lambda) {
+  const FixedPointOptions solver{};
   const int k = cfg.k;
   const double lm = static_cast<double>(cfg.message_length);
-  const double lc = cfg.injection_rate * static_cast<double>(k - 1) / 2.0;
+  const double lc = lambda * static_cast<double>(k - 1) / 2.0;
   const int ns = k - 1;
   const std::size_t y = 0, x = static_cast<std::size_t>(ns),
                     xy = 2 * static_cast<std::size_t>(ns);
@@ -78,7 +78,7 @@ Outcome uniform_solve(const UniformModelConfig& cfg) {
     return true;
   };
 
-  const FixedPointResult fp = solve_fixed_point(state, step, cfg.solver);
+  const FixedPointResult fp = solve_fixed_point(state, step, solver);
   if (!fp.converged) return res;
 
   const double ey = avg(state, y);
@@ -91,7 +91,7 @@ Outcome uniform_solve(const UniformModelConfig& cfg) {
       (static_cast<double>(k) - 1.0) * (static_cast<double>(k) - 1.0) / (n - 1.0);
   const double s_net = p_xonly * ex + p_xy * exy + p_yonly * ey;
   const QueueDelay ws =
-      mg1_wait(cfg.injection_rate / static_cast<double>(cfg.vcs), s_net, lm);
+      mg1_wait(lambda / static_cast<double>(cfg.vcs), s_net, lm);
   if (ws.saturated) return res;
   const double v_x = vc_multiplexing_degree(lc, tx_x, cfg.vcs);
   const double v_y = vc_multiplexing_degree(lc, tx_y, cfg.vcs);
@@ -104,9 +104,9 @@ Outcome uniform_solve(const UniformModelConfig& cfg) {
 /// The seed hot-spot engine (step + assembly), verbatim modulo packaging.
 class HotspotReference {
  public:
-  HotspotReference(const ModelConfig& cfg)
+  HotspotReference(const ModelConfig& cfg, double lambda)
       : cfg_(cfg),
-        rates_(traffic_rates(cfg.k, cfg.injection_rate, cfg.hot_fraction)),
+        rates_(traffic_rates(cfg.k, lambda, *cfg.hot_fraction)),
         probs_(path_probabilities(cfg.k)),
         k_(cfg.k),
         ns_(cfg.k - 1),
@@ -128,11 +128,12 @@ class HotspotReference {
     auto step = [this](const std::vector<double>& in, std::vector<double>& out) {
       return this->step_fn(in, out);
     };
-    FixedPointResult fp = solve_fixed_point(state, step, cfg_.solver);
+    const FixedPointOptions solver{};
+    FixedPointResult fp = solve_fixed_point(state, step, solver);
     if (!fp.converged && !fp.diverged) {
-      FixedPointOptions slower = cfg_.solver;
-      slower.damping = std::min(0.2, cfg_.solver.damping);
-      slower.max_iterations = cfg_.solver.max_iterations * 2;
+      FixedPointOptions slower = solver;
+      slower.damping = std::min(0.2, solver.damping);
+      slower.max_iterations = solver.max_iterations * 2;
       state = initial_state();
       fp = solve_fixed_point(state, step, slower);
     }
@@ -286,7 +287,7 @@ class HotspotReference {
     const int k = k_;
     const double n_nodes = static_cast<double>(k) * static_cast<double>(k);
     const double lr = rates_.regular_rate;
-    const double h = cfg_.hot_fraction;
+    const double h = *cfg_.hot_fraction;
     const int vcs = cfg_.vcs;
     const double e_ybar = average(s, ybar_, ns_);
     const double e_yhot = average(s, yhot_, ns_);
@@ -399,17 +400,19 @@ class HotspotReference {
   std::size_t ybar_, yhot_, x_, xhy_, xyb_, shy_, shx_, total_;
 };
 
-Outcome hypercube_solve(const HypercubeModelConfig& cfg) {
-  const int n = cfg.dims;
+Outcome hypercube_solve(const ModelConfig& cfg, double lambda) {
+  const FixedPointOptions solver{};
+  const double hot_fraction = cfg.hot_fraction.value_or(0.0);
+  const int n = cfg.n;
   const double lm = static_cast<double>(cfg.message_length);
   const auto pow2 = [](int e) { return std::ldexp(1.0, e); };
-  const double lambda_r = cfg.injection_rate * (1.0 - cfg.hot_fraction) *
+  const double lambda_r = lambda * (1.0 - hot_fraction) *
                           pow2(n - 1) / (pow2(n) - 1.0);
   std::vector<double> hot_rate(static_cast<std::size_t>(n));
   std::vector<double> funnel(static_cast<std::size_t>(n));
   for (int d = 0; d < n; ++d) {
     hot_rate[static_cast<std::size_t>(d)] =
-        cfg.injection_rate * cfg.hot_fraction * pow2(d);
+        lambda * hot_fraction * pow2(d);
     funnel[static_cast<std::size_t>(d)] = pow2(-(d + 1));
   }
   const auto r_at = [](int d) { return static_cast<std::size_t>(d); };
@@ -461,17 +464,17 @@ Outcome hypercube_solve(const HypercubeModelConfig& cfg) {
   };
 
   Outcome res;
-  FixedPointResult fp = solve_fixed_point(state, step, cfg.solver);
+  FixedPointResult fp = solve_fixed_point(state, step, solver);
   if (!fp.converged && !fp.diverged) {
-    FixedPointOptions slower = cfg.solver;
-    slower.damping = std::min(0.2, cfg.solver.damping);
-    slower.max_iterations = cfg.solver.max_iterations * 2;
+    FixedPointOptions slower = solver;
+    slower.damping = std::min(0.2, solver.damping);
+    slower.max_iterations = solver.max_iterations * 2;
     state = initial;
     fp = solve_fixed_point(state, step, slower);
   }
   if (!fp.converged) return res;
 
-  const double h = cfg.hot_fraction;
+  const double h = hot_fraction;
   const double n_nodes = pow2(n);
   std::vector<double> p_first(static_cast<std::size_t>(n));
   for (int d = 0; d < n; ++d) {
@@ -483,7 +486,7 @@ Outcome hypercube_solve(const HypercubeModelConfig& cfg) {
     sr_net += p_first[static_cast<std::size_t>(d)] * state[r_at(d)];
     sh_net += p_first[static_cast<std::size_t>(d)] * state[h_at(d)];
   }
-  const double arr = cfg.injection_rate / static_cast<double>(cfg.vcs);
+  const double arr = lambda / static_cast<double>(cfg.vcs);
   const QueueDelay ws = mg1_wait(arr, (1.0 - h) * sr_net + h * sh_net, lm);
   if (ws.saturated) return res;
 
@@ -528,22 +531,34 @@ void expect_parity(const reference::Outcome& want, bool got_saturated,
   }
 }
 
+/// A hand-built config of the given family; `hot_fraction` nullopt =
+/// uniform traffic.
+ModelConfig config(TopologyKind topology, int k, int n, std::optional<double> h,
+                   int message_length) {
+  ModelConfig cfg;
+  cfg.topology = topology;
+  cfg.k = k;
+  cfg.n = n;
+  cfg.hot_fraction = h;
+  cfg.vcs = 2;
+  cfg.message_length = message_length;
+  return cfg;
+}
+
 TEST(EngineParity, UniformMatchesSeedAcrossSweep) {
   for (int k : {4, 8, 16}) {
     for (int lmsg : {8, 32}) {
-      UniformModelConfig cfg;
-      cfg.k = k;
-      cfg.vcs = 2;
-      cfg.message_length = lmsg;
+      const ModelConfig cfg = config(TopologyKind::kTorus, k, 2, std::nullopt, lmsg);
+      const AnalyticalModel model(cfg);
       // Capacity scale: the x channel saturates when lc * tx_x -> 1.
       const double tx_x = static_cast<double>(lmsg) +
                           static_cast<double>(k) / 2.0 - 1.0 +
                           static_cast<double>(k - 1) / 2.0;
       const double cap = 2.0 / (static_cast<double>(k - 1) * tx_x);
       for (double f : kSweepFractions) {
-        cfg.injection_rate = std::min(1.0, f * cap);
-        const UniformModelResult got = UniformTorusModel(cfg).solve();
-        const reference::Outcome want = reference::uniform_solve(cfg);
+        const double lambda = std::min(1.0, f * cap);
+        const ModelResult got = model.solve_at(lambda);
+        const reference::Outcome want = reference::uniform_solve(cfg, lambda);
         expect_parity(want, got.saturated, got.latency, 1e-9,
                       "k=" + std::to_string(k) + " Lm=" + std::to_string(lmsg) +
                           " f=" + std::to_string(f));
@@ -555,16 +570,13 @@ TEST(EngineParity, UniformMatchesSeedAcrossSweep) {
 TEST(EngineParity, HypercubeMatchesSeedAcrossSweep) {
   for (int dims : {4, 6}) {
     for (double h : {0.0, 0.2, 0.5}) {
-      HypercubeModelConfig cfg;
-      cfg.dims = dims;
-      cfg.vcs = 2;
-      cfg.message_length = 32;
-      cfg.hot_fraction = h;
-      const double sat = HypercubeHotspotModel(cfg).estimated_saturation_rate();
+      const ModelConfig cfg = config(TopologyKind::kHypercube, 2, dims, h, 32);
+      const AnalyticalModel model(cfg);
+      const double sat = model.estimated_saturation_rate();
       for (double f : kSweepFractions) {
-        cfg.injection_rate = std::min(1.0, f * sat);
-        const HypercubeModelResult got = HypercubeHotspotModel(cfg).solve();
-        const reference::Outcome want = reference::hypercube_solve(cfg);
+        const double lambda = std::min(1.0, f * sat);
+        const ModelResult got = model.solve_at(lambda);
+        const reference::Outcome want = reference::hypercube_solve(cfg, lambda);
         // The engine sums the e-cube continuation terms before adding the
         // constant; the seed accumulated in place. Identical maths, ulp-level
         // association differences — hence the slightly looser tolerance.
@@ -581,16 +593,13 @@ TEST(EngineParity, PaperFigureOperatingPointsMatchSeed) {
   // h in {20%, 40%, 70%}, sampled over the plotted 10-95% load range.
   for (int lmsg : {32, 100}) {
     for (double h : {0.2, 0.4, 0.7}) {
-      ModelConfig cfg;
-      cfg.k = 16;
-      cfg.vcs = 2;
-      cfg.message_length = lmsg;
-      cfg.hot_fraction = h;
-      const double sat = HotspotModel(cfg).estimated_saturation_rate();
+      const ModelConfig cfg = config(TopologyKind::kTorus, 16, 2, h, lmsg);
+      const AnalyticalModel model(cfg);
+      const double sat = model.estimated_saturation_rate();
       for (double f : {0.1, 0.35, 0.6, 0.85, 0.95}) {
-        cfg.injection_rate = f * sat;
-        const ModelResult got = HotspotModel(cfg).solve();
-        const reference::Outcome want = reference::HotspotReference(cfg).solve();
+        const ModelResult got = model.solve_at(f * sat);
+        const reference::Outcome want =
+            reference::HotspotReference(cfg, f * sat).solve();
         expect_parity(want, got.saturated, got.latency, 1e-9,
                       "Lm=" + std::to_string(lmsg) + " h=" + std::to_string(h) +
                           " f=" + std::to_string(f));
@@ -605,20 +614,12 @@ TEST(EngineParity, HotspotAtZeroHotFractionIsStructurallyUniform) {
   // pairwise), so the two models agree far inside solver tolerance — a
   // structural guarantee, not a coincidence of two codebases.
   for (int k : {4, 8, 16}) {
-    ModelConfig hc;
-    hc.k = k;
-    hc.vcs = 2;
-    hc.message_length = 32;
-    hc.hot_fraction = 0.0;
-    UniformModelConfig uc;
-    uc.k = k;
-    uc.vcs = 2;
-    uc.message_length = 32;
-    const double sat = HotspotModel(hc).estimated_saturation_rate();
+    const AnalyticalModel hot(config(TopologyKind::kTorus, k, 2, 0.0, 32));
+    const AnalyticalModel uniform(config(TopologyKind::kTorus, k, 2, std::nullopt, 32));
+    const double sat = hot.estimated_saturation_rate();
     for (double f : {0.1, 0.5, 0.9}) {
-      hc.injection_rate = uc.injection_rate = f * sat;
-      const ModelResult hr = HotspotModel(hc).solve();
-      const UniformModelResult ur = UniformTorusModel(uc).solve();
+      const ModelResult hr = hot.solve_at(f * sat);
+      const ModelResult ur = uniform.solve_at(f * sat);
       ASSERT_EQ(hr.saturated, ur.saturated) << "k=" << k << " f=" << f;
       if (!hr.saturated) {
         EXPECT_NEAR(hr.latency, ur.latency, 1e-9 * ur.latency)
@@ -628,111 +629,17 @@ TEST(EngineParity, HotspotAtZeroHotFractionIsStructurallyUniform) {
   }
 }
 
-TEST(EngineParity, RegistryPathMatchesDirectModelsBitForBit) {
-  // The polymorphic AnalyticalModel interface (ScenarioSpec -> registry ->
-  // solve_at) must return the same bits as constructing the direct model
-  // class, for every family, across sweeps including the saturated region.
-  const auto check = [](const core::ScenarioSpec& spec,
-                        const auto& direct_solve_latency, double sat_estimate,
-                        const std::string& ctx) {
-    const core::ModelDispatch d = core::make_analytical_model(spec);
-    ASSERT_TRUE(d.has_model()) << ctx << ": " << d.sim_only_reason;
-    for (double f : kSweepFractions) {
-      const double lambda = std::min(1.0, f * sat_estimate);
-      const ModelResult got = d.model->solve_at(lambda);
-      const auto [want_saturated, want_latency] = direct_solve_latency(lambda);
-      ASSERT_EQ(got.saturated, want_saturated) << ctx << " f=" << f;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.latency),
-                std::bit_cast<std::uint64_t>(want_latency))
-          << ctx << " f=" << f;
-    }
-  };
-
-  {
-    core::ScenarioSpec spec;
-    spec.torus().k = 8;
-    spec.hotspot().fraction = 0.2;
-    ModelConfig cfg;
-    cfg.k = 8;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = 0.2;
-    check(spec,
-          [&](double lambda) {
-            cfg.injection_rate = lambda;
-            const ModelResult r = HotspotModel(cfg).solve();
-            return std::make_pair(r.saturated, r.latency);
-          },
-          HotspotModel(cfg).estimated_saturation_rate(), "hotspot-torus");
-  }
-  {
-    core::ScenarioSpec spec;
-    spec.torus().k = 8;
-    spec.traffic = core::UniformTraffic{};
-    UniformModelConfig cfg;
-    cfg.k = 8;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    const double tx_x = static_cast<double>(cfg.message_length) + 8.0 / 2.0 - 1.0 +
-                        (8.0 - 1.0) / 2.0;
-    check(spec,
-          [&](double lambda) {
-            cfg.injection_rate = lambda;
-            const UniformModelResult r = UniformTorusModel(cfg).solve();
-            return std::make_pair(r.saturated, r.latency);
-          },
-          2.0 / (7.0 * tx_x), "uniform-torus");
-  }
-  {
-    core::ScenarioSpec spec;
-    spec.topology = core::HypercubeTopology{6};
-    spec.hotspot().fraction = 0.2;
-    HypercubeModelConfig cfg;
-    cfg.dims = 6;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = 0.2;
-    check(spec,
-          [&](double lambda) {
-            cfg.injection_rate = lambda;
-            const HypercubeModelResult r = HypercubeHotspotModel(cfg).solve();
-            return std::make_pair(r.saturated, r.latency);
-          },
-          HypercubeHotspotModel(cfg).estimated_saturation_rate(),
-          "hotspot-hypercube");
-  }
-  {
-    core::ScenarioSpec spec;
-    spec.topology = core::MeshTopology{8, 2};
-    spec.traffic = core::UniformTraffic{};
-    MeshModelConfig cfg;
-    cfg.k = 8;
-    cfg.n = 2;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    check(spec,
-          [&](double lambda) {
-            cfg.injection_rate = lambda;
-            const MeshModelResult r = MeshUniformModel(cfg).solve();
-            return std::make_pair(r.saturated, r.latency);
-          },
-          MeshUniformModel(cfg).estimated_saturation_rate(), "uniform-mesh");
-  }
-}
-
 TEST(EngineParity, HotspotMatchesSeedAcrossSweep) {
   for (int k : {4, 8, 16}) {
     for (double h : {0.0, 0.2, 0.7}) {
-      ModelConfig cfg;
-      cfg.k = k;
-      cfg.vcs = 2;
-      cfg.message_length = 32;
-      cfg.hot_fraction = h;
-      const double sat = HotspotModel(cfg).estimated_saturation_rate();
+      const ModelConfig cfg = config(TopologyKind::kTorus, k, 2, h, 32);
+      const AnalyticalModel model(cfg);
+      const double sat = model.estimated_saturation_rate();
       for (double f : kSweepFractions) {
-        cfg.injection_rate = std::min(1.0, f * sat);
-        const ModelResult got = HotspotModel(cfg).solve();
-        const reference::Outcome want = reference::HotspotReference(cfg).solve();
+        const double lambda = std::min(1.0, f * sat);
+        const ModelResult got = model.solve_at(lambda);
+        const reference::Outcome want =
+            reference::HotspotReference(cfg, lambda).solve();
         expect_parity(want, got.saturated, got.latency, 1e-9,
                       "k=" + std::to_string(k) + " h=" + std::to_string(h) +
                           " f=" + std::to_string(f));

@@ -1,23 +1,34 @@
-#include "model/hypercube_model.hpp"
+#include "model/analytical_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
+#include "model/families.hpp"
 #include "topology/torus.hpp"
 
 namespace kncube::model {
 namespace {
 
-HypercubeModelConfig base_config() {
-  HypercubeModelConfig cfg;
-  cfg.dims = 6;  // N = 64
+/// The hot-spot hypercube: N = 64, V=2, Lm=32, h=0.2.
+ModelConfig base_config() {
+  ModelConfig cfg;
+  cfg.topology = TopologyKind::kHypercube;
+  cfg.k = 2;
+  cfg.n = 6;  // N = 64
   cfg.vcs = 2;
   cfg.message_length = 32;
-  cfg.injection_rate = 1e-4;
   cfg.hot_fraction = 0.2;
   return cfg;
+}
+
+ModelResult solve(const ModelConfig& cfg, double lambda) {
+  return AnalyticalModel(cfg).solve_at(lambda);
+}
+
+double saturation_estimate(const ModelConfig& cfg) {
+  return AnalyticalModel(cfg).estimated_saturation_rate();
 }
 
 TEST(HypercubeModel, ZeroLoadMatchesBruteForceHops) {
@@ -33,51 +44,47 @@ TEST(HypercubeModel, ZeroLoadMatchesBruteForceHops) {
       ++pairs;
     }
   }
-  HypercubeModelConfig cfg = base_config();
-  cfg.dims = n;
+  ModelConfig cfg = base_config();
+  cfg.n = n;
   const double expected = hops / static_cast<double>(pairs) + 32 - 1;
-  EXPECT_NEAR(HypercubeHotspotModel(cfg).zero_load_latency(), expected, 1e-9);
+  EXPECT_NEAR(AnalyticalModel(cfg).zero_load_latency(), expected, 1e-9);
 }
 
 TEST(HypercubeModel, SolveApproachesZeroLoadAtTinyRates) {
-  HypercubeModelConfig cfg = base_config();
-  cfg.injection_rate = 1e-10;
-  const HypercubeHotspotModel model(cfg);
-  const auto r = model.solve();
+  const AnalyticalModel model(base_config());
+  const auto r = model.solve_at(1e-10);
   ASSERT_FALSE(r.saturated);
   EXPECT_NEAR(r.latency, model.zero_load_latency(), 0.01);
 }
 
 TEST(HypercubeModel, FunnelRatesConserveHotFlux) {
   // sum_d rate_d * channels_d == lambda*h * total hot hop flux.
-  HypercubeModelConfig cfg = base_config();
-  const HypercubeHotspotModel model(cfg);
-  const int n = cfg.dims;
+  const double lambda = 1e-4;
+  const double h = 0.2;
+  const int n = base_config().n;
   double flux = 0.0;
   for (int d = 0; d < n; ++d) {
-    flux += model.hot_funnel_rate(d) * std::ldexp(1.0, n - d - 1);
+    flux += hypercube_hot_funnel_rate(lambda, h, d) * std::ldexp(1.0, n - d - 1);
   }
-  const double expected =
-      cfg.injection_rate * cfg.hot_fraction * n * std::ldexp(1.0, n - 1);
+  const double expected = lambda * h * n * std::ldexp(1.0, n - 1);
   EXPECT_NEAR(flux, expected, 1e-15);
 }
 
 TEST(HypercubeModel, FirstDimProbabilitiesSumToOne) {
-  const HypercubeHotspotModel model(base_config());
+  const int n = base_config().n;
   double sum = 0.0;
-  for (int d = 0; d < base_config().dims; ++d) sum += model.first_dim_probability(d);
+  for (int d = 0; d < n; ++d) sum += hypercube_first_dim_probability(n, d);
   EXPECT_NEAR(sum, 1.0, 1e-12);
   // Lowest dimensions are corrected most often.
-  EXPECT_GT(model.first_dim_probability(0), model.first_dim_probability(5));
+  EXPECT_GT(hypercube_first_dim_probability(n, 0),
+            hypercube_first_dim_probability(n, 5));
 }
 
 TEST(HypercubeModel, LatencyIncreasesWithLoad) {
   double prev = 0.0;
-  const double sat = HypercubeHotspotModel(base_config()).estimated_saturation_rate();
+  const double sat = saturation_estimate(base_config());
   for (double frac : {0.05, 0.2, 0.4, 0.6}) {
-    HypercubeModelConfig cfg = base_config();
-    cfg.injection_rate = frac * sat;
-    const auto r = HypercubeHotspotModel(cfg).solve();
+    const auto r = solve(base_config(), frac * sat);
     ASSERT_FALSE(r.saturated) << frac;
     EXPECT_GT(r.latency, prev);
     prev = r.latency;
@@ -85,16 +92,12 @@ TEST(HypercubeModel, LatencyIncreasesWithLoad) {
 }
 
 TEST(HypercubeModel, SaturatesUnderOverload) {
-  HypercubeModelConfig cfg = base_config();
-  cfg.injection_rate = 10.0 * HypercubeHotspotModel(cfg).estimated_saturation_rate();
-  const auto r = HypercubeHotspotModel(cfg).solve();
+  const auto r = solve(base_config(), 10.0 * saturation_estimate(base_config()));
   EXPECT_TRUE(r.saturated);
 }
 
 TEST(HypercubeModel, HotLatencyExceedsRegularUnderLoad) {
-  HypercubeModelConfig cfg = base_config();
-  cfg.injection_rate = 0.5 * HypercubeHotspotModel(cfg).estimated_saturation_rate();
-  const auto r = HypercubeHotspotModel(cfg).solve();
+  const auto r = solve(base_config(), 0.5 * saturation_estimate(base_config()));
   ASSERT_FALSE(r.saturated);
   EXPECT_GT(r.hot_latency, r.regular_latency);
   EXPECT_NEAR(r.latency,
@@ -102,41 +105,47 @@ TEST(HypercubeModel, HotLatencyExceedsRegularUnderLoad) {
 }
 
 TEST(HypercubeModel, BottleneckMultiplexingGrowsWithLoad) {
-  HypercubeModelConfig lo = base_config();
-  HypercubeModelConfig hi = base_config();
-  const double sat = HypercubeHotspotModel(lo).estimated_saturation_rate();
-  lo.injection_rate = 0.1 * sat;
-  hi.injection_rate = 0.7 * sat;
-  const auto rl = HypercubeHotspotModel(lo).solve();
-  const auto rh = HypercubeHotspotModel(hi).solve();
+  // The funnel channel into the hot node reports as vc_mux_hot_y.
+  const double sat = saturation_estimate(base_config());
+  const auto rl = solve(base_config(), 0.1 * sat);
+  const auto rh = solve(base_config(), 0.7 * sat);
   ASSERT_FALSE(rl.saturated);
   ASSERT_FALSE(rh.saturated);
-  EXPECT_GT(rh.vc_mux_bottleneck, rl.vc_mux_bottleneck);
-  EXPECT_LE(rh.vc_mux_bottleneck, 2.0);
+  EXPECT_GT(rh.vc_mux_hot_y, rl.vc_mux_hot_y);
+  EXPECT_LE(rh.vc_mux_hot_y, 2.0);
+  // The hypercube has no x / non-hot-y split: those slots keep 1.0.
+  EXPECT_EQ(rh.vc_mux_x, 1.0);
+  EXPECT_EQ(rh.vc_mux_nonhot_y, 1.0);
 }
 
 TEST(HypercubeModel, HigherDimensionalityLowersHotCapacity) {
   // The last funnel channel carries lambda*h*2^{n-1}: capacity halves per
   // added dimension.
-  HypercubeModelConfig small = base_config();
-  HypercubeModelConfig large = base_config();
-  small.dims = 5;
-  large.dims = 7;
-  const double s_sat = HypercubeHotspotModel(small).estimated_saturation_rate();
-  const double l_sat = HypercubeHotspotModel(large).estimated_saturation_rate();
+  ModelConfig small = base_config();
+  ModelConfig large = base_config();
+  small.n = 5;
+  large.n = 7;
+  const double s_sat = saturation_estimate(small);
+  const double l_sat = saturation_estimate(large);
   EXPECT_NEAR(s_sat / l_sat, 4.0, 0.5);
 }
 
 TEST(HypercubeModel, ValidatesConfig) {
-  HypercubeModelConfig cfg = base_config();
-  cfg.dims = 0;
-  EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
+  ModelConfig cfg = base_config();
+  cfg.n = 0;
+  EXPECT_THROW(AnalyticalModel{cfg}, std::invalid_argument);
   cfg = base_config();
   cfg.hot_fraction = -0.1;
-  EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
+  EXPECT_THROW(AnalyticalModel{cfg}, std::invalid_argument);
   cfg = base_config();
   cfg.vcs = 0;
-  EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
+  EXPECT_THROW(AnalyticalModel{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.k = 4;  // the hypercube is the k = 2 n-cube
+  EXPECT_THROW(AnalyticalModel{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.blocking = BlockingVariant::kPureWait;  // no blocking-form variant
+  EXPECT_THROW(AnalyticalModel{cfg}, std::invalid_argument);
 }
 
 }  // namespace

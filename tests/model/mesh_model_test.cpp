@@ -11,12 +11,24 @@
 
 #include "core/model_registry.hpp"
 #include "core/scenario_spec.hpp"
-#include "model/mesh_model.hpp"
+#include "model/analytical_model.hpp"
 #include "topology/mesh_geometry.hpp"
 #include "topology/torus.hpp"
 
 namespace kncube::model {
 namespace {
+
+/// A uniform-traffic k-ary n-mesh with V=2, Lm=16.
+ModelConfig mesh_config(int k, int n) {
+  ModelConfig cfg;
+  cfg.topology = TopologyKind::kMesh;
+  cfg.k = k;
+  cfg.n = n;
+  cfg.hot_fraction = std::nullopt;
+  cfg.vcs = 2;
+  cfg.message_length = 16;
+  return cfg;
+}
 
 TEST(MeshGeometry, PairCountsMatchRouteEnumeration) {
   // The closed-form (i+1)(k-1-i) per-line pair count and the k^(n-1)/(k^n-1)
@@ -93,62 +105,48 @@ TEST(MeshModel, ZeroLoadMatchesClosedForm) {
   // (conditioned on dst != src) + Lm - 1 — the class recursion's branching
   // probabilities are exact, so the agreement is to solver tolerance.
   for (auto [k, n] : {std::pair{8, 2}, std::pair{4, 3}, std::pair{2, 6}}) {
-    MeshModelConfig cfg;
-    cfg.k = k;
-    cfg.n = n;
-    cfg.vcs = 2;
-    cfg.message_length = 16;
-    cfg.injection_rate = 1e-9;
-    const MeshUniformModel model(cfg);
-    const MeshModelResult res = model.solve();
+    const AnalyticalModel model(mesh_config(k, n));
+    const ModelResult res = model.solve_at(1e-9);
     ASSERT_TRUE(res.converged);
     ASSERT_FALSE(res.saturated);
     EXPECT_NEAR(res.latency, model.zero_load_latency(), 1e-5)
         << "k=" << k << " n=" << n;
-    EXPECT_NEAR(res.network_latency,
+    EXPECT_NEAR(res.regular_network_latency,
                 topo::mesh_mean_hops_uniform(k, n) + 15.0, 1e-5)
         << "k=" << k << " n=" << n;
   }
 }
 
 TEST(MeshModel, LatencyIncreasesWithLoadAndSaturates) {
-  MeshModelConfig cfg;
-  cfg.k = 8;
-  cfg.n = 2;
-  cfg.vcs = 2;
-  cfg.message_length = 16;
-  const double sat_est = MeshUniformModel(cfg).estimated_saturation_rate();
+  const AnalyticalModel model(mesh_config(8, 2));
+  const double sat_est = model.estimated_saturation_rate();
   double prev = 0.0;
   for (double f : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6}) {
-    cfg.injection_rate = f * sat_est;
-    const MeshModelResult res = MeshUniformModel(cfg).solve();
+    const ModelResult res = model.solve_at(f * sat_est);
     ASSERT_FALSE(res.saturated) << f;
     EXPECT_GT(res.latency, prev) << f;
     prev = res.latency;
   }
   // Far past the bandwidth pole there is no steady state.
-  cfg.injection_rate = 2.0 * sat_est;
-  EXPECT_TRUE(MeshUniformModel(cfg).solve().saturated);
+  EXPECT_TRUE(model.solve_at(2.0 * sat_est).saturated);
 }
 
 TEST(MeshModel, UtilisationTracksTheBisectionLink) {
-  MeshModelConfig cfg;
-  cfg.k = 8;
-  cfg.n = 2;
-  cfg.vcs = 2;
-  cfg.message_length = 16;
-  cfg.injection_rate = 0.4 * MeshUniformModel(cfg).estimated_saturation_rate();
-  const MeshUniformModel model(cfg);
-  const MeshModelResult res = model.solve();
+  const ModelConfig cfg = mesh_config(8, 2);
+  const AnalyticalModel model(cfg);
+  const double lambda = 0.4 * model.estimated_saturation_rate();
+  const ModelResult res = model.solve_at(lambda);
   ASSERT_FALSE(res.saturated);
   // The centre link carries the peak rate; utilisation must be positive,
   // below 1, and at least the centre link's bandwidth share.
   const double centre_flits =
-      model.channel_rate((cfg.k - 2) / 2) * cfg.message_length;
+      topo::mesh_channel_rate(lambda, cfg.k, cfg.n, (cfg.k - 2) / 2) *
+      cfg.message_length;
   EXPECT_GT(res.max_channel_utilization, centre_flits * 0.99);
   EXPECT_LT(res.max_channel_utilization, 1.0);
-  EXPECT_GT(res.vc_mux_first_dim, 1.0);
-  EXPECT_LE(res.vc_mux_first_dim, static_cast<double>(cfg.vcs));
+  // Dimension 0's entrance-weighted multiplexing degree reports as vc_mux_x.
+  EXPECT_GT(res.vc_mux_x, 1.0);
+  EXPECT_LE(res.vc_mux_x, static_cast<double>(cfg.vcs));
 }
 
 TEST(MeshModel, RegistryDispatchesUniformOnlyWithReasons) {

@@ -11,7 +11,7 @@
 //     ones on the same grid.
 //  3. Bernoulli degeneration: burst_multiplier == 1 makes the modulated
 //     chain emit the mean rate in both states — the arrival IDC is exactly
-//     1.0 and every solve must be bit-identical to the Bernoulli adapter's.
+//     1.0 and every solve must be bit-identical to the Bernoulli model's.
 //
 // Specs are drawn from a fixed-seed PRNG so failures reproduce exactly.
 #include <gtest/gtest.h>
@@ -131,7 +131,7 @@ TEST(MmppModelProperty, UnitBurstMultiplierIsBitwiseBernoulli) {
     for (int trial = 0; trial < 3; ++trial) {
       core::ScenarioSpec mmpp_spec = random_spec(family, rng);
       // Degenerate the chain: both states emit the mean rate, so the model
-      // must reproduce the Bernoulli adapter's numbers exactly.
+      // must reproduce the Bernoulli model's numbers exactly.
       mmpp_spec.mmpp().burst_multiplier = 1.0;
       core::ScenarioSpec bernoulli_spec = mmpp_spec;
       bernoulli_spec.arrivals = core::BernoulliArrivals{};

@@ -9,7 +9,7 @@
 //  2. Continuation purity: solve_at chained through warm starts returns
 //     bit-identical results to cold solves on the same grid (the
 //     generalisation of warm_start_test's fixed configurations to randomized
-//     specs via the polymorphic AnalyticalModel interface).
+//     specs via the registry-dispatched AnalyticalModel).
 //
 // Specs are drawn from a fixed-seed PRNG so failures reproduce exactly.
 #include <gtest/gtest.h>

@@ -242,6 +242,23 @@ TEST_F(ServerTest, MalformedFramesGetLineAnchoredErrorsWithoutDisconnect) {
   EXPECT_EQ(raw.read_line(), "PONG");
 }
 
+TEST_F(ServerTest, NonFiniteSpecValueGetsAnErrorAndTheDaemonSurvives) {
+  // A NaN hot fraction used to pass validation and abort the daemon inside
+  // the model's traffic-rate assertion.
+  RawConnection raw(socket_path_);
+  raw.send_line("REQUEST r1");
+  raw.send_line("request.sim=0");
+  raw.send_line("traffic.hot_fraction=nan");
+  raw.send_line("END");
+  ErrorMsg err;
+  ASSERT_TRUE(parse_error(raw.read_line(), &err));
+  EXPECT_EQ(err.id, "r1");
+  EXPECT_NE(err.message.find("line 2"), std::string::npos) << err.message;
+
+  raw.send_line("PING");
+  EXPECT_EQ(raw.read_line(), "PONG");
+}
+
 TEST_F(ServerTest, ClientSurvivesInterruptedSyscalls) {
   // A no-op handler installed *without* SA_RESTART makes every blocking
   // syscall on this thread fail with EINTR when the signal lands — the
