@@ -5,9 +5,9 @@
 //
 // Both topologies are plain ScenarioSpecs here: the registry dispatches the
 // hypercube spec to the lineage model and the torus spec to the paper's
-// model, and one SweepEngine per spec supplies memoized, warm-started
-// solves, the saturation bisection and the parallel model-vs-sim sweep —
-// none of which the hypercube path could reach before ScenarioSpec v2.
+// model, and one SweepEngine per spec supplies memoized solves, the
+// saturation bisection and the parallel model-vs-sim sweep — none of which
+// the hypercube path could reach before ScenarioSpec v2.
 #include <cmath>
 #include <iostream>
 #include <limits>

@@ -5,7 +5,7 @@
 //
 // Everything runs through ScenarioSpec + SweepEngine: the registry
 // dispatches the mesh spec to the uniform-mesh model, and the same engine
-// supplies memoized warm-started solves, the saturation bisection and the
+// supplies memoized solves, the saturation bisection and the
 // parallel model-vs-sim sweep.
 #include <iostream>
 #include <string>

@@ -20,8 +20,8 @@
 //                  dispatches a spec to its analytical model (or reports it
 //                  sim-only, e.g. for permutation patterns or faulty
 //                  networks), and core::SweepEngine evaluates operating
-//                  points for any valid spec with memoization, warm-started
-//                  continuation, parallel sweeps and saturation bisection;
+//                  points for any valid spec with memoization, parallel
+//                  sweeps and saturation bisection;
 //   * validate/  — the statistical validation subsystem: ReplicationRunner
 //                  (R-replication Student-t confidence intervals per
 //                  operating point) and ValidationEngine (model-vs-sim

@@ -18,8 +18,8 @@
 // is in model/analytical_model.hpp.
 //
 // SweepEngine holds the dispatched model and solves every operating point
-// through it, so memoization, warm-started continuation and saturation
-// bisection work identically for all families.
+// through it, so memoization and saturation bisection work identically for
+// all families.
 #pragma once
 
 #include <optional>

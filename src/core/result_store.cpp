@@ -31,25 +31,6 @@ void MemoryResultStore::store_model(std::uint64_t spec_key,
   model_.emplace(std::make_pair(spec_key, lambda_bits), entry);
 }
 
-bool MemoryResultStore::warm_state_at_or_below(std::uint64_t spec_key,
-                                               std::uint64_t lambda_bits,
-                                               std::vector<double>* state) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // First entry of this spec strictly above lambda_bits, then walk down
-  // through the spec's ascending-lambda range for a stable (non-empty
-  // state) predecessor.
-  auto it = model_.upper_bound({spec_key, lambda_bits});
-  while (it != model_.begin()) {
-    --it;
-    if (it->first.first != spec_key) return false;
-    if (!it->second.state.empty()) {
-      *state = it->second.state;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool MemoryResultStore::load_sim(std::uint64_t spec_key,
                                  std::uint64_t lambda_bits, std::uint64_t seed,
                                  sim::SimResult* out) {

@@ -10,15 +10,14 @@
 //
 // Contract:
 //  * Keys are (spec_key, lambda_bits[, seed]) — spec_key is
-//    ScenarioSpec::key(), lambda_bits the IEEE-754 bit pattern of the rate
-//    (non-negative doubles order the same by bits and by value, which the
-//    warm-start predecessor lookup relies on), seed the simulator seed.
-//  * Stored values are returned bit-identical to what was stored. Warm
-//    solves are bit-identical to cold ones (model/solver.hpp polishes
-//    converged iterates to exact stationarity), so answers served from a
-//    store — including one written by a previous process — are bit-identical
-//    to a cold in-process computation. tests/service/disk_store_test pins
-//    this across a store reopen.
+//    ScenarioSpec::key(), lambda_bits the IEEE-754 bit pattern of the rate,
+//    seed the simulator seed.
+//  * Stored values are returned bit-identical to what was stored. A model
+//    solve always starts from the zero-load state, so its result is a pure
+//    function of (spec, lambda), and answers served from a store —
+//    including one written by a previous process — are bit-identical to a
+//    cold in-process computation. tests/service/disk_store_test pins this
+//    across a store reopen.
 //  * Implementations are internally synchronized: any method may be called
 //    from any thread (SweepEngine batches points onto the global pool, and
 //    the daemon shares one store across connections).
@@ -38,11 +37,10 @@
 
 namespace kncube::core {
 
-/// Cached model solve: the result plus the converged channel-class state
-/// (empty when saturated) used to warm-start nearby solves.
+/// Cached model solve. Trivially copyable: the disk store writes its raw
+/// bytes as a fixed-size record.
 struct ModelEntry {
   model::ModelResult result;
-  std::vector<double> state;
 };
 
 /// One engine's cache counters plus its store's entry counts, as a single
@@ -87,13 +85,13 @@ class ResultStore {
   virtual void store_model(std::uint64_t spec_key, std::uint64_t lambda_bits,
                            const ModelEntry& entry) = 0;
 
-  /// Warm-start source: the converged state of the nearest stable cached
-  /// solve of `spec_key` at or below `lambda_bits` (bit order == value
-  /// order for non-negative rates). Returns false when no stable
-  /// predecessor exists.
-  virtual bool warm_state_at_or_below(std::uint64_t spec_key,
-                                      std::uint64_t lambda_bits,
-                                      std::vector<double>* state) = 0;
+  /// Always false. Model solves no longer warm-start; this stays only
+  /// because the frozen benchmark harness (perfbench/) overrides it.
+  virtual bool warm_state_at_or_below(std::uint64_t /*spec_key*/,
+                                      std::uint64_t /*lambda_bits*/,
+                                      std::vector<double>* /*state*/) {
+    return false;
+  }
 
   virtual bool load_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
                         std::uint64_t seed, sim::SimResult* out) = 0;
@@ -126,8 +124,6 @@ class MemoryResultStore final : public ResultStore {
                   ModelEntry* out) override;
   void store_model(std::uint64_t spec_key, std::uint64_t lambda_bits,
                    const ModelEntry& entry) override;
-  bool warm_state_at_or_below(std::uint64_t spec_key, std::uint64_t lambda_bits,
-                              std::vector<double>* state) override;
   bool load_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
                 std::uint64_t seed, sim::SimResult* out) override;
   void store_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
@@ -142,8 +138,6 @@ class MemoryResultStore final : public ResultStore {
 
  private:
   mutable std::mutex mutex_;
-  /// (spec_key, lambda_bits) -> entry; pair order sorts by spec then by
-  /// ascending lambda, so the warm predecessor is one upper_bound away.
   std::map<std::pair<std::uint64_t, std::uint64_t>, ModelEntry> model_;
   std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
            sim::SimResult>

@@ -52,14 +52,8 @@ std::uint64_t SweepEngine::point_seed(std::size_t index) const noexcept {
 model::ModelResult SweepEngine::model_point(double lambda) {
   const model::AnalyticalModel& model = analytical_model();
   const std::uint64_t key = lambda_key(lambda);
-  std::shared_ptr<Inflight<ModelEntry>> inflight;
+  std::shared_ptr<Inflight<model::ModelResult>> inflight;
   bool owner = false;
-  // Warm-start source: the nearest cached stable solve at or below lambda
-  // (the IEEE-754 bit pattern of a non-negative double is monotone in its
-  // value, so the store's key order is ascending lambda). Whatever state the
-  // lookup races to see, the result is the same bits (warm starts are
-  // bit-exact accelerators).
-  std::vector<double> warm;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ModelEntry cached;
@@ -71,18 +65,16 @@ model::ModelResult SweepEngine::model_point(double lambda) {
       ++inflight_waits_;
       inflight = it->second;
     } else {
-      inflight = std::make_shared<Inflight<ModelEntry>>();
+      inflight = std::make_shared<Inflight<model::ModelResult>>();
       inflight_model_.emplace(key, inflight);
       owner = true;
-      store_->warm_state_at_or_below(spec_key_, key, &warm);
     }
   }
-  if (!owner) return inflight->wait().result;
+  if (!owner) return inflight->wait();
 
-  ModelEntry entry;
+  model::ModelResult result;
   try {
-    entry.result =
-        model.solve_at(lambda, warm.empty() ? nullptr : &warm, &entry.state);
+    result = model.solve_at(lambda);
   } catch (const std::exception& e) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -91,14 +83,14 @@ model::ModelResult SweepEngine::model_point(double lambda) {
     inflight->fail(e.what());
     throw;
   }
-  store_->store_model(spec_key_, key, entry);
+  store_->store_model(spec_key_, key, ModelEntry{result});
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++model_solves_;
     inflight_model_.erase(key);
   }
-  inflight->fulfill(entry);
-  return entry.result;
+  inflight->fulfill(result);
+  return result;
 }
 
 sim::SimResult SweepEngine::sim_point(double lambda, std::uint64_t seed) {

@@ -15,10 +15,12 @@
 // repeated points are memoized through a pluggable ResultStore
 // (core/result_store.hpp):
 //
-//  * model solves are deterministic in (scenario, lambda), so model entries
-//    are keyed by (spec key, lambda bits) — overlapping sweeps (e.g. a
-//    saturation bisection followed by a figure sweep, or two panels sharing
-//    a grid) pay for each fixed point once;
+//  * model solves are deterministic in (scenario, lambda) — every solve
+//    starts from the zero-load state, so the ModelResult, iteration count
+//    included, depends on nothing else — and model entries are keyed by
+//    (spec key, lambda bits): overlapping sweeps (e.g. a saturation
+//    bisection followed by a figure sweep, or two panels sharing a grid)
+//    pay for each fixed point once;
 //  * simulator runs are only deterministic given a seed, so sim entries are
 //    keyed by (spec key, lambda bits, seed). Identical lambdas at
 //    *different* point indices derive different seeds on purpose: they are
@@ -28,32 +30,14 @@
 // as it always did); passing a shared store — in particular the disk-backed
 // service::DiskResultStore — makes cached answers outlive the engine and
 // the process. Stored results are returned bit-identical to the cold
-// computation, so a store hit is indistinguishable from solving again.
+// computation, so a store hit is indistinguishable from solving again, and
+// the order in which points are solved never changes an answer.
 //
 // Concurrent identical requests are deduplicated in flight: when a point
 // misses the store but another thread is already computing that exact key,
 // the caller waits for that solve instead of recomputing — N clients asking
 // for the same (spec, lambda) pay one fixed point. The dedup counter is
 // part of CacheStats and pinned by tests/core/sweep_engine_test.
-//
-// Model solves are additionally *warm-started* (continuation): each solve
-// seeds its fixed-point iteration with the converged channel-class state of
-// the nearest cached stable point at or below its lambda, so ascending
-// sweeps chain solutions and each saturation-bisection probe starts from the
-// stable bracket end. That saves iterations on the inclusive basis only: a
-// constant-blocking system takes its 2-3 exact sweeps from any start
-// (DESIGN.md §6.2). The solver falls back to the zero-load start whenever
-// a warm start fails, and converged iterates are polished to the map's exact
-// stationary point (model/solver.hpp), so any solve that converges returns
-// the same bits no matter where it started or which cached state seeded it —
-// including states loaded from a previous process's disk store. One caveat
-// keeps this empirical rather than by-construction: a point whose cold
-// iteration would exhaust its budget without diverging could in principle
-// still converge from a warm seed (warm starting can only *add* converged
-// points, never lose or alter one); no such budget-marginal point has been
-// observed in this model family, and tests/model/warm_start_test pins
-// warm-started engine answers to cold solve_at calls across sweeps including
-// the knee.
 #pragma once
 
 #include <condition_variable>
@@ -181,7 +165,8 @@ class SweepEngine {
   std::string sim_only_reason_;
 
   mutable std::mutex mutex_;  ///< counters + in-flight maps
-  std::map<std::uint64_t, std::shared_ptr<Inflight<ModelEntry>>> inflight_model_;
+  std::map<std::uint64_t, std::shared_ptr<Inflight<model::ModelResult>>>
+      inflight_model_;
   std::map<std::pair<std::uint64_t, std::uint64_t>,
            std::shared_ptr<Inflight<sim::SimResult>>>
       inflight_sim_;

@@ -11,9 +11,7 @@ namespace kncube::model {
 
 struct ModelFamily {
   const char* name;
-  ModelResult (*solve)(const ModelConfig& cfg, double lambda, double arrival_idc,
-                       const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state);
+  ModelResult (*solve)(const ModelConfig& cfg, double lambda, double arrival_idc);
   double (*zero_load_latency)(const ModelConfig& cfg);
   double (*estimated_saturation_rate)(const ModelConfig& cfg);
 };
@@ -111,9 +109,7 @@ AnalyticalModel::AnalyticalModel(ModelConfig cfg)
   name_ = cfg_.mmpp ? std::string("mmpp-") + family_->name : family_->name;
 }
 
-ModelResult AnalyticalModel::solve_at(double lambda,
-                                      const std::vector<double>* warm_start,
-                                      std::vector<double>* converged_state) const {
+ModelResult AnalyticalModel::solve_at(double lambda) const {
   if (!(lambda >= 0.0 && lambda <= 1.0)) {
     throw std::invalid_argument("AnalyticalModel: injection rate must be in [0,1]");
   }
@@ -123,7 +119,7 @@ ModelResult AnalyticalModel::solve_at(double lambda,
                                                   cfg_.mmpp->p_enter_burst,
                                                   cfg_.mmpp->p_leave_burst)
                                : 1.0;
-  return family_->solve(cfg_, lambda, idc, warm_start, converged_state);
+  return family_->solve(cfg_, lambda, idc);
 }
 
 double AnalyticalModel::zero_load_latency() const {

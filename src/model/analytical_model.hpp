@@ -16,19 +16,16 @@
 // covers, and the constructor throws for those rather than silently solving
 // the default approximation under an ablation's name.
 //
-// solve_at(lambda) has the warm-start/continuation contract of
-// ChannelClassSystem::solve: warm solves are bit-identical to cold ones, a
-// warm failure falls back to the cold path, and `converged_state` receives
-// the converged iterate for chaining (empty when saturated). `saturated ==
-// true` means the operating point has no steady state (the blank region past
-// the latency asymptote). core/model_registry.hpp maps a core::ScenarioSpec
-// onto a ModelConfig.
+// solve_at(lambda) solves from the zero-load state every time, so its
+// ModelResult — iteration count included — is a pure function of (config,
+// lambda). `saturated == true` means the operating point has no steady state
+// (the blank region past the latency asymptote). core/model_registry.hpp maps
+// a core::ScenarioSpec onto a ModelConfig.
 #pragma once
 
 #include <limits>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "model/engine/channel_class.hpp"  // BlockingVariant, ServiceBasis
 
@@ -80,8 +77,8 @@ struct ModelResult {
   bool converged = false;
   /// Fixed-point sweeps to tolerance: 2-3 on constant-blocking systems (the
   /// transmission basis and pure wait), tens of damped sweeps on the
-  /// inclusive basis, where it also depends on the warm start. Describes the
-  /// solve, not the answer, so bitwise comparisons leave it out.
+  /// inclusive basis. Every solve starts from the zero-load state, so it is
+  /// as deterministic as the answer fields.
   int iterations = 0;
 
   // Decomposition (finite only when !saturated):
@@ -113,13 +110,8 @@ class AnalyticalModel {
   const ModelConfig& config() const noexcept { return cfg_; }
 
   /// Solves the model at injection rate `lambda` (throws
-  /// std::invalid_argument outside [0, 1]). `warm_start` (optional) seeds
-  /// the fixed-point iteration with a nearby converged state;
-  /// `converged_state` (optional) receives the converged iterate (empty
-  /// when saturated).
-  ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
-                       std::vector<double>* converged_state) const;
-  ModelResult solve_at(double lambda) const { return solve_at(lambda, nullptr, nullptr); }
+  /// std::invalid_argument outside [0, 1]).
+  ModelResult solve_at(double lambda) const;
 
   /// Exact zero-load latency (the lambda -> 0 limit of solve_at().latency).
   double zero_load_latency() const;

@@ -239,8 +239,7 @@ bool ChannelClassSystem::step(const std::vector<double>& in,
 }
 
 FixedPointResult ChannelClassSystem::solve(std::vector<double>& state,
-                                           const SolvePolicy& policy,
-                                           const std::vector<double>* warm_start) const {
+                                           const SolvePolicy& policy) const {
   // Every output_continuation reference must already be evaluated within the
   // sweep — a forward reference would read the previous iteration's raw
   // scratch and converge to a silently wrong fixed point. Once per solve,
@@ -263,7 +262,6 @@ FixedPointResult ChannelClassSystem::solve(std::vector<double>& state,
                              std::vector<double>& out) {
     return step(in, out, ws);
   };
-  const bool warm = warm_start != nullptr && warm_start->size() == classes_.size();
   if (!blocking_state_dependent_) {
     // Exact solve (see the header): undamped sweeps converge on the sweep
     // that reproduces its input, at the same stationary point the polished
@@ -273,17 +271,8 @@ FixedPointResult ChannelClassSystem::solve(std::vector<double>& state,
     FixedPointOptions exact = policy.options;
     exact.damping = 1.0;
     exact.max_iterations = kExactSweepBudget;
-    state = warm ? *warm_start : initial_state();
+    state = initial_state();
     const FixedPointResult fp = solve_fixed_point(state, step_fn, exact);
-    if (fp.converged) return fp;
-  }
-  // Continuation: try the caller's converged iterate first. Any failure
-  // (divergence, non-convergence, a seed from a saturated or mismatched
-  // system) falls through to the cold path below, keeping classification
-  // identical to a cold solve.
-  if (warm) {
-    state = *warm_start;
-    const FixedPointResult fp = solve_fixed_point(state, step_fn, policy.options);
     if (fp.converged) return fp;
   }
   state = initial_state();

@@ -179,29 +179,15 @@ class ChannelClassSystem {
   /// Fixed-point solve. `state` holds the converged iterate on success.
   ///
   /// With state-independent blocking (transmission basis or pure wait) the
-  /// solve first runs undamped sweeps, from the warm start if one is given
-  /// and from the zero-load state otherwise. Every builder in this
-  /// repository then yields an affine sweep whose cross-sweep reads form an
-  /// acyclic chain at most two deep, so the sweeps reach the exact fixed
-  /// point in 2-3 iterations from any start. If they do not converge within
-  /// a small budget — and always with state-dependent (inclusive-basis)
-  /// blocking — the damped iteration runs: warm start, then zero-load start,
-  /// then the policy's stubborn-point retry.
-  ///
-  /// `warm_start` (optional) seeds the iteration with a previously converged
-  /// state for this system's layout — typically the fixed point of a nearby
-  /// operating point, cutting the damped iteration count for continuation
-  /// sweeps and saturation bisections. If the warm-started iteration fails
-  /// for any reason the solver silently falls back to the zero-load start
-  /// (plus the usual stubborn-point retry), so a warm start can never lose a
-  /// point the cold path would solve; and because converged iterates are
-  /// polished to the map's exact stationary point (see model/solver.hpp), a
-  /// warm solve that converges returns results bit-identical to the
-  /// converged cold solve. (The converse — a warm seed rescuing a point
-  /// whose cold budget would expire without diverging — is possible in
-  /// principle and would only add a converged point; see DESIGN.md §6.2.)
-  FixedPointResult solve(std::vector<double>& state, const SolvePolicy& policy,
-                         const std::vector<double>* warm_start = nullptr) const;
+  /// solve first runs undamped sweeps from the zero-load state. Every builder
+  /// in this repository then yields an affine sweep whose cross-sweep reads
+  /// form an acyclic chain at most two deep, so the sweeps reach the exact
+  /// fixed point in 2-3 iterations. If they do not converge within a small
+  /// budget — and always with state-dependent (inclusive-basis) blocking —
+  /// the damped iteration runs from the zero-load state, then the policy's
+  /// stubborn-point retry. Every path starts from the zero-load state, so the
+  /// result (iteration count included) depends only on the system.
+  FixedPointResult solve(std::vector<double>& state, const SolvePolicy& policy) const;
 
  private:
   // Blocking specs are compiled at registration. When the blocking reads the

@@ -1,13 +1,11 @@
 // The five analytical model families behind AnalyticalModel's family table
 // (analytical_model.cpp), one source file each. Every solve builds the
-// family's channel-class system at `lambda`, solves it with the warm-start
-// contract of AnalyticalModel::solve_at and writes the shared ModelResult;
-// `arrival_idc` is the arrival process's index of dispersion (1 = Bernoulli).
+// family's channel-class system at `lambda`, solves it from the zero-load
+// state and writes the shared ModelResult; `arrival_idc` is the arrival
+// process's index of dispersion (1 = Bernoulli).
 // Configurations reach these only through AnalyticalModel, which validated
 // them and rejected everything unsupported_reason names.
 #pragma once
-
-#include <vector>
 
 #include "model/analytical_model.hpp"
 
@@ -15,17 +13,13 @@ namespace kncube::model {
 
 // hotspot_model.cpp: the paper's hot-spot 2-D unidirectional torus.
 ModelResult solve_hotspot_torus(const ModelConfig& cfg, double lambda,
-                                double arrival_idc,
-                                const std::vector<double>* warm_start,
-                                std::vector<double>* converged_state);
+                                double arrival_idc);
 double hotspot_torus_zero_load_latency(const ModelConfig& cfg);
 double hotspot_torus_saturation_estimate(const ModelConfig& cfg);
 
 // uniform_model.cpp: the uniform-traffic 2-D torus baseline.
 ModelResult solve_uniform_torus(const ModelConfig& cfg, double lambda,
-                                double arrival_idc,
-                                const std::vector<double>* warm_start,
-                                std::vector<double>* converged_state);
+                                double arrival_idc);
 double uniform_torus_zero_load_latency(const ModelConfig& cfg);
 double uniform_torus_saturation_estimate(const ModelConfig& cfg);
 /// Per-channel message rate lambda (k-1)/2 (eq 3 with h = 0).
@@ -34,9 +28,7 @@ double uniform_torus_channel_rate(int k, double lambda);
 // hypercube_model.cpp: the hot-spot binary hypercube (paper ref. [12]);
 // uniform traffic is its h = 0 degeneration.
 ModelResult solve_hypercube(const ModelConfig& cfg, double lambda,
-                            double arrival_idc,
-                            const std::vector<double>* warm_start,
-                            std::vector<double>* converged_state);
+                            double arrival_idc);
 double hypercube_zero_load_latency(const ModelConfig& cfg);
 double hypercube_saturation_estimate(const ModelConfig& cfg);
 /// Hot rate on a dim-d funnel channel: lambda h 2^d.
@@ -47,17 +39,13 @@ double hypercube_first_dim_probability(int n, int d);
 
 // mesh_model.cpp: the uniform-traffic k-ary n-mesh.
 ModelResult solve_uniform_mesh(const ModelConfig& cfg, double lambda,
-                               double arrival_idc,
-                               const std::vector<double>* warm_start,
-                               std::vector<double>* converged_state);
+                               double arrival_idc);
 double uniform_mesh_zero_load_latency(const ModelConfig& cfg);
 double uniform_mesh_saturation_estimate(const ModelConfig& cfg);
 
 // mesh_hotspot_model.cpp: the centre-hot-spot k-ary n-mesh.
 ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
-                               double arrival_idc,
-                               const std::vector<double>* warm_start,
-                               std::vector<double>* converged_state);
+                               double arrival_idc);
 double hotspot_mesh_zero_load_latency(const ModelConfig& cfg);
 double hotspot_mesh_saturation_estimate(const ModelConfig& cfg);
 

@@ -404,17 +404,14 @@ class Builder {
 }  // namespace
 
 ModelResult solve_hotspot_torus(const ModelConfig& cfg, double lambda,
-                                double arrival_idc,
-                                const std::vector<double>* warm_start,
-                                std::vector<double>* converged_state) {
+                                double arrival_idc) {
   const TrafficRates rates = traffic_rates(cfg.k, lambda, *cfg.hot_fraction);
   const Builder builder(cfg, rates, arrival_idc);
   ModelResult res;
-  if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = builder.build();
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{}, warm_start);
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) {
@@ -427,7 +424,6 @@ ModelResult solve_hotspot_torus(const ModelConfig& cfg, double lambda,
     res.latency = std::numeric_limits<double>::infinity();
     return res;
   }
-  if (converged_state != nullptr) *converged_state = std::move(state);
   return res;
 }
 

@@ -253,16 +253,13 @@ double hypercube_first_dim_probability(int n, int d) {
 }
 
 ModelResult solve_hypercube(const ModelConfig& cfg, double lambda,
-                            double /*arrival_idc: Bernoulli only*/,
-                            const std::vector<double>* warm_start,
-                            std::vector<double>* converged_state) {
+                            double /*arrival_idc: Bernoulli only*/) {
   const Builder builder(cfg, lambda);
   ModelResult res;
-  if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = builder.build();
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{}, warm_start);
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) {
@@ -274,7 +271,6 @@ ModelResult solve_hypercube(const ModelConfig& cfg, double lambda,
     res.latency = std::numeric_limits<double>::infinity();
     return res;
   }
-  if (converged_state != nullptr) *converged_state = std::move(state);
   return res;
 }
 

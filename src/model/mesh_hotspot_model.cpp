@@ -314,9 +314,7 @@ ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
 }  // namespace
 
 ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
-                               double /*arrival_idc: Bernoulli only*/,
-                               const std::vector<double>* warm_start,
-                               std::vector<double>* converged_state) {
+                               double /*arrival_idc: Bernoulli only*/) {
   const Geo geo(cfg, lambda);
   const Lay& lay = geo.lay;
   const int k = lay.k;
@@ -325,13 +323,12 @@ ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
   const double h = geo.h;
 
   ModelResult res;
-  if (converged_state != nullptr) converged_state->clear();
 
   Lin eh;
   double eh0 = 0.0;
   const ChannelClassSystem sys = build_system(geo, &eh, &eh0);
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{}, warm_start);
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) return res;  // saturated (diverged or no steady state)
@@ -445,7 +442,6 @@ ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
   }
   res.max_channel_utilization = std::min(1.0, util);
   res.saturated = false;
-  if (converged_state != nullptr) *converged_state = std::move(state);
   return res;
 }
 

@@ -11,7 +11,7 @@
 // every dimension), each with its own blocking group fed by the exact
 // path-counting rates of src/topology/mesh_geometry.hpp, coupled through the
 // same S = B + 1 + continuation recursion as the paper's eqs (16)-(25) and
-// closed by the same warm-started fixed point. DESIGN.md §8 derives
+// closed by the same fixed-point solve. DESIGN.md §8 derives
 // the per-class rate and continuation equations and maps each to its paper
 // counterpart.
 #include <algorithm>
@@ -154,9 +154,7 @@ ChannelClassSystem build_system(const ModelConfig& cfg, double lambda) {
 }  // namespace
 
 ModelResult solve_uniform_mesh(const ModelConfig& cfg, double lambda,
-                               double /*arrival_idc: Bernoulli only*/,
-                               const std::vector<double>* warm_start,
-                               std::vector<double>* converged_state) {
+                               double /*arrival_idc: Bernoulli only*/) {
   const int k = cfg.k;
   const int n = cfg.n;
   const double lm = static_cast<double>(cfg.message_length);
@@ -172,11 +170,10 @@ ModelResult solve_uniform_mesh(const ModelConfig& cfg, double lambda,
     res.regular_latency = res.latency;
     return res;
   };
-  if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = build_system(cfg, lambda);
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{}, warm_start);
+  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) return finish();  // saturated (diverged or no steady state)
@@ -240,7 +237,6 @@ ModelResult solve_uniform_mesh(const ModelConfig& cfg, double lambda,
   }
   res.max_channel_utilization = std::min(1.0, util);
   res.saturated = false;
-  if (converged_state != nullptr) *converged_state = std::move(state);
   return finish();
 }
 

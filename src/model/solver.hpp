@@ -42,13 +42,13 @@ struct FixedPointResult {
 /// When `options.polish_iterations > 0`, a converged iterate is additionally
 /// *polished*: the solver keeps iterating (undamped while that contracts,
 /// damped otherwise) until the state is exactly stationary in floating
-/// point, i.e. one more sweep reproduces every component bit-for-bit. The
-/// stationary iterate is a property of the map alone, not of the starting
-/// point, so warm-started solves that reach the same fixed point return
-/// results bit-identical to cold solves — the invariant the sweep/saturation
-/// warm-start machinery relies on. Polish never changes the converged /
-/// diverged classification nor the reported iteration count, and it is
-/// skipped when the converging sweep already reproduced its input.
+/// point, i.e. one more sweep reproduces every component bit-for-bit. A
+/// bitwise-stationary iterate is not unique — two starts can settle on
+/// neighbouring ones a last ulp apart — so the answer bits are those of the
+/// polished trajectory from the caller's start; the models always start
+/// from the zero-load state. Polish never changes the converged / diverged
+/// classification nor the reported iteration count, and it is skipped when
+/// the converging sweep already reproduced its input.
 FixedPointResult solve_fixed_point(
     std::vector<double>& state,
     const std::function<bool(const std::vector<double>&, std::vector<double>&)>& step,

@@ -116,9 +116,7 @@ double uniform_torus_channel_rate(int k, double lambda) {
 }
 
 ModelResult solve_uniform_torus(const ModelConfig& cfg, double lambda,
-                                double arrival_idc,
-                                const std::vector<double>* warm_start,
-                                std::vector<double>* converged_state) {
+                                double arrival_idc) {
   const int k = cfg.k;
   const double lm = static_cast<double>(cfg.message_length);
   const double lc = uniform_torus_channel_rate(k, lambda);
@@ -131,13 +129,12 @@ ModelResult solve_uniform_torus(const ModelConfig& cfg, double lambda,
     res.regular_latency = res.latency;
     return res;
   };
-  if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = build_system(cfg, lc, arrival_idc);
   engine::SolvePolicy policy;
   policy.retry_with_stronger_damping = false;
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
+  const FixedPointResult fp = sys.solve(state, policy);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) return finish();  // saturated (diverged or no steady state)
@@ -172,7 +169,6 @@ ModelResult solve_uniform_torus(const ModelConfig& cfg, double lambda,
                 p_yonly * (ey + ws.value) * res.vc_mux_hot_y;
   res.max_channel_utilization = std::min(1.0, lc * ex);  // identical on every channel
   res.saturated = false;
-  if (converged_state != nullptr) *converged_state = std::move(state);
   return finish();
 }
 

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 namespace kncube::service {
 
@@ -12,16 +13,18 @@ namespace {
 // Every payload is raw struct bytes; the contract only works for
 // trivially-copyable results. The store version covers layout changes: any
 // edit to these headers changes the hash and invalidates old files.
-static_assert(std::is_trivially_copyable_v<model::ModelResult>);
+static_assert(std::is_trivially_copyable_v<core::ModelEntry>);
 static_assert(std::is_trivially_copyable_v<sim::SimResult>);
 static_assert(std::is_trivially_copyable_v<core::SaturationResult>);
 
 constexpr std::uint32_t kFileMagic = 0x53434E4Bu;    // "KNCS" little-endian
 constexpr std::uint32_t kRecordMagic = 0x44524352u;  // "RCRD" little-endian
-constexpr std::uint32_t kFormat = 1;
-// Sanity cap on one record's payload: the largest real payload is a
-// ModelResult plus a few hundred state doubles (~kilobytes); anything huge
-// is corruption, not data.
+// The record layout lives in this directory, which the store-version hash
+// does not cover (CMakeLists.txt hashes core, model, sim and topology), so
+// any change to it must bump the format.
+constexpr std::uint32_t kFormat = 2;
+// Sanity cap on one record's payload: every real payload is one fixed-size
+// result struct; anything huge is corruption, not data.
 constexpr std::uint32_t kMaxPayload = 1u << 24;
 
 constexpr std::uint32_t kTypeModel = 1;
@@ -56,12 +59,6 @@ std::uint64_t fnv1a64(const unsigned char* data, std::size_t size) {
   return h;
 }
 
-template <typename T>
-void append_bytes(std::vector<unsigned char>& out, const T& value) {
-  const auto* p = reinterpret_cast<const unsigned char*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
 /// Reads sizeof(T) bytes at `offset` into `*value`; false past the end.
 template <typename T>
 bool read_at(const std::vector<unsigned char>& buf, std::size_t offset,
@@ -71,30 +68,11 @@ bool read_at(const std::vector<unsigned char>& buf, std::size_t offset,
   return true;
 }
 
-std::vector<unsigned char> encode_model_entry(const core::ModelEntry& entry) {
-  std::vector<unsigned char> payload;
-  payload.reserve(sizeof(model::ModelResult) + sizeof(std::uint64_t) +
-                  entry.state.size() * sizeof(double));
-  append_bytes(payload, entry.result);
-  append_bytes(payload, static_cast<std::uint64_t>(entry.state.size()));
-  for (const double d : entry.state) append_bytes(payload, d);
-  return payload;
-}
-
-bool decode_model_entry(const std::vector<unsigned char>& payload,
-                        core::ModelEntry* entry) {
-  std::size_t off = 0;
-  if (!read_at(payload, off, &entry->result)) return false;
-  off += sizeof(model::ModelResult);
-  std::uint64_t count = 0;
-  if (!read_at(payload, off, &count)) return false;
-  off += sizeof(std::uint64_t);
-  if (off + count * sizeof(double) != payload.size()) return false;
-  entry->state.resize(static_cast<std::size_t>(count));
-  if (count > 0) {
-    std::memcpy(entry->state.data(), payload.data() + off,
-                static_cast<std::size_t>(count) * sizeof(double));
-  }
+/// Replays one fixed-size payload into `*value`; false on a size mismatch.
+template <typename T>
+bool read_payload(const unsigned char* payload, std::uint32_t size, T* value) {
+  if (size != sizeof(T)) return false;
+  std::memcpy(value, payload, sizeof(T));
   return true;
 }
 
@@ -154,39 +132,29 @@ void DiskResultStore::load_file() {
     if (rec.magic != kRecordMagic || rec.payload_size > kMaxPayload) break;
     const std::size_t payload_off = off + sizeof(RecordHeader);
     if (payload_off + rec.payload_size > buf.size()) break;
-    if (fnv1a64(buf.data() + payload_off, rec.payload_size) != rec.checksum)
-      break;
-    std::vector<unsigned char> payload(buf.begin() + payload_off,
-                                       buf.begin() + payload_off +
-                                           rec.payload_size);
-    bool ok = true;
+    const unsigned char* payload = buf.data() + payload_off;
+    if (fnv1a64(payload, rec.payload_size) != rec.checksum) break;
+    bool ok = false;
     switch (rec.type) {
       case kTypeModel: {
         core::ModelEntry entry;
-        ok = decode_model_entry(payload, &entry);
+        ok = read_payload(payload, rec.payload_size, &entry);
         if (ok) index_.store_model(rec.spec_key, rec.k1, entry);
         break;
       }
       case kTypeSim: {
         sim::SimResult r;
-        ok = payload.size() == sizeof(r);
-        if (ok) {
-          std::memcpy(&r, payload.data(), sizeof(r));
-          index_.store_sim(rec.spec_key, rec.k1, rec.k2, r);
-        }
+        ok = read_payload(payload, rec.payload_size, &r);
+        if (ok) index_.store_sim(rec.spec_key, rec.k1, rec.k2, r);
         break;
       }
       case kTypeSaturation: {
         core::SaturationResult r;
-        ok = payload.size() == sizeof(r);
-        if (ok) {
-          std::memcpy(&r, payload.data(), sizeof(r));
-          index_.store_saturation(rec.spec_key, rec.k1, r);
-        }
+        ok = read_payload(payload, rec.payload_size, &r);
+        if (ok) index_.store_saturation(rec.spec_key, rec.k1, r);
         break;
       }
       default:
-        ok = false;
         break;
     }
     if (!ok) break;
@@ -232,18 +200,17 @@ void DiskResultStore::start_fresh() {
 
 void DiskResultStore::append_record(std::uint32_t type, std::uint64_t spec_key,
                                     std::uint64_t k1, std::uint64_t k2,
-                                    const std::vector<unsigned char>& payload) {
+                                    const void* payload, std::uint32_t size) {
   RecordHeader rec;
   rec.type = type;
   rec.spec_key = spec_key;
   rec.k1 = k1;
   rec.k2 = k2;
-  rec.payload_size = static_cast<std::uint32_t>(payload.size());
-  rec.checksum = fnv1a64(payload.data(), payload.size());
+  rec.payload_size = size;
+  rec.checksum = fnv1a64(static_cast<const unsigned char*>(payload), size);
   std::lock_guard<std::mutex> lock(file_mutex_);
   out_.write(reinterpret_cast<const char*>(&rec), sizeof(rec));
-  out_.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
+  out_.write(static_cast<const char*>(payload), size);
   // Flush every record: a killed daemon loses at most the torn tail the
   // loader is built to drop. (No fsync — this is a cache; the worst case
   // of losing buffered records is re-solving them.)
@@ -264,13 +231,7 @@ void DiskResultStore::store_model(std::uint64_t spec_key,
   core::ModelEntry existing;
   if (index_.load_model(spec_key, lambda_bits, &existing)) return;
   index_.store_model(spec_key, lambda_bits, entry);
-  append_record(kTypeModel, spec_key, lambda_bits, 0, encode_model_entry(entry));
-}
-
-bool DiskResultStore::warm_state_at_or_below(std::uint64_t spec_key,
-                                             std::uint64_t lambda_bits,
-                                             std::vector<double>* state) {
-  return index_.warm_state_at_or_below(spec_key, lambda_bits, state);
+  append_record(kTypeModel, spec_key, lambda_bits, 0, &entry, sizeof(entry));
 }
 
 bool DiskResultStore::load_sim(std::uint64_t spec_key,
@@ -285,9 +246,7 @@ void DiskResultStore::store_sim(std::uint64_t spec_key,
   sim::SimResult existing;
   if (index_.load_sim(spec_key, lambda_bits, seed, &existing)) return;
   index_.store_sim(spec_key, lambda_bits, seed, result);
-  std::vector<unsigned char> payload;
-  append_bytes(payload, result);
-  append_record(kTypeSim, spec_key, lambda_bits, seed, payload);
+  append_record(kTypeSim, spec_key, lambda_bits, seed, &result, sizeof(result));
 }
 
 bool DiskResultStore::load_saturation(std::uint64_t spec_key,
@@ -302,9 +261,7 @@ void DiskResultStore::store_saturation(std::uint64_t spec_key,
   core::SaturationResult existing;
   if (index_.load_saturation(spec_key, tol_bits, &existing)) return;
   index_.store_saturation(spec_key, tol_bits, result);
-  std::vector<unsigned char> payload;
-  append_bytes(payload, result);
-  append_record(kTypeSaturation, spec_key, tol_bits, 0, payload);
+  append_record(kTypeSaturation, spec_key, tol_bits, 0, &result, sizeof(result));
 }
 
 core::StoreSizes DiskResultStore::sizes() const { return index_.sizes(); }

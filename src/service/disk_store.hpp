@@ -11,21 +11,22 @@
 //          | payload bytes
 //
 // where (type, k1, k2) is (model, lambda bits, 0), (sim, lambda bits, seed)
-// or (saturation, rel_tol bits, 0), and payloads are the raw bytes of the
-// trivially-copyable result structs (the model payload appends the
-// converged warm-start state vector). Raw bytes make a store hit trivially
-// bit-identical to the solve that produced it — the whole point of the
-// cache (tests/service/disk_store_test pins a reopen round trip against a
-// cold solve).
+// or (saturation, rel_tol bits, 0), and every payload is the raw bytes of
+// one trivially-copyable struct (core::ModelEntry, sim::SimResult,
+// core::SaturationResult), so a record's size is fixed by its type. Raw
+// bytes make a store hit trivially bit-identical to the solve that produced
+// it — the whole point of the cache (tests/service/disk_store_test pins a
+// reopen round trip against a cold solve).
 //
 // Robustness contract:
 //  * header mismatch (foreign file, older format, different store version —
 //    i.e. result-producing code changed, see service/store_version.hpp):
 //    the store self-invalidates — previous contents are discarded and the
 //    file restarts fresh; `invalidated()` reports it.
-//  * corrupt or truncated record (crash mid-append, bit rot caught by the
-//    checksum): loading stops at the last intact record, the bad tail is
-//    dropped (`dropped_bytes()`), and the store stays fully usable.
+//  * corrupt, truncated or wrongly sized record (crash mid-append, bit rot
+//    caught by the checksum): loading stops at the last intact record, the
+//    bad tail is dropped (`dropped_bytes()`), and the store stays fully
+//    usable.
 //
 // Appends go through an in-memory MemoryResultStore index (all queries are
 // served from memory; the file is only read at open). Records are flushed
@@ -42,7 +43,6 @@
 #include <fstream>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/result_store.hpp"
 #include "service/store_version.hpp"
@@ -63,8 +63,6 @@ class DiskResultStore final : public core::ResultStore {
                   core::ModelEntry* out) override;
   void store_model(std::uint64_t spec_key, std::uint64_t lambda_bits,
                    const core::ModelEntry& entry) override;
-  bool warm_state_at_or_below(std::uint64_t spec_key, std::uint64_t lambda_bits,
-                              std::vector<double>* state) override;
   bool load_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
                 std::uint64_t seed, sim::SimResult* out) override;
   void store_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
@@ -94,8 +92,8 @@ class DiskResultStore final : public core::ResultStore {
   void load_file();
   void start_fresh();
   void append_record(std::uint32_t type, std::uint64_t spec_key,
-                     std::uint64_t k1, std::uint64_t k2,
-                     const std::vector<unsigned char>& payload);
+                     std::uint64_t k1, std::uint64_t k2, const void* payload,
+                     std::uint32_t size);
 
   std::string path_;
   std::uint64_t version_;

@@ -158,10 +158,6 @@ class GatedStore final : public ResultStore {
     wait_open();
     mem_.store_model(spec_key, lambda_bits, entry);
   }
-  bool warm_state_at_or_below(std::uint64_t spec_key, std::uint64_t lambda_bits,
-                              std::vector<double>* state) override {
-    return mem_.warm_state_at_or_below(spec_key, lambda_bits, state);
-  }
   bool load_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
                 std::uint64_t seed, sim::SimResult* out) override {
     return mem_.load_sim(spec_key, lambda_bits, seed, out);
@@ -296,10 +292,10 @@ TEST(SweepEngine, SharedStoreServesASecondEngineWithoutResolving) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Every ModelResult field but `iterations` (which depends on the warm-start
-/// chain, i.e. on solve order), doubles as raw bits.
+/// Every ModelResult field, doubles as raw bits.
 std::vector<std::uint64_t> model_words(const model::ModelResult& m) {
-  return {bits(m.latency), m.saturated, m.converged, bits(m.regular_latency),
+  return {bits(m.latency), m.saturated, m.converged,
+          static_cast<std::uint64_t>(m.iterations), bits(m.regular_latency),
           bits(m.hot_latency), bits(m.regular_network_latency),
           bits(m.source_wait_regular), bits(m.vc_mux_x), bits(m.vc_mux_hot_y),
           bits(m.vc_mux_nonhot_y), bits(m.max_channel_utilization)};

@@ -1,15 +1,14 @@
 // Randomized property tests for the MMPP (bursty-arrival) torus families and
-// the centre-hot-spot mesh — the model_property_test invariants extended to
-// the families this engine stage made modelable:
+// the centre-hot-spot mesh — model_property_test's monotonicity check
+// extended to the families this engine stage made modelable, plus a
+// degeneration check of their own:
 //
 //  1. Monotonicity: analytical mean latency is non-decreasing in the
 //     injection rate below the saturation boundary. The MMPP arrival IDC
 //     grows with lambda (more contrast between burst and idle rates), so
 //     this also exercises the coupling between the dispersion recomputation
 //     and the underlying fixed point.
-//  2. Continuation purity: warm-started solves are bit-identical to cold
-//     ones on the same grid.
-//  3. Bernoulli degeneration: burst_multiplier == 1 makes the modulated
+//  2. Bernoulli degeneration: burst_multiplier == 1 makes the modulated
 //     chain emit the mean rate in both states — the arrival IDC is exactly
 //     1.0 and every solve must be bit-identical to the Bernoulli model's.
 //
@@ -77,7 +76,7 @@ const char* family_name(int family) {
   }
 }
 
-TEST(MmppModelProperty, LatencyMonotoneAndWarmEqualsColdOnRandomSpecs) {
+TEST(MmppModelProperty, LatencyMonotoneOnRandomSpecs) {
   util::Xoshiro256 rng(0xB005575EED);
   for (int family = 0; family < 3; ++family) {
     for (int trial = 0; trial < 3; ++trial) {
@@ -99,27 +98,12 @@ TEST(MmppModelProperty, LatencyMonotoneAndWarmEqualsColdOnRandomSpecs) {
 
       double prev_latency = dispatch.model->zero_load_latency();
       ASSERT_GT(prev_latency, 0.0) << label;
-      std::vector<double> chain;  // converged state for warm chaining
       for (double lambda : grid) {
-        const ModelResult cold = dispatch.model->solve_at(lambda);
-        std::vector<double> state;
-        const ModelResult warm = dispatch.model->solve_at(
-            lambda, chain.empty() ? nullptr : &chain, &state);
-
-        ASSERT_EQ(cold.saturated, warm.saturated) << label << "lambda=" << lambda;
-        EXPECT_EQ(bits(cold.latency), bits(warm.latency))
+        const ModelResult r = dispatch.model->solve_at(lambda);
+        if (r.saturated) continue;
+        EXPECT_GE(r.latency, prev_latency * (1.0 - 1e-9))
             << label << "lambda=" << lambda;
-        EXPECT_EQ(bits(cold.regular_latency), bits(warm.regular_latency))
-            << label << "lambda=" << lambda;
-        EXPECT_EQ(bits(cold.max_channel_utilization),
-                  bits(warm.max_channel_utilization))
-            << label << "lambda=" << lambda;
-        if (!state.empty()) chain = std::move(state);
-
-        if (cold.saturated) continue;
-        EXPECT_GE(cold.latency, prev_latency * (1.0 - 1e-9))
-            << label << "lambda=" << lambda;
-        prev_latency = cold.latency;
+        prev_latency = r.latency;
       }
     }
   }

@@ -1,21 +1,14 @@
 // Randomized property tests over every registry-modeled spec family.
 //
-// Two invariants that must hold for *any* modeled ScenarioSpec, not just the
-// hand-picked configurations of the other model tests:
-//
-//  1. Monotonicity: analytical mean latency is non-decreasing in the
-//     injection rate below the saturation boundary — the queueing model has
-//     no mechanism by which more load could mean less waiting.
-//  2. Continuation purity: solve_at chained through warm starts returns
-//     bit-identical results to cold solves on the same grid (the
-//     generalisation of warm_start_test's fixed configurations to randomized
-//     specs via the registry-dispatched AnalyticalModel).
+// Monotonicity must hold for *any* modeled ScenarioSpec, not just the
+// hand-picked configurations of the other model tests: analytical mean
+// latency is non-decreasing in the injection rate below the saturation
+// boundary — the queueing model has no mechanism by which more load could
+// mean less waiting.
 //
 // Specs are drawn from a fixed-seed PRNG so failures reproduce exactly.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,8 +18,6 @@
 
 namespace kncube::model {
 namespace {
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// One random spec of the requested family. `family` indexes:
 /// 0 hotspot-torus, 1 uniform-torus, 2 hotspot-hypercube, 3 uniform-hypercube.
@@ -58,7 +49,7 @@ const char* family_name(int family) {
   }
 }
 
-TEST(ModelProperty, LatencyMonotoneAndWarmEqualsColdOnRandomSpecs) {
+TEST(ModelProperty, LatencyMonotoneOnRandomSpecs) {
   util::Xoshiro256 rng(0xACC0DE5EED);
   for (int family = 0; family < 4; ++family) {
     for (int trial = 0; trial < 3; ++trial) {
@@ -74,7 +65,7 @@ TEST(ModelProperty, LatencyMonotoneAndWarmEqualsColdOnRandomSpecs) {
 
       // Ascending grid below the saturation estimate. The estimate is a
       // coarse closed-form bound, so late points may already be saturated;
-      // the invariants apply to the unsaturated prefix.
+      // the invariant applies to the unsaturated prefix.
       std::vector<double> grid;
       for (double f : {0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9}) {
         grid.push_back(f * est);
@@ -82,31 +73,15 @@ TEST(ModelProperty, LatencyMonotoneAndWarmEqualsColdOnRandomSpecs) {
 
       double prev_latency = dispatch.model->zero_load_latency();
       ASSERT_GT(prev_latency, 0.0) << label;
-      std::vector<double> chain;  // converged state for warm chaining
       for (double lambda : grid) {
-        const ModelResult cold = dispatch.model->solve_at(lambda);
-        std::vector<double> state;
-        const ModelResult warm = dispatch.model->solve_at(
-            lambda, chain.empty() ? nullptr : &chain, &state);
-
-        // Invariant 2: warm chain is a pure accelerator.
-        ASSERT_EQ(cold.saturated, warm.saturated) << label << "lambda=" << lambda;
-        EXPECT_EQ(bits(cold.latency), bits(warm.latency))
+        const ModelResult r = dispatch.model->solve_at(lambda);
+        if (r.saturated) continue;
+        // Latency never decreases with load (tiny relative slack for
+        // fixed-point arithmetic noise), and never undercuts the zero-load
+        // limit.
+        EXPECT_GE(r.latency, prev_latency * (1.0 - 1e-9))
             << label << "lambda=" << lambda;
-        EXPECT_EQ(bits(cold.regular_latency), bits(warm.regular_latency))
-            << label << "lambda=" << lambda;
-        EXPECT_EQ(bits(cold.max_channel_utilization),
-                  bits(warm.max_channel_utilization))
-            << label << "lambda=" << lambda;
-        if (!state.empty()) chain = std::move(state);
-
-        if (cold.saturated) continue;
-        // Invariant 1: latency never decreases with load (tiny relative
-        // slack for fixed-point arithmetic noise), and never undercuts the
-        // zero-load limit.
-        EXPECT_GE(cold.latency, prev_latency * (1.0 - 1e-9))
-            << label << "lambda=" << lambda;
-        prev_latency = cold.latency;
+        prev_latency = r.latency;
       }
     }
   }

@@ -1,6 +1,6 @@
-// On-disk result store format tests (ISSUE acceptance): reopen round trips
-// are bit-identical, a corrupt or truncated tail is tolerated, a store
-// version mismatch invalidates cleanly, and an engine restarted onto the
+// On-disk result store format tests: reopen round trips are bit-identical,
+// a corrupt, truncated or wrongly sized tail is tolerated, a store version
+// or format mismatch invalidates cleanly, and an engine restarted onto the
 // same file answers without re-solving.
 #include "service/disk_store.hpp"
 
@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -30,10 +31,9 @@ core::ModelEntry make_entry(double base) {
   e.result.saturated = false;
   e.result.converged = true;
   e.result.iterations = 7;
+  // Irrational-ish values: any decimal round trip would change the bits.
   e.result.regular_latency = base / 3.0;
   e.result.hot_latency = base / 7.0;
-  // Irrational-ish values: any decimal round trip would change the bits.
-  e.state = {base * 0.5, base / 9.0, base / 11.0};
   return e;
 }
 
@@ -101,10 +101,6 @@ TEST_F(DiskStoreTest, ReopenRoundTripIsBitIdentical) {
   EXPECT_EQ(got_entry.result.saturated, entry.result.saturated);
   EXPECT_EQ(got_entry.result.converged, entry.result.converged);
   EXPECT_EQ(got_entry.result.iterations, entry.result.iterations);
-  ASSERT_EQ(got_entry.state.size(), entry.state.size());
-  for (std::size_t i = 0; i < entry.state.size(); ++i) {
-    EXPECT_EQ(bits(got_entry.state[i]), bits(entry.state[i]));
-  }
 
   sim::SimResult got_sim;
   ASSERT_TRUE(store.load_sim(0xA, bits(0.5), 42, &got_sim));
@@ -195,6 +191,83 @@ TEST_F(DiskStoreTest, VersionMismatchInvalidatesCleanly) {
   core::ModelEntry got;
   ASSERT_TRUE(store.load_model(1, bits(0.1), &got));
   EXPECT_EQ(bits(got.result.latency), bits(0.5));
+}
+
+TEST_F(DiskStoreTest, FormatOneHeaderInvalidatesEvenWithTheCurrentVersion) {
+  {
+    DiskResultStore store(path_, kVersionA);
+    store.store_model(1, bits(0.1), make_entry(0.1));
+  }
+  // Rewrite the header's format field (the u32 after the magic) to 1: the
+  // store version matches, but format-1 model records carried a solver
+  // state this build cannot read.
+  {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f);
+    const std::uint32_t format_one = 1;
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&format_one), sizeof(format_one));
+  }
+  {
+    DiskResultStore store(path_, kVersionA);
+    EXPECT_TRUE(store.invalidated());
+    EXPECT_EQ(store.loaded_records(), 0u);
+    EXPECT_EQ(store.sizes().model, 0u);
+  }
+  DiskResultStore reopened(path_, kVersionA);
+  EXPECT_FALSE(reopened.invalidated());
+}
+
+TEST_F(DiskStoreTest, ModelRecordOfTheWrongSizeIsDroppedAsTheTail) {
+  {
+    DiskResultStore store(path_, kVersionA);
+    store.store_model(1, bits(0.1), make_entry(0.1));
+  }
+  const auto intact = std::filesystem::file_size(path_);
+  // A well-formed, correctly checksummed model record whose payload is a
+  // valid format-1 one (ModelResult, a u64 state count of 2, two doubles)
+  // rather than exactly one ModelEntry.
+  const model::ModelResult result = make_entry(0.2).result;
+  const std::uint64_t count = 2;
+  const double state[2] = {0.5, 0.25};
+  std::vector<unsigned char> payload(sizeof(result) + sizeof(count) + sizeof(state));
+  std::memcpy(payload.data(), &result, sizeof(result));
+  std::memcpy(payload.data() + sizeof(result), &count, sizeof(count));
+  std::memcpy(payload.data() + sizeof(result) + sizeof(count), state, sizeof(state));
+  std::uint64_t checksum = 0xcbf29ce484222325ULL;  // FNV-1a, as the store
+  for (const unsigned char b : payload) {
+    checksum ^= b;
+    checksum *= 0x100000001b3ULL;
+  }
+  struct {  // the record header layout documented in disk_store.hpp
+    std::uint32_t magic = 0x44524352u;  // "RCRD"
+    std::uint32_t type = 1;             // model
+    std::uint64_t spec_key = 1;
+    std::uint64_t k1 = 0;
+    std::uint64_t k2 = 0;
+    std::uint32_t payload_size = 0;
+    std::uint32_t reserved = 0;
+    std::uint64_t checksum = 0;
+  } rec;
+  rec.k1 = bits(0.2);
+  rec.payload_size = static_cast<std::uint32_t>(payload.size());
+  rec.checksum = checksum;
+  {
+    std::ofstream f(path_, std::ios::binary | std::ios::app);
+    f.write(reinterpret_cast<const char*>(&rec), sizeof(rec));
+    f.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size()));
+  }
+  {
+    DiskResultStore store(path_, kVersionA);
+    EXPECT_FALSE(store.invalidated());
+    EXPECT_EQ(store.loaded_records(), 1u);
+    EXPECT_EQ(store.dropped_bytes(), sizeof(rec) + payload.size());
+    core::ModelEntry got;
+    EXPECT_TRUE(store.load_model(1, bits(0.1), &got));
+    EXPECT_FALSE(store.load_model(1, bits(0.2), &got));
+  }
+  EXPECT_EQ(std::filesystem::file_size(path_), intact);
 }
 
 TEST_F(DiskStoreTest, ForeignFileInvalidatesInsteadOfCrashing) {

@@ -122,29 +122,36 @@ TEST_F(ServerTest, PingAndServerWideStats) {
 }
 
 TEST_F(ServerTest, ExplicitLambdasMatchALocalEngineBitwise) {
-  const core::ScenarioSpec spec = quick_spec();
+  // The daemon solves the points concurrently and the local engine one by
+  // one; every solve starts from the zero-load state, so even the damped
+  // iteration count of the inclusive basis must agree.
+  core::ScenarioSpec inclusive = quick_spec();
+  inclusive.busy_basis = model::ServiceBasis::kInclusive;
   const std::vector<double> lambdas = {2e-4, 3e-4};
 
   Client client(socket_path_);
-  Request params;
-  params.lambdas = lambdas;
-  params.with_sim = false;
-  const Client::SweepOutcome outcome = client.run(spec, params);
+  for (const core::ScenarioSpec& spec : {quick_spec(), inclusive}) {
+    SCOPED_TRACE(core::format_scenario(spec));
+    Request params;
+    params.lambdas = lambdas;
+    params.with_sim = false;
+    const Client::SweepOutcome outcome = client.run(spec, params);
 
-  EXPECT_EQ(outcome.begin.spec_key, spec.key());
-  EXPECT_FALSE(outcome.begin.model_name.empty());
-  ASSERT_EQ(outcome.points.size(), 2u);
+    EXPECT_EQ(outcome.begin.spec_key, spec.key());
+    EXPECT_FALSE(outcome.begin.model_name.empty());
+    ASSERT_EQ(outcome.points.size(), 2u);
 
-  core::SweepEngine local(spec);
-  for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    ASSERT_TRUE(outcome.points[i].has_model);
-    EXPECT_FALSE(outcome.points[i].has_sim);
-    EXPECT_EQ(bits(outcome.points[i].lambda), bits(lambdas[i]));
-    const model::ModelResult reference = local.model_point(lambdas[i]);
-    EXPECT_EQ(bits(outcome.points[i].model.latency), bits(reference.latency));
-    EXPECT_EQ(outcome.points[i].model.iterations, reference.iterations);
+    core::SweepEngine local(spec);
+    for (std::size_t i = 0; i < lambdas.size(); ++i) {
+      ASSERT_TRUE(outcome.points[i].has_model);
+      EXPECT_FALSE(outcome.points[i].has_sim);
+      EXPECT_EQ(bits(outcome.points[i].lambda), bits(lambdas[i]));
+      const model::ModelResult reference = local.model_point(lambdas[i]);
+      EXPECT_EQ(bits(outcome.points[i].model.latency), bits(reference.latency));
+      EXPECT_EQ(outcome.points[i].model.iterations, reference.iterations);
+    }
+    EXPECT_EQ(outcome.stats.stats.model_solves, 2u);
   }
-  EXPECT_EQ(outcome.stats.stats.model_solves, 2u);
 }
 
 TEST_F(ServerTest, RepeatedRequestsAnswerFromTheStore) {
