@@ -1,101 +1,15 @@
 #include "model/engine/channel_class.hpp"
 
-#include <algorithm>
-#include <bit>
-
 #include "model/engine/mg1.hpp"
 #include "util/assert.hpp"
 
 namespace kncube::model::engine {
 
-std::size_t ChannelClassSystem::ExprHash::operator()(
-    const StateExpr& e) const noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(std::bit_cast<std::uint64_t>(e.constant));
-  mix(std::bit_cast<std::uint64_t>(e.divisor));
-  e.for_each_term([&](int slot, double weight) {
-    mix(static_cast<std::uint64_t>(slot));
-    mix(std::bit_cast<std::uint64_t>(weight));
-  });
-  return static_cast<std::size_t>(h);
-}
+namespace {
 
-double StateExpr::eval(const std::vector<double>& s) const {
-  if (!spill_) {
-    if (inline_slot_ < 0) return constant;  // divisor is 1 for these forms
-    return constant +
-           inline_weight_ * s[static_cast<std::size_t>(inline_slot_)] / divisor;
-  }
-  double acc = 0.0;
-  for (const auto& [slot, weight] : *spill_) {
-    acc += weight * s[static_cast<std::size_t>(slot)];
-  }
-  return constant + acc / divisor;
-}
+std::size_t at(int index) { return static_cast<std::size_t>(index); }
 
-bool StateExpr::operator==(const StateExpr& o) const {
-  if (constant != o.constant || divisor != o.divisor ||
-      term_count() != o.term_count()) {
-    return false;
-  }
-  if (!spill_ && !o.spill_) {
-    return inline_slot_ == o.inline_slot_ &&
-           (inline_slot_ < 0 || inline_weight_ == o.inline_weight_);
-  }
-  if (spill_ && o.spill_) return spill_ == o.spill_ || *spill_ == *o.spill_;
-  // One inline, one single-term spill: compare the lone terms.
-  bool equal = false;
-  for_each_term([&](int slot, double weight) {
-    o.for_each_term([&](int oslot, double oweight) {
-      equal = slot == oslot && weight == oweight;
-    });
-  });
-  return equal;
-}
-
-StateExpr StateExpr::constant_of(double c) {
-  StateExpr e;
-  e.constant = c;
-  return e;
-}
-
-StateExpr StateExpr::slot(int index, double weight) {
-  KNC_ASSERT(index >= 0);
-  StateExpr e;
-  e.inline_slot_ = index;
-  e.inline_weight_ = weight;
-  return e;
-}
-
-StateExpr StateExpr::average(int first, int count) {
-  KNC_ASSERT(count > 0);
-  if (count == 1) {
-    StateExpr e = slot(first);
-    return e;
-  }
-  Terms terms;
-  terms.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) terms.emplace_back(first + i, 1.0);
-  return weighted(0.0, static_cast<double>(count), std::move(terms));
-}
-
-StateExpr StateExpr::weighted(double constant, double divisor,
-                              std::vector<std::pair<int, double>> terms) {
-  StateExpr e;
-  e.constant = constant;
-  e.divisor = divisor;
-  if (terms.size() == 1) {
-    e.inline_slot_ = terms.front().first;
-    e.inline_weight_ = terms.front().second;
-  } else if (!terms.empty()) {
-    e.spill_ = std::make_shared<const Terms>(std::move(terms));
-  }
-  return e;
-}
+}  // namespace
 
 ChannelClassSystem::ChannelClassSystem(int slots, EngineOptions options)
     : options_(options),
@@ -103,188 +17,186 @@ ChannelClassSystem::ChannelClassSystem(int slots, EngineOptions options)
       // basis (eq 27); on the transmission basis (and for the pure-wait
       // ablation) every blocking input is a constant of the system.
       blocking_state_dependent_(options.blocking == BlockingVariant::kPaper &&
-                                options.busy_basis == ServiceBasis::kInclusive),
-      classes_(static_cast<std::size_t>(slots)) {
+                                options.busy_basis == ServiceBasis::kInclusive) {
   KNC_ASSERT(slots > 0);
-  eval_order_.resize(static_cast<std::size_t>(slots));
-  for (int i = 0; i < slots; ++i) eval_order_[static_cast<std::size_t>(i)] = i;
+  classes_.resize(at(slots));
 }
 
-void ChannelClassSystem::set_class(int slot, ChannelClass cls) {
-  classes_[static_cast<std::size_t>(slot)] = std::move(cls);
+int ChannelClassSystem::add_read(int first, int count) {
+  KNC_ASSERT_MSG(first >= 0 && count > 0 && at(first + count) <= classes_.size(),
+                 "read slots out of range");
+  if (!blocking_state_dependent_) return -1;
+  reads_.push_back({first, count});
+  return static_cast<int>(reads_.size()) - 1;
 }
 
-int ChannelClassSystem::intern(const StateExpr& expr) {
-  const auto [it, inserted] =
-      expr_index_.try_emplace(expr, static_cast<int>(expr_pool_.size()));
-  if (inserted) expr_pool_.push_back(expr);
-  return it->second;
+int ChannelClassSystem::add_term(const TermStream& regular, const TermStream& hot) {
+  terms_.push_back({regular, hot});
+  return static_cast<int>(terms_.size()) - 1;
 }
 
-ChannelClassSystem::CompiledStream ChannelClassSystem::compile(
-    const StreamSpec& spec) {
-  CompiledStream out;
-  out.rate = spec.rate;
-  out.tx = spec.tx;
-  // Only the inclusive-basis Pb reads a stream's inclusive service time; with
-  // constant blocking the pool would be built and never read.
-  out.inclusive = spec.inclusive.empty() || !blocking_state_dependent_
-                      ? -1
-                      : intern(spec.inclusive);
-  return out;
-}
-
-int ChannelClassSystem::add_blocking(BlockingSpec spec) {
-  CompiledBlocking compiled;
-  compiled.divisor = spec.divisor;
-  compiled.terms.reserve(spec.terms.size());
-  for (const BlockingSpec::Term& term : spec.terms) {
-    compiled.terms.push_back(
-        {term.weight, compile(term.regular), compile(term.hot)});
+int ChannelClassSystem::add_mixture(std::initializer_list<Weighted> items,
+                                    double divisor) {
+  const int begin = static_cast<int>(items_.size());
+  for (const Weighted& item : items) {
+    KNC_ASSERT_MSG(item.term >= 0 && at(item.term) < terms_.size(),
+                   "mixture term out of range");
+    items_.push_back(item);
   }
-  blockings_.push_back(std::move(compiled));
-  return static_cast<int>(blockings_.size()) - 1;
+  mixtures_.push_back({begin, static_cast<int>(items_.size()), divisor});
+  return static_cast<int>(mixtures_.size()) - 1;
 }
 
-void ChannelClassSystem::set_eval_order(std::vector<int> order) {
-  KNC_ASSERT_MSG(order.size() == classes_.size(),
-                 "eval order must cover every slot");
-  // A non-permutation would leave some slot unwritten each sweep and blend
-  // stale scratch into the state — a silently wrong fixed point.
-  std::vector<bool> seen(classes_.size(), false);
-  for (const int slot : order) {
-    KNC_ASSERT_MSG(slot >= 0 && static_cast<std::size_t>(slot) < classes_.size(),
-                   "eval order slot out of range");
-    KNC_ASSERT_MSG(!seen[static_cast<std::size_t>(slot)],
-                   "eval order must be a permutation (duplicate slot)");
-    seen[static_cast<std::size_t>(slot)] = true;
-  }
-  eval_order_ = std::move(order);
+int ChannelClassSystem::add_term_mean(int first, int count) {
+  KNC_ASSERT_MSG(first >= 0 && count > 0 && at(first + count) <= terms_.size(),
+                 "mixture term out of range");
+  const int begin = static_cast<int>(items_.size());
+  for (int i = 0; i < count; ++i) items_.push_back({first + i, 1.0});
+  mixtures_.push_back(
+      {begin, static_cast<int>(items_.size()), static_cast<double>(count)});
+  return static_cast<int>(mixtures_.size()) - 1;
 }
 
-bool ChannelClassSystem::blocking_value(const CompiledBlocking& spec,
-                                        const std::vector<double>& expr_values,
-                                        double& out) const {
-  const bool busy_incl = options_.busy_basis == ServiceBasis::kInclusive;
-  const auto bind = [&](const CompiledStream& s) {
-    return Stream{s.rate,
-                  s.inclusive < 0 ? 0.0
-                                  : expr_values[static_cast<std::size_t>(s.inclusive)],
-                  s.tx};
+Linear ChannelClassSystem::slot(int index) {
+  const Coef coef{index, 1.0};
+  return linear(0.0, {&coef, 1});
+}
+
+Linear ChannelClassSystem::mean(int first, int count) {
+  KNC_ASSERT(count > 0);
+  Linear lin{0.0, static_cast<double>(count), static_cast<int>(coefs_.size()), 0};
+  for (int i = 0; i < count; ++i) coefs_.push_back({first + i, 1.0});
+  lin.end = static_cast<int>(coefs_.size());
+  return lin;
+}
+
+Linear ChannelClassSystem::linear(double constant, std::span<const Coef> coefs) {
+  Linear lin{constant, 1.0, static_cast<int>(coefs_.size()), 0};
+  coefs_.insert(coefs_.end(), coefs.begin(), coefs.end());
+  lin.end = static_cast<int>(coefs_.size());
+  return lin;
+}
+
+void ChannelClassSystem::set_class(int slot, const ChannelClass& cls) {
+  KNC_ASSERT_MSG(slot >= 0 && at(slot) < classes_.size(), "class slot out of range");
+  KNC_ASSERT_MSG(cls.blocking >= -1 && cls.blocking < static_cast<int>(mixtures_.size()),
+                 "class blocking is not a declared mixture");
+  const auto reads_below = [&](const Linear& lin, int limit) {
+    if (lin.begin < 0 || lin.begin > lin.end || at(lin.end) > coefs_.size()) return false;
+    for (int c = lin.begin; c < lin.end; ++c) {
+      const int ref = coefs_[at(c)].slot;
+      if (ref < 0 || ref >= limit) return false;
+    }
+    return true;
   };
+  KNC_ASSERT_MSG(reads_below(cls.input, static_cast<int>(classes_.size())),
+                 "continuation reads a slot out of range");
+  KNC_ASSERT_MSG(reads_below(cls.output, slot),
+                 "within-sweep continuation must read an earlier slot");
+  classes_[at(slot)] = cls;
+}
+
+double ChannelClassSystem::eval(const Linear& lin, const std::vector<double>& s) const {
   double acc = 0.0;
-  for (const CompiledTerm& term : spec.terms) {
-    const Stream reg = bind(term.regular);
-    const Stream hot = bind(term.hot);
-    double value = 0.0;
-    if (options_.blocking == BlockingVariant::kPaper) {
-      const QueueDelay b = blocking_delay(reg, hot, options_.service_floor,
-                                          busy_incl, options_.arrival_idc);
-      if (b.saturated) return false;
-      value = b.value;
-    } else {
-      // Ablation variant: the merged-stream M/G/1 wait alone (no Pb factor).
-      const double rate = reg.rate + hot.rate;
-      if (rate > 0.0) {
-        const double mean_tx = (reg.rate * reg.tx + hot.rate * hot.tx) / rate;
-        const QueueDelay w = mg1_wait(rate, mean_tx, options_.service_floor,
-                                      options_.arrival_idc);
-        if (w.saturated) return false;
-        value = w.value;
-      }
-    }
-    acc += term.weight * value;
+  for (int c = lin.begin; c < lin.end; ++c) {
+    const Coef& coef = coefs_[at(c)];
+    acc += coef.weight * s[at(coef.slot)];
   }
-  out = acc / spec.divisor;
-  return true;
+  return lin.constant + acc / lin.divisor;
 }
 
-std::vector<double> ChannelClassSystem::initial_state() const {
-  std::vector<double> s(classes_.size());
-  for (std::size_t i = 0; i < classes_.size(); ++i) s[i] = classes_[i].initial;
-  return s;
+bool ChannelClassSystem::term_value(const Term& term, const std::vector<double>& reads,
+                                    double& out) const {
+  const auto bind = [&](const TermStream& s) {
+    return Stream{s.rate, s.read < 0 ? 0.0 : reads[at(s.read)], s.tx};
+  };
+  const Stream reg = bind(term.regular);
+  const Stream hot = bind(term.hot);
+  if (options_.blocking == BlockingVariant::kPaper) {
+    const QueueDelay b =
+        blocking_delay(reg, hot, options_.service_floor,
+                       options_.busy_basis == ServiceBasis::kInclusive,
+                       options_.arrival_idc);
+    out = b.value;
+    return !b.saturated;
+  }
+  // Ablation variant: the merged-stream M/G/1 wait alone (no Pb factor).
+  out = 0.0;
+  const double rate = reg.rate + hot.rate;
+  if (rate <= 0.0) return true;
+  const double mean_tx = (reg.rate * reg.tx + hot.rate * hot.tx) / rate;
+  const QueueDelay w =
+      mg1_wait(rate, mean_tx, options_.service_floor, options_.arrival_idc);
+  out = w.value;
+  return !w.saturated;
 }
 
-bool ChannelClassSystem::step(const std::vector<double>& in,
-                              std::vector<double>& out, Workspace& ws) const {
-  // All blocking groups close over the *input* iterate (Jacobi across
-  // groups); the per-slot recursions then chain within the sweep through
-  // output_continuation (Gauss-Seidel along each path). Shared inclusive
-  // expressions are evaluated once per sweep via the interned pool (empty
-  // when the blocking is state-independent); such blocking is evaluated on
-  // the first sweep only (Workspace::blocking_cached).
+bool ChannelClassSystem::step(const std::vector<double>& in, std::vector<double>& out,
+                              Workspace& ws) const {
+  // Reads, terms and mixtures close over the *input* iterate (Jacobi across
+  // classes); the per-slot recursions then chain within the sweep through
+  // the output continuations (Gauss-Seidel along each path). Constant
+  // blocking is evaluated on the first sweep only (Workspace::blocking_cached).
   if (!ws.blocking_cached) {
-    ws.expr_values.resize(expr_pool_.size());
-    for (std::size_t i = 0; i < expr_pool_.size(); ++i) {
-      ws.expr_values[i] = expr_pool_[i].eval(in);
+    for (std::size_t r = 0; r < reads_.size(); ++r) {
+      double acc = 0.0;
+      for (int i = 0; i < reads_[r].count; ++i) acc += in[at(reads_[r].first + i)];
+      ws.reads[r] = acc / static_cast<double>(reads_[r].count);
     }
-    ws.blocking_values.resize(blockings_.size());
-    for (std::size_t g = 0; g < blockings_.size(); ++g) {
-      if (!blocking_value(blockings_[g], ws.expr_values, ws.blocking_values[g])) {
-        return false;
+    for (std::size_t t = 0; t < terms_.size(); ++t) {
+      if (!term_value(terms_[t], ws.reads, ws.terms[t])) return false;
+    }
+    for (std::size_t m = 0; m < mixtures_.size(); ++m) {
+      double acc = 0.0;
+      for (int i = mixtures_[m].begin; i < mixtures_[m].end; ++i) {
+        acc += items_[at(i)].weight * ws.terms[at(items_[at(i)].term)];
       }
+      ws.mixtures[m] = acc / mixtures_[m].divisor;
     }
     ws.blocking_cached = !blocking_state_dependent_;
   }
-  for (const int slot : eval_order_) {
-    const ChannelClass& cls = classes_[static_cast<std::size_t>(slot)];
-    const double blocking =
-        cls.blocking >= 0 ? ws.blocking_values[static_cast<std::size_t>(cls.blocking)]
-                          : 0.0;
-    out[static_cast<std::size_t>(slot)] = blocking + 1.0 +
-                                          cls.input_continuation.eval(in) +
-                                          cls.output_continuation.eval(out);
+  for (std::size_t slot = 0; slot < classes_.size(); ++slot) {
+    const ChannelClass& cls = classes_[slot];
+    const double blocking = cls.blocking >= 0 ? ws.mixtures[at(cls.blocking)] : 0.0;
+    out[slot] = blocking + 1.0 + eval(cls.input, in) + eval(cls.output, out);
   }
   return true;
 }
 
-FixedPointResult ChannelClassSystem::solve(std::vector<double>& state,
-                                           const SolvePolicy& policy) const {
-  // Every output_continuation reference must already be evaluated within the
-  // sweep — a forward reference would read the previous iteration's raw
-  // scratch and converge to a silently wrong fixed point. Once per solve,
-  // negligible next to the iteration itself, so always on.
-  {
-    std::vector<bool> visited(classes_.size(), false);
-    for (const int slot : eval_order_) {
-      classes_[static_cast<std::size_t>(slot)].output_continuation.for_each_term(
-          [&](int ref, double) {
-            KNC_ASSERT_MSG(
-                ref >= 0 && static_cast<std::size_t>(ref) < classes_.size() &&
-                    visited[static_cast<std::size_t>(ref)],
-                "output_continuation references a slot evaluated later");
-          });
-      visited[static_cast<std::size_t>(slot)] = true;
-    }
-  }
+FixedPointResult ChannelClassSystem::solve(std::vector<double>& state) const {
   Workspace ws;  // one allocation per solve, reused across sweeps
-  auto step_fn = [this, &ws](const std::vector<double>& in,
-                             std::vector<double>& out) {
+  ws.reads.resize(reads_.size());
+  ws.terms.resize(terms_.size());
+  ws.mixtures.resize(mixtures_.size());
+  const auto step_fn = [this, &ws](const std::vector<double>& in,
+                                   std::vector<double>& out) {
     return step(in, out, ws);
   };
+  const auto run_from_zero_load = [&](const FixedPointOptions& options) {
+    state.resize(classes_.size());
+    for (std::size_t i = 0; i < classes_.size(); ++i) state[i] = classes_[i].initial;
+    return solve_fixed_point(state, step_fn, options);
+  };
+  const FixedPointOptions damped{};
   if (!blocking_state_dependent_) {
     // Exact solve (see the header): undamped sweeps converge on the sweep
     // that reproduces its input, at the same stationary point the polished
     // damped path returns. Anything but convergence within the budget takes
     // the damped path below.
-    constexpr int kExactSweepBudget = 48;
-    FixedPointOptions exact = policy.options;
+    FixedPointOptions exact = damped;
     exact.damping = 1.0;
-    exact.max_iterations = kExactSweepBudget;
-    state = initial_state();
-    const FixedPointResult fp = solve_fixed_point(state, step_fn, exact);
+    exact.max_iterations = 48;
+    const FixedPointResult fp = run_from_zero_load(exact);
     if (fp.converged) return fp;
   }
-  state = initial_state();
-  FixedPointResult fp = solve_fixed_point(state, step_fn, policy.options);
-  if (!fp.converged && !fp.diverged && policy.retry_with_stronger_damping) {
-    // Stubborn point near the knee: one retry with stronger damping.
-    FixedPointOptions slower = policy.options;
-    slower.damping = std::min(policy.retry_damping, policy.options.damping);
-    slower.max_iterations =
-        policy.options.max_iterations * policy.retry_iteration_multiplier;
-    state = initial_state();
-    fp = solve_fixed_point(state, step_fn, slower);
+  FixedPointResult fp = run_from_zero_load(damped);
+  if (!fp.converged && !fp.diverged) {
+    // Stubborn point near the knee (R7): one retry with stronger damping
+    // and a doubled budget.
+    FixedPointOptions slower = damped;
+    slower.damping = 0.2;
+    slower.max_iterations = 2 * damped.max_iterations;
+    fp = run_from_zero_load(slower);
   }
   return fp;
 }

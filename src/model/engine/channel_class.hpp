@@ -1,9 +1,9 @@
 // Shared channel-class engine for the analytical models.
 //
-// Every model in this repository (uniform torus, hot-spot torus, hot-spot
-// hypercube — and any future traffic pattern) has the same mathematical
-// shape, inherited from the paper's eqs (16)-(30): a vector of per-channel-
-// class mean service times S_c coupled through
+// Every model in this repository (uniform and hot-spot torus, uniform and
+// hot-spot mesh, hot-spot hypercube) has the same mathematical shape,
+// inherited from the paper's eqs (16)-(30): a vector of per-channel-class
+// mean service times S_c coupled through
 //
 //   S_c = B_c + 1 + continuation_c                                    (16-25)
 //
@@ -16,20 +16,24 @@
 // system (the default transmission basis, the pure-wait ablation), damped
 // when it reads the iterated state (the inclusive basis).
 //
-// This header turns that shape into data: a model is *declared* as a set of
-// channel classes (state slots), stream specifications whose inclusive
-// service times are linear expressions over the state, and weighted blocking
-// groups — then solved by one generic driver. The three concrete models are
-// thin builders over this engine (see DESIGN.md §4); the h = 0 agreement
-// between the uniform and hot-spot torus models is structural, because both
-// instantiate the same machinery with the same stream parameters.
+// This header turns that shape into data held in a few flat arrays. A
+// builder declares
+//   - *terms*: one blocking_delay of a regular and a hot stream each;
+//   - *mixtures*: a weighted term list plus a divisor (the eq 17-20 averages,
+//     the hypercube and mesh line-type mixtures, or a single shared term);
+//   - *reads*: the inclusive service times the streams carry, each a mean of
+//     consecutive slots, declared once and evaluated once per sweep;
+//   - one channel class per state slot, whose blocking is a mixture and whose
+//     continuations are linear in the state.
+// A class whose blocking is one channel of an average shares that average's
+// term instead of declaring it a second time.
+// The five model builders are thin layers over this engine (DESIGN.md §4);
+// the h = 0 agreement between the uniform and hot-spot torus models is
+// structural, because both declare the same terms with the same streams.
 #pragma once
 
-#include <cstddef>
-#include <memory>
-#include <string>
-#include <unordered_map>
-#include <utility>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "model/solver.hpp"
@@ -50,88 +54,51 @@ enum class ServiceBasis : int { kInclusive = 0, kTransmission = 1 };
 
 namespace engine {
 
-/// Linear expression over the iterated state vector:
-///   value = constant + (sum_i weight_i * s[slot_i]) / divisor.
-/// The divisor (rather than pre-scaled weights) keeps entrance averages
-/// bit-identical to an accumulate-then-divide loop.
-///
-/// Storage is allocation-frugal: a single term (the overwhelmingly common
-/// case — per-hop continuations and hot-stream service reads) lives inline,
-/// and multi-term expressions share one immutable spill vector, so copying
-/// an expression into the O(k^2) stream specifications of a large system is
-/// a refcount bump instead of a heap allocation. Expressions are immutable
-/// after construction; build multi-term ones with `weighted`.
-struct StateExpr {
+/// One stream of a term: the messages/cycle crossing the channel, their
+/// contention-free holding time (>= Lm), and the declared read of their
+/// blocking-inclusive service time (-1 reads nothing: 0).
+struct TermStream {
+  double rate = 0.0;
+  double tx = 0.0;
+  int read = -1;
+};
+
+/// One entry of a mixture: `weight` times the value of term `term`.
+struct Weighted {
+  int term = -1;
+  double weight = 1.0;
+};
+
+/// One coefficient of a linear continuation: `weight` * s[slot].
+struct Coef {
+  int slot = -1;
+  double weight = 1.0;
+};
+
+/// A linear continuation over the state,
+///   constant + (sum of weight * s[slot] over its coefficients) / divisor,
+/// whose coefficients are the range [begin, end) of its system's coefficient
+/// array. `Linear{c}` is the constant c; ChannelClassSystem::slot, mean and
+/// linear declare the others. The divisor (rather than pre-scaled weights)
+/// keeps entrance averages bit-identical to an accumulate-then-divide loop.
+struct Linear {
   double constant = 0.0;
   double divisor = 1.0;
-
-  double eval(const std::vector<double>& s) const;
-  bool empty() const noexcept {
-    return inline_slot_ < 0 && !spill_ && constant == 0.0;
-  }
-  std::size_t term_count() const noexcept {
-    return spill_ ? spill_->size() : (inline_slot_ >= 0 ? 1 : 0);
-  }
-  /// Invokes fn(slot, weight) for each term in insertion order.
-  template <typename Fn>
-  void for_each_term(Fn&& fn) const {
-    if (spill_) {
-      for (const auto& [slot, weight] : *spill_) fn(slot, weight);
-    } else if (inline_slot_ >= 0) {
-      fn(inline_slot_, inline_weight_);
-    }
-  }
-  bool operator==(const StateExpr& o) const;
-
-  static StateExpr constant_of(double c);
-  static StateExpr slot(int index, double weight = 1.0);
-  /// Mean of `count` consecutive slots starting at `first`.
-  static StateExpr average(int first, int count);
-  /// General form: constant + sum(terms)/divisor.
-  static StateExpr weighted(double constant, double divisor,
-                            std::vector<std::pair<int, double>> terms);
-
- private:
-  using Terms = std::vector<std::pair<int, double>>;
-  int inline_slot_ = -1;
-  double inline_weight_ = 0.0;
-  std::shared_ptr<const Terms> spill_;  ///< set when term_count() > 1
-};
-
-/// One traffic stream crossing a channel, with its blocking-inclusive
-/// service time read from the state (eqs 26-30 inputs).
-struct StreamSpec {
-  double rate = 0.0;   ///< messages/cycle crossing the channel
-  StateExpr inclusive; ///< blocking-inclusive downstream service time S
-  double tx = 0.0;     ///< contention-free holding time (>= Lm)
-};
-
-/// Weighted mixture of per-channel blocking delays, shared by one or more
-/// channel classes:
-///   B = (sum_t weight_t * blocking(regular_t, hot_t)) / divisor.
-/// An average over k channels uses unit weights and divisor k (eq 17-20); a
-/// funnel/plain mixture uses weights f and 1-f with divisor 1.
-struct BlockingSpec {
-  struct Term {
-    double weight = 1.0;
-    StreamSpec regular;
-    StreamSpec hot;
-  };
-  std::vector<Term> terms;
-  double divisor = 1.0;
+  int begin = 0;
+  int end = 0;
 };
 
 /// One channel class = one state slot, updated each sweep as
-///   out[slot] = B + 1 + input_continuation(in) + output_continuation(out).
-/// `output_continuation` implements the Gauss-Seidel recursions within a
-/// sweep (eqs 16-25 chain along the path); every slot it references must
-/// appear earlier in the system's evaluation order.
+///   out[slot] = B + 1 + input(in) + output(out),
+/// B being the value of mixture `blocking` (0 when -1). `output` implements
+/// the Gauss-Seidel recursions within a sweep (eqs 16-25 chain along the
+/// path): slots are evaluated in index order, so it may read only slots
+/// below its own.
 struct ChannelClass {
-  std::string name;            ///< diagnostics only
-  int blocking = -1;           ///< BlockingSpec index; -1 = contention-free
-  StateExpr input_continuation;
-  StateExpr output_continuation;
-  double initial = 0.0;        ///< zero-load starting value for the iteration
+  int blocking = -1;
+  double initial = 0.0;  ///< zero-load starting value for the iteration
+  Linear input;
+  Linear output;
 };
 
 /// Queueing-policy knobs shared by every blocking evaluation in a system.
@@ -146,102 +113,92 @@ struct EngineOptions {
   double arrival_idc = 1.0;
 };
 
-/// Fixed-point policy: base options plus the stubborn-point retry the models
-/// use near the saturation knee (stronger damping, longer budget).
-struct SolvePolicy {
-  FixedPointOptions options{};
-  bool retry_with_stronger_damping = true;
-  double retry_damping = 0.2;
-  int retry_iteration_multiplier = 2;
-};
-
-/// A declarative channel-class system: slots + blocking groups + evaluation
-/// order. Slots are fixed at construction so builders can lay out and
-/// cross-reference indices before filling in the classes.
+/// A declarative channel-class system. Slots are fixed at construction so
+/// builders can lay out and cross-reference indices before declaring the
+/// classes; slot order is the within-sweep evaluation order.
 class ChannelClassSystem {
  public:
   explicit ChannelClassSystem(int slots, EngineOptions options);
 
-  int slots() const noexcept { return static_cast<int>(classes_.size()); }
-  const EngineOptions& options() const noexcept { return options_; }
+  /// Declares a read of the mean of `count` consecutive slots from `first`,
+  /// evaluated on the sweep's input. Returns its index for TermStream::read,
+  /// or -1 when the blocking is constant: only the inclusive-basis Pb reads
+  /// a stream's inclusive service time, so nothing is stored then.
+  int add_read(int first, int count);
+  /// Declares one blocking_delay of a regular and a hot stream; returns its
+  /// index for Weighted::term. Terms are numbered in declaration order.
+  int add_term(const TermStream& regular, const TermStream& hot = {});
+  /// Declares the mixture (sum of weight * term) / divisor; returns its
+  /// index for ChannelClass::blocking.
+  int add_mixture(std::initializer_list<Weighted> items, double divisor = 1.0);
+  /// The mixture averaging `count` consecutive terms from `first` (eqs 17-20).
+  int add_term_mean(int first, int count);
 
-  void set_class(int slot, ChannelClass cls);
-  /// Registers a blocking group; returns its index for ChannelClass::blocking.
-  int add_blocking(BlockingSpec spec);
+  /// Continuations: s[index]; the mean of `count` consecutive slots from
+  /// `first`; constant + the weighted slots of `coefs`.
+  Linear slot(int index);
+  Linear mean(int first, int count);
+  Linear linear(double constant, std::span<const Coef> coefs);
 
-  /// Overrides the within-sweep evaluation order (default: slot order). Must
-  /// be a permutation of [0, slots); output_continuation references must
-  /// point to earlier entries.
-  void set_eval_order(std::vector<int> order);
+  /// Declares the class of `slot`. Aborts unless every slot `cls.output`
+  /// reads lies below `slot` — a later one would read the previous sweep's
+  /// raw scratch and converge to a silently wrong fixed point.
+  void set_class(int slot, const ChannelClass& cls);
 
-  std::vector<double> initial_state() const;
-
-  /// Fixed-point solve. `state` holds the converged iterate on success.
+  /// Fixed-point solve from the zero-load state. `state` holds the converged
+  /// iterate on success.
   ///
   /// With state-independent blocking (transmission basis or pure wait) the
-  /// solve first runs undamped sweeps from the zero-load state. Every builder
-  /// in this repository then yields an affine sweep whose cross-sweep reads
-  /// form an acyclic chain at most two deep, so the sweeps reach the exact
-  /// fixed point in 2-3 iterations. If they do not converge within a small
-  /// budget — and always with state-dependent (inclusive-basis) blocking —
-  /// the damped iteration runs from the zero-load state, then the policy's
-  /// stubborn-point retry. Every path starts from the zero-load state, so the
-  /// result (iteration count included) depends only on the system.
-  FixedPointResult solve(std::vector<double>& state, const SolvePolicy& policy) const;
+  /// solve first runs undamped sweeps. Every builder in this repository then
+  /// yields an affine sweep whose cross-sweep reads form an acyclic chain at
+  /// most two deep, so the sweeps reach the exact fixed point in 2-3
+  /// iterations. If they do not converge within a small budget — and always
+  /// with state-dependent (inclusive-basis) blocking — the damped iteration
+  /// runs, then the stubborn-point retry (DESIGN.md R7). Every path starts
+  /// from the zero-load state, so the result (iteration count included)
+  /// depends only on the system.
+  FixedPointResult solve(std::vector<double>& state) const;
 
  private:
-  // Blocking specs are compiled at registration. When the blocking reads the
-  // state (inclusive basis) every distinct inclusive StateExpr is interned
-  // into a pool so a sweep evaluates it once, not once per term — the
-  // entrance averages are shared by O(k^2) terms in the hot-spot system.
-  // Constant blocking never reads them, so they are not interned at all.
-  struct CompiledStream {
-    double rate = 0.0;
-    double tx = 0.0;
-    int inclusive = -1;  ///< pool index; -1 = identically zero or unread
+  struct Read {
+    int first = 0;
+    int count = 0;
   };
-  struct CompiledTerm {
-    double weight = 1.0;
-    CompiledStream regular;
-    CompiledStream hot;
+  struct Term {
+    TermStream regular;
+    TermStream hot;
   };
-  struct CompiledBlocking {
-    std::vector<CompiledTerm> terms;
+  struct Mixture {
+    int begin = 0;  ///< range of items_
+    int end = 0;
     double divisor = 1.0;
   };
   /// Per-solve scratch, allocated once per solve() rather than per sweep.
   struct Workspace {
-    std::vector<double> expr_values;      ///< pool evaluations on the input
-    std::vector<double> blocking_values;  ///< one per blocking group
-    /// With transmission-basis blocking (the default) the blocking values
-    /// read nothing from the state — Pb and the merged-stream wait depend
-    /// only on rates and contention-free holding times — so they are
-    /// computed on the first sweep and reused bit-for-bit afterwards. The
-    /// inclusive basis (and with it the expr pool) stays per-sweep.
+    std::vector<double> reads;
+    std::vector<double> terms;
+    std::vector<double> mixtures;
+    /// Constant blocking reads nothing from the state — Pb and the
+    /// merged-stream wait depend only on rates and contention-free holding
+    /// times — so it is computed on the first sweep and reused bit-for-bit
+    /// afterwards. The inclusive basis stays per-sweep.
     bool blocking_cached = false;
   };
 
-  struct ExprHash {
-    std::size_t operator()(const StateExpr& e) const noexcept;
-  };
-
-  int intern(const StateExpr& expr);
-  CompiledStream compile(const StreamSpec& spec);
+  double eval(const Linear& lin, const std::vector<double>& s) const;
+  bool term_value(const Term& term, const std::vector<double>& reads,
+                  double& out) const;
   bool step(const std::vector<double>& in, std::vector<double>& out,
             Workspace& ws) const;
-  bool blocking_value(const CompiledBlocking& spec,
-                      const std::vector<double>& expr_values, double& out) const;
 
   EngineOptions options_;
   bool blocking_state_dependent_;
   std::vector<ChannelClass> classes_;
-  std::vector<CompiledBlocking> blockings_;
-  std::vector<StateExpr> expr_pool_;
-  /// Hash index over expr_pool_ so interning the O(k^2) stream expressions
-  /// of a large inclusive-basis system is linear, not quadratic (the pool
-  /// reaches several hundred entries for k = 32).
-  std::unordered_map<StateExpr, int, ExprHash> expr_index_;
-  std::vector<int> eval_order_;
+  std::vector<Read> reads_;
+  std::vector<Term> terms_;
+  std::vector<Weighted> items_;
+  std::vector<Mixture> mixtures_;
+  std::vector<Coef> coefs_;
 };
 
 }  // namespace engine

@@ -24,11 +24,8 @@ namespace kncube::model {
 
 namespace {
 
-using engine::BlockingSpec;
-using engine::ChannelClass;
 using engine::ChannelClassSystem;
-using engine::StateExpr;
-using engine::StreamSpec;
+using engine::TermStream;
 
 /// State-vector layout. Positions j run 1..k-1 (a message has at most k-1
 /// hops left inside a ring); array slot j-1 holds position j. The five
@@ -84,12 +81,7 @@ class Builder {
         idc_(arrival_idc),
         probs_(path_probabilities(cfg.k)),
         lay_(cfg.k),
-        lm_(static_cast<double>(cfg.message_length)),
-        // Entrance averages are shared by O(k^2) stream specifications;
-        // constructed once here, copied by refcount thereafter.
-        ent_ybar_(StateExpr::average(lay_.ybar, lay_.ns)),
-        ent_yhot_(StateExpr::average(lay_.yhot, lay_.ns)),
-        ent_x_(StateExpr::average(lay_.x, lay_.ns)) {}
+        lm_(static_cast<double>(cfg.message_length)) {}
 
   // --- contention-free (transmission) holding times, R8 ---
   // A hot message acquiring the hot-y channel j hops from the hot node keeps
@@ -107,40 +99,12 @@ class Builder {
     return tx_reg_y() + static_cast<double>(lay_.k - 1) / 2.0;
   }
 
-  // --- competing streams, inclusive service read at the class entrance ---
-  StreamSpec reg_ybar() const {
-    return {rates_.regular_rate, ent_ybar_, tx_reg_y()};
-  }
-  StreamSpec reg_y() const {
-    return {rates_.regular_rate, ent_yhot_, tx_reg_y()};
-  }
-  StreamSpec reg_x() const {
-    return {rates_.regular_rate, ent_x_, tx_reg_x()};
-  }
-  // Hot streams at position l; the channel leaving the hot node / hot column
-  // (l == k) carries no hot-spot traffic (rate 0).
-  StreamSpec hot_y_stream(int l) const {
-    StreamSpec s;
-    s.rate = rates_.hot_y[static_cast<std::size_t>(l)];
-    if (l < lay_.k) {
-      s.inclusive = StateExpr::slot(lay_.at(lay_.shy, l));
-      s.tx = tx_hot_y(l);
-    }
-    return s;
-  }
-  StreamSpec hot_x_stream(int l, int t) const {
-    StreamSpec s;
-    s.rate = rates_.hot_x[static_cast<std::size_t>(l)];
-    if (l < lay_.k) {
-      s.inclusive = StateExpr::slot(lay_.at_shx(l, t));
-      s.tx = tx_hot_x(l, t);
-    }
-    return s;
-  }
-
-  /// The channel-class system of eqs (16)-(20), (23), (25).
+  /// The channel-class system of eqs (16)-(20), (23), (25). The shy and shx
+  /// classes block on one channel each, which is one term of the eq (17) or
+  /// eqs (18-20) average: their blocking is that shared term.
   ChannelClassSystem build() const {
     const int k = cfg_.k;
+    const int ns = lay_.ns;
 
     engine::EngineOptions opts;
     opts.service_floor = lm_;
@@ -149,84 +113,87 @@ class Builder {
     opts.arrival_idc = idc_;
     ChannelClassSystem sys(lay_.total, opts);
 
-    // --- averaged blocking groups ---
-    const int b_ybar = sys.add_blocking({{{1.0, reg_ybar(), {}}}, 1.0});
-
-    BlockingSpec yhot_spec;  // eq (17): average over the k hot-y-ring channels
+    // --- terms: competing regular streams read their class entrance; the
+    // hot stream at position l reads its own class slot. The channel leaving
+    // the hot node / hot column (l == k) carries no hot-spot traffic.
+    const double lr = rates_.regular_rate;
+    const TermStream reg_y{lr, tx_reg_y(), sys.add_read(lay_.yhot, ns)};
+    const TermStream reg_x{lr, tx_reg_x(), sys.add_read(lay_.x, ns)};
+    const int ybar_term =
+        sys.add_term({lr, tx_reg_y(), sys.add_read(lay_.ybar, ns)});
+    const int yhot_terms = ybar_term + 1;  // term l-1 of eq (17), l = 1..k
     for (int l = 1; l <= k; ++l) {
-      yhot_spec.terms.push_back({1.0, reg_y(), hot_y_stream(l)});
+      TermStream hot{rates_.hot_y[static_cast<std::size_t>(l)]};
+      if (l < k) hot = {hot.rate, tx_hot_y(l), sys.add_read(lay_.at(lay_.shy, l), 1)};
+      sys.add_term(reg_y, hot);
     }
-    yhot_spec.divisor = static_cast<double>(k);
-    const int b_yhot = sys.add_blocking(std::move(yhot_spec));
-
-    BlockingSpec x_spec;  // eqs (18-20): average over the k^2 x-channel slots
+    const int x_terms = yhot_terms + k;  // term (t-1)k + l-1 of eqs (18-20)
     for (int t = 1; t <= k; ++t) {
       for (int l = 1; l <= k; ++l) {
-        x_spec.terms.push_back({1.0, reg_x(), hot_x_stream(l, t)});
+        TermStream hot{rates_.hot_x[static_cast<std::size_t>(l)]};
+        if (l < k) hot = {hot.rate, tx_hot_x(l, t), sys.add_read(lay_.at_shx(l, t), 1)};
+        sys.add_term(reg_x, hot);
       }
     }
-    x_spec.divisor = static_cast<double>(k) * static_cast<double>(k);
-    const int b_x = sys.add_blocking(std::move(x_spec));
+
+    // --- averaged blocking mixtures ---
+    const int b_ybar = sys.add_mixture({{ybar_term}});
+    const int b_yhot = sys.add_term_mean(yhot_terms, k);    // eq (17)
+    const int b_x = sys.add_term_mean(x_terms, k * k);      // eqs (18-20)
 
     // --- regular-class recursions (Gauss-Seidel within each array) ---
-    const double last = lm_ - 1.0;
+    const engine::Linear last{lm_ - 1.0};
+    const engine::Linear ent_ybar = sys.mean(lay_.ybar, ns);
+    const engine::Linear ent_yhot = sys.mean(lay_.yhot, ns);
     const double y_ent0 = static_cast<double>(k) / 2.0 + lm_ - 1.0;
     for (int j = 1; j < k; ++j) {
       const double base0 = static_cast<double>(j) + lm_ - 1.0;
-
-      auto chain = [&](const char* name, int base, int blocking, double initial,
-                       StateExpr first_hop) {
-        ChannelClass c;
-        c.name = name;
-        c.blocking = blocking;
-        c.initial = initial;
+      const auto chain = [&](int base, int blocking, double initial,
+                             engine::Linear first_hop) {
+        engine::ChannelClass c{blocking, initial, {}, {}};
         if (j == 1) {
-          c.input_continuation = std::move(first_hop);
+          c.input = first_hop;
         } else {
-          c.output_continuation = StateExpr::slot(lay_.at(base, j - 1));
+          c.output = sys.slot(lay_.at(base, j - 1));
         }
-        sys.set_class(lay_.at(base, j), std::move(c));
+        sys.set_class(lay_.at(base, j), c);
       };
-      chain("ybar", lay_.ybar, b_ybar, base0, StateExpr::constant_of(last));
-      chain("yhot", lay_.yhot, b_yhot, base0, StateExpr::constant_of(last));
-      chain("x", lay_.x, b_x, base0, StateExpr::constant_of(last));
+      chain(lay_.ybar, b_ybar, base0, last);
+      chain(lay_.yhot, b_yhot, base0, last);
+      chain(lay_.x, b_x, base0, last);
       // x-then-y classes enter the y dimension at its entrance average.
-      chain("xhy", lay_.xhy, b_x, static_cast<double>(j) + y_ent0, ent_yhot_);
-      chain("xyb", lay_.xyb, b_x, static_cast<double>(j) + y_ent0, ent_ybar_);
+      chain(lay_.xhy, b_x, static_cast<double>(j) + y_ent0, ent_yhot);
+      chain(lay_.xyb, b_x, static_cast<double>(j) + y_ent0, ent_ybar);
     }
 
     // --- hot-spot messages in the hot y-ring (eq 23) ---
     for (int j = 1; j < k; ++j) {
-      ChannelClass c;
-      c.name = "shy";
-      c.blocking = sys.add_blocking({{{1.0, reg_y(), hot_y_stream(j)}}, 1.0});
-      c.initial = static_cast<double>(j) + lm_ - 1.0;
+      engine::ChannelClass c{sys.add_mixture({{yhot_terms + j - 1}}),
+                             static_cast<double>(j) + lm_ - 1.0, {}, {}};
       if (j == 1) {
-        c.input_continuation = StateExpr::constant_of(lm_ - 1.0);
+        c.input = last;
       } else {
-        c.output_continuation = StateExpr::slot(lay_.at(lay_.shy, j - 1));
+        c.output = sys.slot(lay_.at(lay_.shy, j - 1));
       }
-      sys.set_class(lay_.at(lay_.shy, j), std::move(c));
+      sys.set_class(lay_.at(lay_.shy, j), c);
     }
 
     // --- hot-spot messages on x rings (eq 25) ---
     for (int t = 1; t <= k; ++t) {
       const double cont0 = t == k ? lm_ - 1.0 : static_cast<double>(t) + lm_ - 1.0;
       for (int j = 1; j < k; ++j) {
-        ChannelClass c;
-        c.name = "shx";
-        c.blocking = sys.add_blocking({{{1.0, reg_x(), hot_x_stream(j, t)}}, 1.0});
-        c.initial = static_cast<double>(j) + cont0;
+        engine::ChannelClass c{sys.add_mixture({{x_terms + (t - 1) * k + j - 1}}),
+                               static_cast<double>(j) + cont0, {}, {}};
         if (j > 1) {
-          c.output_continuation = StateExpr::slot(lay_.at_shx(j - 1, t));
+          c.output = sys.slot(lay_.at_shx(j - 1, t));
         } else if (t == k) {
           // The hot node's own row: x ends at the hot node.
-          c.input_continuation = StateExpr::constant_of(lm_ - 1.0);
+          c.input = last;
         } else {
           // Enter the hot y-ring, t hops out (shy slots precede shx slots).
-          c.output_continuation = StateExpr::slot(lay_.at(lay_.shy, t));
+          c.output = sys.slot(lay_.at(lay_.shy, t));
         }
-        sys.set_class(lay_.at_shx(j, t), std::move(c));
+        sys.set_class(lay_.at_shx(j, t), c);
       }
     }
     return sys;
@@ -398,7 +365,6 @@ class Builder {
   PathProbabilities probs_;
   Layout lay_;
   double lm_;
-  StateExpr ent_ybar_, ent_yhot_, ent_x_;
 };
 
 }  // namespace
@@ -411,7 +377,7 @@ ModelResult solve_hotspot_torus(const ModelConfig& cfg, double lambda,
 
   const ChannelClassSystem sys = builder.build();
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
+  const FixedPointResult fp = sys.solve(state);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) {

@@ -38,20 +38,18 @@ namespace kncube::model {
 
 namespace {
 
-using engine::BlockingSpec;
-using engine::ChannelClass;
 using engine::ChannelClassSystem;
-using engine::StateExpr;
-using engine::StreamSpec;
 
 double pow2(int e) { return std::ldexp(1.0, e); }
 
-/// State layout: S^r_d at [d], S^h_d at [n + d], d = 0..n-1.
+/// State layout in evaluation order: the e-cube continuation reads higher
+/// dimensions, so dimensions close from the top down — S^r_d at
+/// [2(n-1-d)], then S^h_d, for d = n-1 .. 0.
 struct Lay {
   int n;
   int total() const { return 2 * n; }
-  int r(int d) const { return d; }
-  int h(int d) const { return n + d; }
+  int r(int d) const { return 2 * (n - 1 - d); }
+  int h(int d) const { return r(d) + 1; }
 };
 
 /// Declarative description of the hot-spot hypercube over the shared
@@ -93,13 +91,6 @@ class Builder {
   }
   double delivery_probability(int d) const { return pow2(-(cfg_.n - 1 - d)); }
 
-  StreamSpec reg_stream(int d) const {
-    return {lambda_r_, StateExpr::slot(lay_.r(d)), tx(d)};
-  }
-  StreamSpec hot_stream(int d) const {
-    return {hot_rate(d), StateExpr::slot(lay_.h(d)), tx(d)};
-  }
-
   ChannelClassSystem build() const {
     const int n = cfg_.n;
 
@@ -120,50 +111,32 @@ class Builder {
       s0[static_cast<std::size_t>(d)] = acc;
     }
 
-    // Dimensions close from the top down (the e-cube continuation reads
-    // higher dimensions), so the sweep evaluates d = n-1 .. 0.
-    std::vector<int> order;
-    order.reserve(static_cast<std::size_t>(lay_.total()));
-
+    std::vector<engine::Coef> next_r;
+    std::vector<engine::Coef> next_h;
     for (int d = n - 1; d >= 0; --d) {
       const double f = funnel_fraction_[static_cast<std::size_t>(d)];
+      const engine::TermStream reg{lambda_r_, tx(d), sys.add_read(lay_.r(d), 1)};
+      const engine::TermStream hot{hot_rate(d), tx(d), sys.add_read(lay_.h(d), 1)};
+      const int funnel = sys.add_term(reg, hot);
+      const int plain = sys.add_term(reg);
       // Blocking seen by a regular message at a random dim-d channel: the
-      // funnel fraction of them also carries the hot stream.
-      const int b_reg = sys.add_blocking(
-          {{{f, reg_stream(d), hot_stream(d)}, {1.0 - f, reg_stream(d), {}}}, 1.0});
-      // Hot messages always ride funnel channels.
-      const int b_hot = sys.add_blocking({{{1.0, reg_stream(d), hot_stream(d)}}, 1.0});
+      // funnel fraction of them also carries the hot stream. Hot messages
+      // always ride funnel channels.
+      const int b_reg = sys.add_mixture({{funnel, f}, {plain, 1.0 - f}});
+      const int b_hot = sys.add_mixture({{funnel}});
 
       const double cont0 = delivery_probability(d) * (lm_ - 1.0);
-      std::vector<std::pair<int, double>> terms_r;
-      std::vector<std::pair<int, double>> terms_h;
-      terms_r.reserve(static_cast<std::size_t>(n - 1 - d));
-      terms_h.reserve(static_cast<std::size_t>(n - 1 - d));
+      next_r.clear();
+      next_h.clear();
       for (int dp = d + 1; dp < n; ++dp) {
         const double p = next_dim_probability(d, dp);
-        terms_r.emplace_back(lay_.r(dp), p);
-        terms_h.emplace_back(lay_.h(dp), p);
+        next_r.push_back({lay_.r(dp), p});
+        next_h.push_back({lay_.h(dp), p});
       }
-      StateExpr cont_r = StateExpr::weighted(cont0, 1.0, std::move(terms_r));
-      StateExpr cont_h = StateExpr::weighted(cont0, 1.0, std::move(terms_h));
-
-      ChannelClass reg;
-      reg.name = "r";
-      reg.blocking = b_reg;
-      reg.initial = s0[static_cast<std::size_t>(d)];
-      reg.output_continuation = std::move(cont_r);
-      sys.set_class(lay_.r(d), std::move(reg));
-      order.push_back(lay_.r(d));
-
-      ChannelClass hot;
-      hot.name = "h";
-      hot.blocking = b_hot;
-      hot.initial = s0[static_cast<std::size_t>(d)];
-      hot.output_continuation = std::move(cont_h);
-      sys.set_class(lay_.h(d), std::move(hot));
-      order.push_back(lay_.h(d));
+      const double s0_d = s0[static_cast<std::size_t>(d)];
+      sys.set_class(lay_.r(d), {b_reg, s0_d, {}, sys.linear(cont0, next_r)});
+      sys.set_class(lay_.h(d), {b_hot, s0_d, {}, sys.linear(cont0, next_h)});
     }
-    sys.set_eval_order(std::move(order));
     return sys;
   }
 
@@ -259,7 +232,7 @@ ModelResult solve_hypercube(const ModelConfig& cfg, double lambda,
 
   const ChannelClassSystem sys = builder.build();
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
+  const FixedPointResult fp = sys.solve(state);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) {

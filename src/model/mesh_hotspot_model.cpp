@@ -22,16 +22,15 @@
 #include "model/engine/mg1.hpp"
 #include "model/engine/vcmux.hpp"
 #include "model/families.hpp"
+#include "model/mesh_regular.hpp"
 #include "topology/mesh_geometry.hpp"
 
 namespace kncube::model {
 
 namespace {
 
-using engine::ChannelClass;
 using engine::ChannelClassSystem;
-using engine::StateExpr;
-using engine::StreamSpec;
+using mesh::Lin;
 
 /// Mean line distance to the centre coordinate c = k/2 from a uniform
 /// source coordinate — the hot analogue of mesh_mean_line_hops.
@@ -47,41 +46,32 @@ double mean_hot_line_hops(int k) {
 // ascending, so every hot continuation — the next link toward the centre,
 // or E_h(d+1) over the next dimension's chains — references an earlier
 // slot. The regular classes follow in the uniform-mesh layout, offset past
-// the hot block; they reference only regular slots, so the engine's default
-// slot-order evaluation is a valid Gauss-Seidel order for the whole system.
+// the hot block; they reference only regular slots, so slot order is a
+// valid Gauss-Seidel order for the whole system.
 struct Lay {
   int k, n, c, ns, np, nm;
+  mesh::RegularLayout regular;
   Lay(int k_, int n_)
-      : k(k_), n(n_), c(k_ / 2), ns(k_ - 1), np(k_ / 2), nm(k_ - 1 - k_ / 2) {}
+      : k(k_),
+        n(n_),
+        c(k_ / 2),
+        ns(k_ - 1),
+        np(k_ / 2),
+        nm(k_ - 1 - k_ / 2),
+        regular{k_, n_, n_ * (k_ - 1)} {}
   int hot_base(int d) const { return (n - 1 - d) * (np + nm); }
   /// + link p -> p+1, p = 0..c-1 (hot flows up toward c).
   int sp(int d, int p) const { return hot_base(d) + (c - 1 - p); }
   /// - link x -> x-1, x = c+1..k-1 (hot flows down toward c).
   int sm(int d, int x) const { return hot_base(d) + np + (x - (c + 1)); }
-  int reg_base() const { return n * (np + nm); }
-  int reg(int d, int i) const {
-    return reg_base() + (n - 1 - d) * ns + (ns - 1 - i);
-  }
-  int total() const { return reg_base() + n * ns; }
+  int reg(int d, int i) const { return regular.slot(d, i); }
 };
-
-struct Lin {
-  double c = 0.0;
-  std::vector<std::pair<int, double>> terms;
-};
-
-void add_scaled(Lin& out, const Lin& in, double scale) {
-  out.c += scale * in.c;
-  for (const auto& [slot, weight] : in.terms) {
-    out.terms.emplace_back(slot, scale * weight);
-  }
-}
 
 /// Builder: shared geometry, rates and holding times for build + assembly.
 struct Geo {
   const ModelConfig& cfg;
   Lay lay;
-  double lambda, lm, h, md_uniform, md_hot;
+  double lambda, lm, h, md_hot;
 
   Geo(const ModelConfig& c, double rate)
       : cfg(c),
@@ -89,7 +79,6 @@ struct Geo {
         lambda(rate),
         lm(static_cast<double>(c.message_length)),
         h(*c.hot_fraction),
-        md_uniform(topo::mesh_mean_line_hops(c.k)),
         md_hot(mean_hot_line_hops(c.k)) {}
 
   /// Fraction of dimension-d lines that are hot lines: k^-d.
@@ -108,6 +97,15 @@ struct Geo {
   double sm_rate(int d, int x) const {
     return static_cast<double>(lay.k - x) * funnel(d);
   }
+  /// Hot rates on the + and - instances of folded regular position i: the
+  /// + link carries +chain traffic below the centre, and the fold maps the
+  /// - instance onto the link from k-1-i down to k-2-i, in the -chain when
+  /// k-1-i > c.
+  double plus_rate(int d, int i) const { return i < lay.c ? sp_rate(d, i) : 0.0; }
+  double minus_rate(int d, int i) const {
+    const int x = lay.k - 1 - i;
+    return x > lay.c ? sm_rate(d, x) : 0.0;
+  }
   double reg_rate(int i) const {
     return topo::mesh_channel_rate((1.0 - h) * lambda, lay.k,
                                    lay.n, i);
@@ -124,33 +122,6 @@ struct Geo {
     return lm + static_cast<double>(x - 1 - lay.c) +
            static_cast<double>(lay.n - 1 - d) * md_hot;
   }
-  double tx_reg(int d, int i) const {
-    return lm + static_cast<double>(lay.k - 2 - i) / 2.0 +
-           static_cast<double>(lay.n - 1 - d) * md_uniform;
-  }
-
-  StreamSpec reg_stream(int d, int i) const {
-    return {reg_rate(i), StateExpr::slot(lay.reg(d, i)), tx_reg(d, i)};
-  }
-  StreamSpec sp_stream(int d, int p) const {
-    return {sp_rate(d, p), StateExpr::slot(lay.sp(d, p)), tx_sp(d, p)};
-  }
-  StreamSpec sm_stream(int d, int x) const {
-    return {sm_rate(d, x), StateExpr::slot(lay.sm(d, x)), tx_sm(d, x)};
-  }
-  /// Hot stream on the + instance of folded regular position i (empty when
-  /// the link is past the centre and carries no +chain traffic).
-  StreamSpec hot_on_plus(int d, int i) const {
-    if (i >= lay.c) return {};
-    return sp_stream(d, i);
-  }
-  /// Hot stream on the - instance: the fold maps + position i onto the
-  /// - link from k-1-i down to k-2-i, in the -chain when k-1-i > c.
-  StreamSpec hot_on_minus(int d, int i) const {
-    const int x = lay.k - 1 - i;
-    if (x <= lay.c) return {};
-    return sm_stream(d, x);
-  }
 };
 
 /// Builds the 2n(k-1)-class system (DESIGN.md §13): hot chains
@@ -161,9 +132,8 @@ struct Geo {
 ///   E_h(n)  = Lm - 1
 ///
 /// plus the uniform-mesh regular recursion with the hot-line blocking
-/// mixture. `eh` and `eh0` (optional) receive the E_h(0) expression and its
-/// zero-load value for the assembly phase.
-ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
+/// mixture. `eh_out` receives the E_h(0) expression for the assembly phase.
+ChannelClassSystem build_system(const Geo& geo, Lin& eh_out) {
   const ModelConfig& cfg = geo.cfg;
   const Lay& lay = geo.lay;
   const int k = lay.k;
@@ -175,55 +145,62 @@ ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
   opts.service_floor = lm;
   opts.blocking = cfg.blocking;
   opts.busy_basis = cfg.busy_basis;
-  ChannelClassSystem sys(lay.total(), opts);
+  ChannelClassSystem sys(lay.regular.end(), opts);
 
-  // --- hot chains, funnel dimension first -------------------------------
+  // --- terms: one per distinct stream pair of each folded regular position
+  // (d, i) — the plain line and the + and - instances of a hot line. An
+  // instance past the centre carries no hot stream: it is the plain term.
+  struct LineTerms {
+    int plain, plus, minus;
+  };
+  std::vector<LineTerms> line(static_cast<std::size_t>(n * lay.ns));
+  const auto line_terms = [&](int d, int i) -> LineTerms& {
+    return line[static_cast<std::size_t>(d * lay.ns + i)];
+  };
+  for (int d = 0; d < n; ++d) {
+    for (int i = 0; i < k - 1; ++i) {
+      const engine::TermStream reg{geo.reg_rate(i), mesh::regular_holding_time(cfg, d, i),
+                                   sys.add_read(lay.reg(d, i), 1)};
+      const int x = k - 1 - i;
+      LineTerms& t = line_terms(d, i);
+      t.plain = geo.q(d) < 1.0 || i >= c || x <= c ? sys.add_term(reg) : -1;
+      t.plus = i < c ? sys.add_term(reg, {geo.sp_rate(d, i), geo.tx_sp(d, i),
+                                          sys.add_read(lay.sp(d, i), 1)})
+                     : t.plain;
+      t.minus = x > c ? sys.add_term(reg, {geo.sm_rate(d, x), geo.tx_sm(d, x),
+                                           sys.add_read(lay.sm(d, x), 1)})
+                      : t.plain;
+    }
+  }
+
+  // --- hot chains, funnel dimension first; each link blocks on its term ---
   std::vector<Lin> eh(static_cast<std::size_t>(n) + 1);
   std::vector<double> eh0(static_cast<std::size_t>(n) + 1, lm - 1.0);
   eh[static_cast<std::size_t>(n)].c = lm - 1.0;
-  std::vector<double> hot0(static_cast<std::size_t>(lay.reg_base()), 0.0);
+  std::vector<double> hot0(static_cast<std::size_t>(lay.regular.base), 0.0);
 
   for (int d = n - 1; d >= 0; --d) {
     const Lin& cont = eh[static_cast<std::size_t>(d + 1)];
     const double cont0 = eh0[static_cast<std::size_t>(d + 1)];
-    for (int p = c - 1; p >= 0; --p) {
-      ChannelClass cls;
-      cls.name = "hot+";
-      cls.blocking =
-          sys.add_blocking({{{1.0, geo.reg_stream(d, p), geo.sp_stream(d, p)}},
-                            1.0});
-      double init;
-      if (p == c - 1) {
-        cls.output_continuation =
-            StateExpr::weighted(cont.c, 1.0, {cont.terms});
-        init = 1.0 + cont0;
-      } else {
-        cls.output_continuation = StateExpr::slot(lay.sp(d, p + 1));
-        init = 1.0 + hot0[static_cast<std::size_t>(lay.sp(d, p + 1))];
+    const engine::Linear next_dimension = sys.linear(cont.c, cont.terms);
+    // The link into the centre continues into E_h(d+1); every other link
+    // continues along its chain.
+    const auto chain = [&](int slot, int term, int next_slot) {
+      engine::ChannelClass cls{sys.add_mixture({{term}}), 1.0 + cont0, {},
+                               next_dimension};
+      if (next_slot >= 0) {
+        cls.output = sys.slot(next_slot);
+        cls.initial = 1.0 + hot0[static_cast<std::size_t>(next_slot)];
       }
-      hot0[static_cast<std::size_t>(lay.sp(d, p))] = init;
-      cls.initial = init;
-      sys.set_class(lay.sp(d, p), std::move(cls));
+      hot0[static_cast<std::size_t>(slot)] = cls.initial;
+      sys.set_class(slot, cls);
+    };
+    for (int p = c - 1; p >= 0; --p) {
+      chain(lay.sp(d, p), line_terms(d, p).plus, p == c - 1 ? -1 : lay.sp(d, p + 1));
     }
     for (int x = c + 1; x < k; ++x) {
-      const int i = k - 1 - x;  // folded regular position of the - link
-      ChannelClass cls;
-      cls.name = "hot-";
-      cls.blocking =
-          sys.add_blocking({{{1.0, geo.reg_stream(d, i), geo.sm_stream(d, x)}},
-                            1.0});
-      double init;
-      if (x == c + 1) {
-        cls.output_continuation =
-            StateExpr::weighted(cont.c, 1.0, {cont.terms});
-        init = 1.0 + cont0;
-      } else {
-        cls.output_continuation = StateExpr::slot(lay.sm(d, x - 1));
-        init = 1.0 + hot0[static_cast<std::size_t>(lay.sm(d, x - 1))];
-      }
-      hot0[static_cast<std::size_t>(lay.sm(d, x))] = init;
-      cls.initial = init;
-      sys.set_class(lay.sm(d, x), std::move(cls));
+      chain(lay.sm(d, x), line_terms(d, k - 1 - x).minus,
+            x == c + 1 ? -1 : lay.sm(d, x - 1));
     }
     // Close E_h(d): a hot message enters dimension d at a uniform source
     // coordinate — already centred with probability 1/k, else it starts the
@@ -233,81 +210,30 @@ ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
     add_scaled(ed, cont, inv_k);
     double acc0 = cont0;
     for (int p = 0; p < c; ++p) {
-      ed.terms.emplace_back(lay.sp(d, p), inv_k);
+      ed.terms.push_back({lay.sp(d, p), inv_k});
       acc0 += hot0[static_cast<std::size_t>(lay.sp(d, p))];
     }
     for (int x = c + 1; x < k; ++x) {
-      ed.terms.emplace_back(lay.sm(d, x), inv_k);
+      ed.terms.push_back({lay.sm(d, x), inv_k});
       acc0 += hot0[static_cast<std::size_t>(lay.sm(d, x))];
     }
     eh0[static_cast<std::size_t>(d)] = acc0 * inv_k;
   }
 
-  // --- regular classes: uniform-mesh recursion, hot-line blocking mix ----
-  std::vector<Lin> g(static_cast<std::size_t>(n) + 1);
-  std::vector<double> g0(static_cast<std::size_t>(n) + 1, lm - 1.0);
-  g[static_cast<std::size_t>(n)].c = lm - 1.0;
-  std::vector<double> s0(static_cast<std::size_t>(lay.total()), 0.0);
-
-  for (int d = n - 1; d >= 0; --d) {
-    const Lin& cont_g = g[static_cast<std::size_t>(d + 1)];
-    const double cont_g0 = g0[static_cast<std::size_t>(d + 1)];
+  // --- regular classes: uniform-mesh recursion, blocking on a mixture over
+  // the folded link pair's line type: plain with probability 1-q_d, else
+  // the + or - instance of a hot line (equally likely under the fold).
+  mesh::declare_regular_classes(sys, lay.regular, lm, [&](int d, int i) {
+    const LineTerms& t = line_terms(d, i);
     const double qd = geo.q(d);
-    for (int i = k - 2; i >= 0; --i) {
-      const double m = static_cast<double>(k - 1 - i);
-      Lin cont;
-      if (i == k - 2) {
-        add_scaled(cont, cont_g, 1.0);
-      } else {
-        add_scaled(cont, cont_g, 1.0 / m);
-        cont.terms.emplace_back(lay.reg(d, i + 1), (m - 1.0) / m);
-      }
-
-      // Blocking mixture over the folded link pair's line type: plain with
-      // probability 1-q_d, else the + or - instance of a hot line (equally
-      // likely under the fold).
-      engine::BlockingSpec spec;
-      spec.divisor = 1.0;
-      if (qd < 1.0) {
-        spec.terms.push_back({1.0 - qd, geo.reg_stream(d, i), {}});
-      }
-      spec.terms.push_back({qd / 2.0, geo.reg_stream(d, i), geo.hot_on_plus(d, i)});
-      spec.terms.push_back(
-          {qd / 2.0, geo.reg_stream(d, i), geo.hot_on_minus(d, i)});
-
-      ChannelClass cls;
-      cls.name = "mesh";
-      cls.blocking = sys.add_blocking(std::move(spec));
-      double init = 1.0 + cont_g0;
-      if (i < k - 2) {
-        init = 1.0 +
-               (m - 1.0) / m * s0[static_cast<std::size_t>(lay.reg(d, i + 1))] +
-               cont_g0 / m;
-      }
-      s0[static_cast<std::size_t>(lay.reg(d, i))] = init;
-      cls.initial = init;
-      cls.output_continuation =
-          StateExpr::weighted(cont.c, 1.0, std::move(cont.terms));
-      sys.set_class(lay.reg(d, i), std::move(cls));
+    if (qd < 1.0) {
+      return sys.add_mixture(
+          {{t.plain, 1.0 - qd}, {t.plus, qd / 2.0}, {t.minus, qd / 2.0}});
     }
-    Lin& gd = g[static_cast<std::size_t>(d)];
-    add_scaled(gd, g[static_cast<std::size_t>(d + 1)],
-               1.0 / static_cast<double>(k));
-    double enter0 = 0.0;
-    for (int i = 0; i < k - 1; ++i) {
-      const double w = topo::mesh_entrance_weight(k, i) *
-                       (static_cast<double>(k - 1) / static_cast<double>(k));
-      gd.terms.emplace_back(lay.reg(d, i), w);
-      enter0 += topo::mesh_entrance_weight(k, i) *
-                s0[static_cast<std::size_t>(lay.reg(d, i))];
-    }
-    g0[static_cast<std::size_t>(d)] =
-        g0[static_cast<std::size_t>(d + 1)] / static_cast<double>(k) +
-        enter0 * (static_cast<double>(k - 1) / static_cast<double>(k));
-  }
+    return sys.add_mixture({{t.plus, qd / 2.0}, {t.minus, qd / 2.0}});
+  });
 
-  if (eh_out != nullptr) *eh_out = std::move(eh[0]);
-  if (eh0_out != nullptr) *eh0_out = eh0[0];
+  eh_out = std::move(eh[0]);
   return sys;
 }
 
@@ -325,38 +251,23 @@ ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
   ModelResult res;
 
   Lin eh;
-  double eh0 = 0.0;
-  const ChannelClassSystem sys = build_system(geo, &eh, &eh0);
+  const ChannelClassSystem sys = build_system(geo, eh);
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
+  const FixedPointResult fp = sys.solve(state);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) return res;  // saturated (diverged or no steady state)
 
   // --- regular network latency: uniform-mesh assembly over the regular
   // slots (first-correcting-dimension probabilities are exact path counts).
-  const double p_self = std::pow(static_cast<double>(k), -n);
-  std::vector<double> entrance(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> p_first(static_cast<std::size_t>(n), 0.0);
-  double s_net = 0.0;
-  for (int j = 0; j < n; ++j) {
-    double e = 0.0;
-    for (int i = 0; i < k - 1; ++i) {
-      e += topo::mesh_entrance_weight(k, i) *
-           state[static_cast<std::size_t>(lay.reg(j, i))];
-    }
-    entrance[static_cast<std::size_t>(j)] = e;
-    p_first[static_cast<std::size_t>(j)] =
-        std::pow(1.0 / static_cast<double>(k), j) *
-        (static_cast<double>(k - 1) / static_cast<double>(k)) / (1.0 - p_self);
-    s_net += p_first[static_cast<std::size_t>(j)] * e;
-  }
+  const mesh::RegularEntrances ent = mesh::regular_entrances(state, lay.regular);
+  const double s_net = ent.network;
   res.regular_network_latency = s_net;
 
   // Hot network latency: E_h(0) evaluated on the converged state.
   double eh_net = eh.c;
-  for (const auto& [slot, weight] : eh.terms) {
-    eh_net += weight * state[static_cast<std::size_t>(slot)];
+  for (const engine::Coef& coef : eh.terms) {
+    eh_net += coef.weight * state[static_cast<std::size_t>(coef.slot)];
   }
 
   // --- source wait: per-VC M/G/1 over the h-mixed network service.
@@ -371,7 +282,7 @@ ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
   // entry-weighted over the funnel dimension's chains for the hot path.
   const auto mux_service_reg = [&](int d, int i) {
     return cfg.vcmux_basis == ServiceBasis::kTransmission
-               ? geo.tx_reg(d, i)
+               ? mesh::regular_holding_time(cfg, d, i)
                : state[static_cast<std::size_t>(lay.reg(d, i))];
   };
   double latency_reg = 0.0;
@@ -381,16 +292,15 @@ ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
     const double qd = geo.q(j);
     double vbar = 0.0;
     for (int i = 0; i < k - 1; ++i) {
-      const double hot_pair =
-          qd * 0.5 * (geo.hot_on_plus(j, i).rate + geo.hot_on_minus(j, i).rate);
+      const double hot_pair = qd * 0.5 * (geo.plus_rate(j, i) + geo.minus_rate(j, i));
       vbar += topo::mesh_entrance_weight(k, i) *
               vc_multiplexing_degree(geo.reg_rate(i) + hot_pair,
                                      mux_service_reg(j, i), cfg.vcs);
     }
     if (j == 0) vbar_first = vbar;
     if (j == n - 1) vbar_last = vbar;
-    latency_reg += p_first[static_cast<std::size_t>(j)] *
-                   (entrance[static_cast<std::size_t>(j)] + ws.value) * vbar;
+    latency_reg += ent.p_first[static_cast<std::size_t>(j)] *
+                   (ent.entrance[static_cast<std::size_t>(j)] + ws.value) * vbar;
   }
   res.vc_mux_x = vbar_first;
   res.vc_mux_nonhot_y = vbar_last;
@@ -466,7 +376,7 @@ double hotspot_mesh_saturation_estimate(const ModelConfig& cfg) {
   const double coef_reg =
       topo::mesh_bottleneck_rate(1.0, cfg.k, cfg.n) * (1.0 - h);
   const double sat_reg =
-      1.0 / (coef_reg * geo.tx_reg(0, (cfg.k - 2) / 2));
+      1.0 / (coef_reg * mesh::regular_holding_time(cfg, 0, (cfg.k - 2) / 2));
   if (h <= 0.0) return sat_reg;
   // Funnel pole: the last + link into the centre of the funnel dimension
   // carries c * k^{n-1} hot sources plus the line's regular share.

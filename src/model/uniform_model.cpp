@@ -18,9 +18,7 @@ namespace kncube::model {
 
 namespace {
 
-using engine::ChannelClass;
 using engine::ChannelClassSystem;
-using engine::StateExpr;
 
 // State: Sy[j], Sx[j], Sxy[j] for j = 1..k-1, packed in that order.
 struct Lay {
@@ -48,7 +46,7 @@ HoldingTimes holding_times(int k, double lm) {
 }
 
 /// Declares the three uniform path classes (y-only, x-only, x-then-y) over
-/// the shared engine: one blocking group per dimension, chained per-hop
+/// the shared engine: one blocking term per dimension, chained per-hop
 /// recursions, x-then-y entering the y dimension at its entrance average.
 ChannelClassSystem build_system(const ModelConfig& cfg, double lc,
                                 double arrival_idc) {
@@ -65,46 +63,29 @@ ChannelClassSystem build_system(const ModelConfig& cfg, double lc,
   opts.arrival_idc = arrival_idc;
   ChannelClassSystem sys(lay.total, opts);
 
-  const int b_y = sys.add_blocking(
-      {{{1.0, {lc, StateExpr::average(lay.y, lay.ns), tx_y}, {}}}, 1.0});
-  const int b_x = sys.add_blocking(
-      {{{1.0, {lc, StateExpr::average(lay.x, lay.ns), tx_x}, {}}}, 1.0});
+  const int b_y = sys.add_mixture(
+      {{sys.add_term({lc, tx_y, sys.add_read(lay.y, lay.ns)})}});
+  const int b_x = sys.add_mixture(
+      {{sys.add_term({lc, tx_x, sys.add_read(lay.x, lay.ns)})}});
 
+  const engine::Linear last{lm - 1.0};
+  const engine::Linear y_entrance = sys.mean(lay.y, lay.ns);
   const double y_ent0 = static_cast<double>(k) / 2.0 + lm - 1.0;
   for (int j = 1; j < k; ++j) {
     const double base0 = static_cast<double>(j) + lm - 1.0;
-    ChannelClass y;
-    y.name = "y";
-    y.blocking = b_y;
-    y.initial = base0;
-    if (j == 1) {
-      y.input_continuation = StateExpr::constant_of(lm - 1.0);
-    } else {
-      y.output_continuation = StateExpr::slot(lay.at(lay.y, j - 1));
-    }
-    sys.set_class(lay.at(lay.y, j), std::move(y));
-
-    ChannelClass x;
-    x.name = "x";
-    x.blocking = b_x;
-    x.initial = base0;
-    if (j == 1) {
-      x.input_continuation = StateExpr::constant_of(lm - 1.0);
-    } else {
-      x.output_continuation = StateExpr::slot(lay.at(lay.x, j - 1));
-    }
-    sys.set_class(lay.at(lay.x, j), std::move(x));
-
-    ChannelClass xy;
-    xy.name = "xy";
-    xy.blocking = b_x;
-    xy.initial = static_cast<double>(j) + y_ent0;
-    if (j == 1) {
-      xy.input_continuation = StateExpr::average(lay.y, lay.ns);  // y entrance
-    } else {
-      xy.output_continuation = StateExpr::slot(lay.at(lay.xy, j - 1));
-    }
-    sys.set_class(lay.at(lay.xy, j), std::move(xy));
+    const auto chain = [&](int base, int blocking, double initial,
+                           engine::Linear first_hop) {
+      engine::ChannelClass c{blocking, initial, {}, {}};
+      if (j == 1) {
+        c.input = first_hop;
+      } else {
+        c.output = sys.slot(lay.at(base, j - 1));
+      }
+      sys.set_class(lay.at(base, j), c);
+    };
+    chain(lay.y, b_y, base0, last);
+    chain(lay.x, b_x, base0, last);
+    chain(lay.xy, b_x, static_cast<double>(j) + y_ent0, y_entrance);
   }
   return sys;
 }
@@ -131,10 +112,8 @@ ModelResult solve_uniform_torus(const ModelConfig& cfg, double lambda,
   };
 
   const ChannelClassSystem sys = build_system(cfg, lc, arrival_idc);
-  engine::SolvePolicy policy;
-  policy.retry_with_stronger_damping = false;
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy);
+  const FixedPointResult fp = sys.solve(state);
   res.iterations = fp.iterations;
   res.converged = fp.converged;
   if (!fp.converged) return finish();  // saturated (diverged or no steady state)

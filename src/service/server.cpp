@@ -253,22 +253,28 @@ void Server::connection_loop(Connection* conn) {
     return true;
   };
 
+  // `buffer` holds the unterminated tail of the stream, which has no '\n',
+  // so each recv scans only the bytes it appended.
   bool alive = true;
   while (alive) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or shutdown()
-    buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
+    std::size_t scan = buffer.size();
+    buffer.append(chunk, static_cast<std::size_t>(n));
+    for (std::size_t nl = buffer.find('\n', scan); alive && nl != std::string::npos;
+         nl = buffer.find('\n', scan)) {
+      if (nl - start > kMaxLineBytes) break;
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      start = nl + 1;
-      if (!process_line(line)) {
-        alive = false;
-        break;
-      }
+      start = scan = nl + 1;
+      alive = process_line(line);
+    }
+    if (alive && buffer.size() - start > kMaxLineBytes) {
+      // Too long to be a line the protocol sends: stop buffering it.
+      send_line(conn, format_error("-", "line too long"));
+      alive = false;
     }
     buffer.erase(0, start);
   }

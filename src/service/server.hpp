@@ -26,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -38,6 +39,12 @@
 #include "core/sweep_engine.hpp"
 
 namespace kncube::service {
+
+/// Longest line a client may send, '\n' excluded: a longer one is answered
+/// with the error `line too long` and the connection is closed. The longest
+/// legitimate line is a `request.lambdas` list at the `request.points` cap,
+/// 100,000 rates of 19 bytes each (`0x` + 16 hex digits + a separator).
+inline constexpr std::size_t kMaxLineBytes = std::size_t{4} << 20;
 
 struct ServerOptions {
   std::string socket_path;

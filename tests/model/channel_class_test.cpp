@@ -8,6 +8,7 @@
 // hypercube maps, whose sweep reads nothing from its input. A map whose
 // undamped sweep does not settle falls back to the damped iteration. The
 // inclusive basis keeps the damped iteration; its counts are pinned here.
+// Declaring a continuation that would break the sweep's order aborts.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -96,15 +97,13 @@ TEST(ChannelClassSolve, UndampedCycleFallsBackToTheDampedIteration) {
   // the state but the continuations, yet the undamped sweep alternates
   // between (0, 0) and (2, 2) forever. The damped fallback lands on (1, 1).
   engine::ChannelClassSystem sys(2, engine::EngineOptions{});
-  engine::ChannelClass c0;
-  c0.input_continuation = engine::StateExpr::weighted(1.0, 1.0, {{1, -1.0}});
-  engine::ChannelClass c1;
-  c1.input_continuation = engine::StateExpr::weighted(1.0, 1.0, {{0, -1.0}});
-  sys.set_class(0, c0);
-  sys.set_class(1, c1);
+  const engine::Coef minus_s1[] = {{1, -1.0}};
+  const engine::Coef minus_s0[] = {{0, -1.0}};
+  sys.set_class(0, {-1, 0.0, sys.linear(1.0, minus_s1), {}});
+  sys.set_class(1, {-1, 0.0, sys.linear(1.0, minus_s0), {}});
 
   std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, engine::SolvePolicy{});
+  const FixedPointResult fp = sys.solve(state);
   EXPECT_TRUE(fp.converged);
   EXPECT_FALSE(fp.diverged);
   EXPECT_EQ(state, (std::vector<double>{1.0, 1.0}));
@@ -135,6 +134,22 @@ TEST(ChannelClassSolve, InclusiveBasisKeepsTheDampedIterationCounts) {
     for (const double f : {0.2, 0.6, 0.9}) got.push_back(d.model->solve_at(f * sat).iterations);
     EXPECT_EQ(got, c.iterations);
   }
+}
+
+// Slots are evaluated in index order, so a within-sweep (output)
+// continuation may read only lower slots: anything else would read the
+// previous sweep's raw scratch. Declaring one aborts.
+TEST(ChannelClassSystemDeathTest, WithinSweepContinuationMustReadAnEarlierSlot) {
+  const auto declare_slot_1_reading = [](int ref) {
+    engine::ChannelClassSystem sys(3, engine::EngineOptions{});
+    sys.set_class(1, {-1, 0.0, {}, sys.slot(ref)});
+  };
+  declare_slot_1_reading(0);  // an earlier slot is fine
+  const char* message = "within-sweep continuation must read an earlier slot";
+  EXPECT_DEATH(declare_slot_1_reading(1), message);   // its own slot
+  EXPECT_DEATH(declare_slot_1_reading(2), message);   // a later slot
+  EXPECT_DEATH(declare_slot_1_reading(3), message);   // past the last slot
+  EXPECT_DEATH(declare_slot_1_reading(-1), message);  // below the first slot
 }
 
 }  // namespace

@@ -64,6 +64,29 @@ class RawConnection {
               static_cast<ssize_t>(out.size()));
   }
 
+  /// Sends `bytes` verbatim, with no newline added.
+  void send_bytes(const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << "send failed after " << sent << " bytes";
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Makes a read that waits longer than `timeout` fail instead of block.
+  void set_receive_timeout(std::chrono::seconds timeout) {
+    const timeval tv{static_cast<time_t>(timeout.count()), 0};
+    ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  }
+
+  /// True when everything buffered is consumed and the peer closed.
+  bool at_eof() {
+    char byte = 0;
+    return buffer_.empty() && ::recv(fd_, &byte, 1, 0) == 0;
+  }
+
   std::string read_line() {
     for (;;) {
       const std::size_t nl = buffer_.find('\n');
@@ -264,6 +287,20 @@ TEST_F(ServerTest, NonFiniteSpecValueGetsAnErrorAndTheDaemonSurvives) {
 
   raw.send_line("PING");
   EXPECT_EQ(raw.read_line(), "PONG");
+}
+
+TEST_F(ServerTest, OverlongLineIsAnErrorAndClosesOnlyThatConnection) {
+  {
+    RawConnection raw(socket_path_);
+    raw.set_receive_timeout(std::chrono::seconds(5));
+    raw.send_bytes(std::string(kMaxLineBytes + 1, 'x'));  // no newline
+    EXPECT_EQ(raw.read_line(), format_error("-", "line too long"));
+    EXPECT_TRUE(raw.at_eof());
+  }
+  RawConnection fresh(socket_path_);
+  fresh.set_receive_timeout(std::chrono::seconds(5));
+  fresh.send_line("PING");
+  EXPECT_EQ(fresh.read_line(), "PONG");
 }
 
 TEST_F(ServerTest, ClientSurvivesInterruptedSyscalls) {
