@@ -77,6 +77,9 @@ int main(int argc, char** argv) {
   }
 
   core::ScenarioSpec spec;
+  int points = 0;
+  double lo = 0.0, hi = 0.0, max_rate = 0.0;
+  bool with_sim = true, verbose = false, print_spec = false;
   try {
     // Spec file first (positional), then --set overrides in order. util::Args
     // keeps only the last value per key, so collect repeated --set pairs from
@@ -108,6 +111,13 @@ int main(int argc, char** argv) {
       spec.max_cycles = std::min<std::uint64_t>(spec.max_cycles, 400'000);
     }
     spec.validate();
+    points = static_cast<int>(args.get_int("points", quick_mode() ? 4 : 8));
+    lo = args.get_double("lo", 0.1);
+    hi = args.get_double("hi", 0.95);
+    with_sim = args.get_bool("sim", true);
+    max_rate = args.get_double("max-rate", 0.0);
+    verbose = args.get_bool("verbose", false);
+    print_spec = args.get_bool("print-spec", false);
   } catch (const std::exception& e) {
     std::cerr << "kncube_run: " << e.what() << "\n";
     return EXIT_FAILURE;
@@ -116,15 +126,8 @@ int main(int argc, char** argv) {
   std::cout << "--- scenario (key " << std::hex << spec.key() << std::dec
             << ") ---\n"
             << core::format_scenario(spec) << "\n";
-  if (args.get_bool("print-spec", false)) return EXIT_SUCCESS;
+  if (print_spec) return EXIT_SUCCESS;
 
-  const int points = static_cast<int>(
-      args.get_int("points", quick_mode() ? 4 : 8));
-  const double lo = args.get_double("lo", 0.1);
-  const double hi = args.get_double("hi", 0.95);
-  const bool with_sim = args.get_bool("sim", true);
-  const double max_rate = args.get_double("max-rate", 0.0);
-  const bool verbose = args.get_bool("verbose", false);
   if (points < 2 || !(lo > 0.0) || !(hi > lo)) {
     std::cerr << "kncube_run: need --points >= 2 and 0 < --lo < --hi\n";
     return EXIT_FAILURE;

@@ -24,13 +24,8 @@ std::string spec_only_reason(const ScenarioSpec& spec) {
     // the centre and on whether the line is hot, giving O(n k) classes. An
     // off-centre hot node breaks that symmetry — every channel gets its own
     // load — so the simulator carries that variant.
-    const MeshTopology& m = spec.mesh();
-    std::int64_t centre = 0;
-    for (int d = 0, stride = 1; d < m.n; ++d, stride *= m.k) {
-      centre += static_cast<std::int64_t>(m.k / 2) * stride;
-    }
     const std::int64_t hot = spec.hotspot().hot_node;
-    if (hot != -1 && hot != centre) {
+    if (hot != -1 && hot != topo::centre_node(spec.mesh().k, spec.mesh().n)) {
       return "mesh hot-spot model covers the centre hot node only (off-centre "
              "load is per-channel with no class symmetry)";
     }

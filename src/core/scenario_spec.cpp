@@ -8,8 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "topology/torus.hpp"
-
 namespace kncube::core {
 
 namespace {
@@ -171,61 +169,23 @@ std::uint64_t ScenarioSpec::node_count() const noexcept {
 }
 
 void ScenarioSpec::validate() const {
-  if (is_torus()) {
-    const TorusTopology& t = torus();
-    if (t.k < 2) fail("torus radix k must be >= 2");
-    if (t.n < 1 || t.n > topo::kMaxDims) fail("torus dimension count out of range");
-    if (!t.bidirectional && t.k > 2 && vcs < 2) {
-      fail("unidirectional torus requires V >= 2 for deadlock freedom");
-    }
-  } else if (is_mesh()) {
-    const MeshTopology& m = mesh();
-    if (m.k < 2) fail("mesh radix k must be >= 2");
-    if (m.n < 1 || m.n > topo::kMaxDims) fail("mesh dimension count out of range");
-    // Dimension-order routing is acyclic on a mesh: any V >= 1 works.
-  } else {
-    const HypercubeTopology& h = hypercube();
-    // The simulator realises the hypercube as a k = 2 n-cube, so the
-    // simulator's dimension bound applies to the whole spec.
-    if (h.dims < 1 || h.dims > topo::kMaxDims) fail("hypercube dims out of range");
-  }
-  if (sim_threads < 0) fail("sim threads must be >= 0 (0 = hardware concurrency)");
-  if (vcs < 1) fail("need at least one virtual channel");
-  if (buffer_depth < 1) fail("buffer depth must be >= 1");
-  if (message_length < 1) fail("message length must be >= 1 flit");
-  if (target_messages == 0) fail("target messages must be positive");
-  if (max_cycles <= warmup_cycles) fail("max cycles must exceed warmup");
+  // Every rule a SimConfig can express is checked once, in
+  // SimConfig::validate. What follows exists only because one spec feeds
+  // both the model and the simulator; it runs second because the MMPP
+  // arithmetic below assumes in-range transition probabilities.
+  to_sim_config(*this, 0.0).validate();
 
-  const std::uint64_t size = node_count();
-  if (is_hotspot()) {
-    const HotspotTraffic& t = hotspot();
-    if (!(0.0 <= t.fraction && t.fraction <= 1.0)) fail("hot fraction must be in [0,1]");
-    // Resolved-topology bounds live here, not just at sim-config time: -1 is
-    // the only placeholder (centre node); any other negative would silently
-    // alias it in SimConfig::resolved_hot_node, and ids must fit the node
-    // count of whichever topology alternative is active.
-    if (t.hot_node < -1) fail("hot node must be -1 (centre) or a node id");
-    if (t.hot_node >= 0 && static_cast<std::uint64_t>(t.hot_node) >= size) {
-      fail("hot node outside the network");
-    }
-  } else if (std::holds_alternative<TransposeTraffic>(traffic)) {
-    const bool flat_2d = (is_torus() && torus().n == 2) || (is_mesh() && mesh().n == 2);
-    if (!flat_2d) fail("transpose traffic needs a 2-D torus or mesh");
-  } else if (std::holds_alternative<BitComplementTraffic>(traffic)) {
-    if (size % 2 != 0) fail("bit-complement needs an even node count");
-  } else if (std::holds_alternative<BitReversalTraffic>(traffic)) {
-    if ((size & (size - 1)) != 0) {
-      fail("bit-reversal needs a power-of-two node count");
-    }
+  // The simulator realises the hypercube as a k = 2 n-cube, so it would take
+  // dims = 2 as a 2-D substrate; transpose is a 2-D torus or mesh pattern.
+  if (is_hypercube() && std::holds_alternative<TransposeTraffic>(traffic)) {
+    fail("transpose traffic needs a 2-D torus or mesh");
   }
 
+  // The MMPP agreement rules stay here, not in SimConfig: the simulator
+  // tests run clamped shapes on purpose, but a spec must describe one
+  // offered load that the model and the simulator agree on.
   if (is_mmpp()) {
     const MmppArrivals& m = mmpp();
-    if (!(0.0 < m.p_enter_burst && m.p_enter_burst <= 1.0) ||
-        !(0.0 < m.p_leave_burst && m.p_leave_burst <= 1.0)) {
-      fail("MMPP transition probabilities must be in (0,1]");
-    }
-    if (!(1.0 <= m.burst_multiplier)) fail("MMPP burst multiplier must be >= 1");
     // Degenerate stationary chains: pi_burst must stay strictly inside (0,1)
     // *in double precision* — extreme p_enter/p_leave ratios round it to 0 or
     // 1, a chain that (effectively) never or always bursts, so the burst
@@ -246,87 +206,6 @@ void ScenarioSpec::validate() const {
       fail("MMPP burst_multiplier * stationary burst fraction exceeds 1: the "
            "idle-state rate clamps at 0 and the realized mean load no longer "
            "matches the configured rate");
-    }
-  }
-
-  if (!failures.empty()) {
-    // The simulator realises the hypercube as a k = 2 n-cube; resolve the
-    // effective (k, dims, wiring) once so the link checks below match the
-    // network that will actually be built.
-    const int eff_k = is_hypercube() ? 2 : (is_torus() ? torus().k : mesh().k);
-    const int eff_n =
-        is_hypercube() ? hypercube().dims : (is_torus() ? torus().n : mesh().n);
-    const bool minus_links_exist =
-        is_mesh() || (is_torus() && torus().bidirectional);
-
-    // The centre-node arithmetic of SimConfig::resolved_hot_node, so the
-    // hot-sink protection below agrees with what the simulator will resolve.
-    std::int64_t hot = -1;
-    if (is_hotspot()) {
-      hot = hotspot().hot_node;
-      if (hot < 0) {
-        hot = 0;
-        std::int64_t stride = 1;
-        for (int d = 0; d < eff_n; ++d) {
-          hot += (eff_k / 2) * stride;
-          stride *= eff_k;
-        }
-      }
-    }
-
-    std::int64_t last_router = -1;
-    for (const std::int64_t r : failures.routers) {
-      if (r < 0 || static_cast<std::uint64_t>(r) >= size) {
-        fail("fault.routers: router id " + std::to_string(r) +
-             " outside the network");
-      }
-      if (r <= last_router) {
-        fail("fault.routers must be strictly ascending (no duplicates)");
-      }
-      if (r == hot) {
-        fail("fault.routers: cannot fail the hot-spot node (the sink of "
-             "measurement traffic)");
-      }
-      last_router = r;
-    }
-    if (failures.routers.size() >= size) fail("cannot fail every router");
-
-    std::int64_t last_link_key = -1;
-    for (const topo::FailedLink& l : failures.links) {
-      if (l.node < 0 || static_cast<std::uint64_t>(l.node) >= size) {
-        fail("fault.links: node id " + std::to_string(l.node) +
-             " outside the network");
-      }
-      if (l.dim < 0 || l.dim >= eff_n) {
-        fail("fault.links: dimension " + std::to_string(l.dim) +
-             " out of range");
-      }
-      if (l.dir == topo::Direction::kMinus && !minus_links_exist) {
-        fail("fault.links: minus-direction links do not exist on a "
-             "unidirectional topology");
-      }
-      if (is_mesh()) {
-        std::int64_t stride = 1;
-        for (int d = 0; d < l.dim; ++d) stride *= eff_k;
-        const int c = static_cast<int>((l.node / stride) % eff_k);
-        const bool exists =
-            l.dir == topo::Direction::kPlus ? c < eff_k - 1 : c > 0;
-        if (!exists) {
-          fail("fault.links: link does not exist (mesh edge would wrap)");
-        }
-      }
-      const std::int64_t link_key =
-          (l.node << 5) | (static_cast<std::int64_t>(l.dim) << 1) |
-          (l.dir == topo::Direction::kMinus ? 1 : 0);
-      if (link_key <= last_link_key) {
-        fail("fault.links must be strictly ascending by (node, dim, dir) "
-             "(no duplicates)");
-      }
-      last_link_key = link_key;
-    }
-
-    if (!(0.0 <= failures.random_rate && failures.random_rate < 1.0)) {
-      fail("fault.rate must be in [0,1)");
     }
   }
 }

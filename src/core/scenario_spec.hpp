@@ -145,9 +145,10 @@ struct ScenarioSpec {
   /// replication seeds, regardless of how it is executed.
   int sim_threads = 1;
 
-  /// Throws std::invalid_argument when the combination is inconsistent
-  /// (e.g. transpose off a 2-D torus, MMPP probabilities outside (0,1],
-  /// hot node outside the network).
+  /// Throws std::invalid_argument when the combination is inconsistent:
+  /// every rule of to_sim_config(*this, λ).validate(), plus transpose off
+  /// the hypercube and the MMPP rules that keep model and simulator on one
+  /// offered load.
   void validate() const;
 
   /// Canonical 64-bit hash over every result-affecting field (FNV-1a of the

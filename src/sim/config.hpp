@@ -93,19 +93,13 @@ struct SimConfig {
   double steady_rel_tol = 0.02;           ///< paper's "does not change appreciably"
 
   topo::NodeId resolved_hot_node() const {
-    if (hot_node >= 0) return static_cast<topo::NodeId>(hot_node);
-    // Centre node (k/2, k/2, ...) computed arithmetically: coordinate d has
-    // stride k^d (dimension 0 varies fastest), so the id is (k/2)·Σ k^d.
-    topo::NodeId id = 0;
-    topo::NodeId stride = 1;
-    for (int d = 0; d < n; ++d) {
-      id += static_cast<topo::NodeId>(k / 2) * stride;
-      stride *= static_cast<topo::NodeId>(k);
-    }
-    return id;
+    return hot_node >= 0 ? static_cast<topo::NodeId>(hot_node)
+                         : topo::centre_node(k, n);
   }
 
-  /// Throws std::invalid_argument on inconsistent settings.
+  /// Throws std::invalid_argument on any setting the simulator cannot run:
+  /// the one check of every rule a SimConfig can express. Network calls it
+  /// before building anything.
   void validate() const;
 };
 

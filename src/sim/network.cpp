@@ -45,12 +45,18 @@ void for_each_word(topo::NodeId begin, topo::NodeId end, Fn&& fn) {
   }
 }
 
+/// The topology of a validated `cfg`: validation runs before anything is
+/// built, so a bad config throws instead of tripping KAryNCube's asserts.
+topo::KAryNCube validated_topology(const SimConfig& cfg) {
+  cfg.validate();
+  return topo::KAryNCube(cfg.k, cfg.n, cfg.bidirectional, cfg.mesh);
+}
+
 }  // namespace
 
 Network::Network(const SimConfig& cfg)
-    : topo_(cfg.k, cfg.n, cfg.bidirectional, cfg.mesh),
+    : topo_(validated_topology(cfg)),
       message_length_(static_cast<std::uint32_t>(cfg.message_length)) {
-  cfg.validate();
   faults_ = build_fault_set(cfg, topo_);
   soa_.init(topo_.size(), topo_.channels_per_node(), cfg.vcs, cfg.buffer_depth,
             message_length_);

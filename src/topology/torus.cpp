@@ -13,11 +13,20 @@ KAryNCube::KAryNCube(int k, int n, bool bidirectional, bool mesh)
   NodeId size = 1;
   for (int d = 0; d < n_; ++d) {
     stride_[static_cast<std::size_t>(d)] = size;
-    // Overflow guard: N must fit NodeId with headroom for channel indices.
-    KNC_ASSERT_MSG(size <= (1u << 28) / static_cast<NodeId>(k), "network too large");
+    KNC_ASSERT_MSG(size <= kMaxNodes / static_cast<NodeId>(k), "network too large");
     size *= static_cast<NodeId>(k);
   }
   size_ = size;
+}
+
+NodeId centre_node(int k, int n) noexcept {
+  NodeId id = 0;
+  NodeId stride = 1;
+  for (int d = 0; d < n; ++d) {
+    id += static_cast<NodeId>(k / 2) * stride;
+    stride *= static_cast<NodeId>(k);
+  }
+  return id;
 }
 
 int KAryNCube::coord(NodeId node, int dim) const noexcept {

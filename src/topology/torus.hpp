@@ -36,6 +36,10 @@ enum class Direction : std::uint8_t { kPlus = 0, kMinus = 1 };
 /// stack in the per-cycle hot path.
 inline constexpr int kMaxDims = 8;
 
+/// Largest node count N = k^n a KAryNCube addresses: N must fit NodeId with
+/// headroom for channel indices.
+inline constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 28;
+
 using Coords = std::array<int, kMaxDims>;
 
 /// One hop of a deterministic route.
@@ -121,5 +125,10 @@ class KAryNCube {
   NodeId size_;
   std::array<NodeId, kMaxDims> stride_;  // k^dim
 };
+
+/// Id of the centre node (k/2, k/2, ...) of a k-ary n-cube, computed
+/// arithmetically: coordinate d has stride k^d (dimension 0 varies fastest),
+/// so the id is (k/2)·Σ k^d.
+NodeId centre_node(int k, int n) noexcept;
 
 }  // namespace kncube::topo

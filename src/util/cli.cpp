@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -43,13 +45,24 @@ std::string Args::get_string(const std::string& key, const std::string& def) con
 std::int64_t Args::get_int(const std::string& key, std::int64_t def) const {
   const auto v = get(key);
   if (!v || v->empty()) return def;
-  return std::stoll(*v);
+  errno = 0;
+  char* end = nullptr;
+  const long long x = std::strtoll(v->c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("bad integer for --" + key + ": " + *v);
+  }
+  return x;
 }
 
 double Args::get_double(const std::string& key, double def) const {
   const auto v = get(key);
   if (!v || v->empty()) return def;
-  return std::stod(*v);
+  char* end = nullptr;
+  const double x = std::strtod(v->c_str(), &end);
+  if (*end != '\0' || !std::isfinite(x)) {
+    throw std::invalid_argument("bad number for --" + key + ": " + *v);
+  }
+  return x;
 }
 
 bool Args::get_bool(const std::string& key, bool def) const {

@@ -22,6 +22,9 @@ class Args {
   std::optional<std::string> get(const std::string& key) const;
 
   std::string get_string(const std::string& key, const std::string& def) const;
+  /// The numeric and boolean accessors throw std::invalid_argument naming
+  /// the flag unless the whole value parses (a double must also be finite);
+  /// an empty numeric value falls back to `def`.
   std::int64_t get_int(const std::string& key, std::int64_t def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;

@@ -7,9 +7,6 @@
 
 namespace kncube::validate {
 
-namespace {
-
-/// Round-trip-exact double, or null for NaN (JSON has no NaN literal).
 std::string json_number(double v) {
   if (std::isnan(v)) return "null";
   if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";  // reads back as inf
@@ -32,8 +29,6 @@ std::string json_string(const std::string& s) {
   out += '"';
   return out;
 }
-
-}  // namespace
 
 std::string to_json(const ValidationReport& report) {
   std::ostringstream out;

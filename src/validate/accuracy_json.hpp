@@ -17,6 +17,14 @@
 
 namespace kncube::validate {
 
+/// Round-trip-exact double (%.17g), null for NaN (JSON has no NaN literal)
+/// and ±1e999 for ±inf (reads back as inf). Shared by the ACCURACY.json and
+/// RELIABILITY.json writers.
+std::string json_number(double v);
+
+/// `s` as a quoted JSON string literal.
+std::string json_string(const std::string& s);
+
 /// Serializes the report (schema "kncube-accuracy-v1"): a `config` block,
 /// per-class `summary` counts plus the overall pass flag, and one object
 /// per classified point.

@@ -3,39 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "core/model_registry.hpp"
+#include "validate/accuracy_json.hpp"
 #include "validate/replication.hpp"
 
 namespace kncube::validate {
 
 namespace {
-
-std::string json_number(double v) {
-  if (std::isnan(v)) return "null";
-  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";  // reads back as inf
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
 
 /// Bitwise SimResult comparison over every fault-relevant field. Exact
 /// (std::bit_cast, not tolerance): the PR 6 sharding contract is

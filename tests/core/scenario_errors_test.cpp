@@ -255,6 +255,16 @@ TEST(ScenarioErrors, ValidateBoundsHotNodeAgainstResolvedTopology) {
   }
 }
 
+TEST(ScenarioErrors, ValidateRejectsNetworksPastTheAddressingBound) {
+  // 20000^2 nodes exceed the 2^28 a network can address: validate() must
+  // say so instead of letting the simulator's topology assert abort.
+  ScenarioSpec spec;
+  apply_scenario_setting(spec, "topology.k", "20000");
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.topology = MeshTopology{20000, 2};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
 TEST(ScenarioErrors, MalformedFailureSetValues) {
   // Syntax errors fire at apply/parse time...
   expect_throws("fault.links", "1:0");      // missing direction field

@@ -6,8 +6,10 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -344,6 +346,19 @@ TEST(CacheStats, FormatsEveryCounterInCanonicalOrder) {
             "model_entries=1 sim_entries=2 saturation_entries=3 model_hits=4 "
             "sim_hits=5 saturation_hits=6 model_solves=7 sim_runs=8 "
             "inflight_waits=9");
+}
+
+TEST(SweepEngine, NanRateOnASimOnlySpecThrows) {
+  // No model guards a sim-only spec, so the simulator's own validation must
+  // reject the rate instead of reporting a latency for a network with no
+  // traffic.
+  ScenarioSpec spec = small_scenario();
+  spec.traffic = UniformTraffic{};
+  spec.torus().bidirectional = true;
+  SweepEngine engine(spec);
+  ASSERT_FALSE(engine.has_model());
+  EXPECT_THROW(engine.run({std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
 }
 
 TEST(SweepEngine, RelativeErrorIsNanOnDegenerateSim) {

@@ -289,6 +289,25 @@ TEST_F(ServerTest, NonFiniteSpecValueGetsAnErrorAndTheDaemonSurvives) {
   EXPECT_EQ(raw.read_line(), "PONG");
 }
 
+TEST_F(ServerTest, UnbuildableNetworkGetsAnErrorAndTheDaemonSurvives) {
+  // 20000^2 nodes exceed what a network can address. The sim-only spec used
+  // to pass validation, answer BEGIN and abort the daemon when the
+  // simulator built its topology.
+  RawConnection raw(socket_path_);
+  raw.send_line("REQUEST r1");
+  raw.send_line("topology.k=20000");
+  raw.send_line("traffic.kind=bit_complement");
+  raw.send_line("request.sim=1");
+  raw.send_line("request.lambdas=0.001");
+  raw.send_line("END");
+  ErrorMsg err;
+  ASSERT_TRUE(parse_error(raw.read_line(), &err));
+  EXPECT_EQ(err.id, "r1");
+
+  raw.send_line("PING");
+  EXPECT_EQ(raw.read_line(), "PONG");
+}
+
 TEST_F(ServerTest, OverlongLineIsAnErrorAndClosesOnlyThatConnection) {
   {
     RawConnection raw(socket_path_);

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace kncube::sim {
 namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 SimConfig valid_config() {
   SimConfig cfg;
@@ -89,7 +92,35 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"zero_batch", [](SimConfig& c) { c.batch_size = 0; }},
         BadCase{"bad_tolerance", [](SimConfig& c) { c.steady_rel_tol = 0.0; }},
         BadCase{"warmup_swallows_budget",
-                [](SimConfig& c) { c.max_cycles = c.warmup_cycles; }}),
+                [](SimConfig& c) { c.max_cycles = c.warmup_cycles; }},
+        // NaN fails every range check, and the spec-era rules live here too.
+        BadCase{"nan_rate", [](SimConfig& c) { c.injection_rate = kNan; }},
+        BadCase{"nan_hot_fraction",
+                [](SimConfig& c) {
+                  c.pattern = Pattern::kHotspot;
+                  c.hot_fraction = kNan;
+                }},
+        BadCase{"nan_failure_rate", [](SimConfig& c) { c.failure_rate = kNan; }},
+        BadCase{"mmpp_nan_enter",
+                [](SimConfig& c) {
+                  c.arrivals = Arrivals::kMmpp;
+                  c.mmpp.p_enter_burst = kNan;
+                }},
+        BadCase{"nan_tolerance", [](SimConfig& c) { c.steady_rel_tol = kNan; }},
+        BadCase{"hot_node_below_centre_placeholder",
+                [](SimConfig& c) { c.hot_node = -2; }},
+        BadCase{"zero_target_messages", [](SimConfig& c) { c.target_messages = 0; }},
+        BadCase{"bit_reversal_on_36_nodes",
+                [](SimConfig& c) {
+                  c.pattern = Pattern::kBitReversal;
+                  c.k = 6;
+                }},
+        BadCase{"bit_complement_on_9_nodes",
+                [](SimConfig& c) {
+                  c.pattern = Pattern::kBitComplement;
+                  c.k = 3;
+                }},
+        BadCase{"more_nodes_than_addressable", [](SimConfig& c) { c.k = 20000; }}),
     [](const ::testing::TestParamInfo<BadCase>& param_info) {
       return param_info.param.name;
     });
@@ -99,6 +130,14 @@ TEST(SimConfig, SingleVcAllowedOnK2) {
   cfg.k = 2;
   cfg.vcs = 1;
   EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(SimConfig, AddressingBoundAdmitsExactly2To28Nodes) {
+  SimConfig cfg = valid_config();
+  cfg.k = 16384;  // 16384^2 == 2^28
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.k = 16385;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(SimConfig, ResolvedHotNodeDefaultsToCentre) {

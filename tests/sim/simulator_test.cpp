@@ -3,6 +3,7 @@
 // SimResult.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 
 #include "sim/simulator.hpp"
@@ -145,6 +146,16 @@ TEST(Simulator, MmppArrivalsRaiseLatencyAtEqualMeanLoad) {
   cfg.mmpp.p_leave_burst = 0.004;
   const SimResult bursty = simulate(cfg);
   EXPECT_GT(bursty.mean_latency, poisson.mean_latency);
+}
+
+TEST(Simulator, InvalidConfigThrowsBeforeTheNetworkIsBuilt) {
+  // Network validates before it constructs its topology, whose asserts
+  // would otherwise abort the process on these radices.
+  for (const int k : {1, 20000}) {
+    SimConfig cfg = small_config();
+    cfg.k = k;
+    EXPECT_THROW(simulate(cfg), std::invalid_argument) << "k=" << k;
+  }
 }
 
 // Property sweep over the design space: conservation and sanity on every

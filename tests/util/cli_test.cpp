@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace kncube::util {
@@ -87,6 +88,28 @@ TEST(Args, EmptyValueViaEquals) {
   EXPECT_EQ(a.get_string("name", "d"), "");
   // Empty numeric values fall back to the default rather than throwing.
   EXPECT_EQ(a.get_int("name", 5), 5);
+}
+
+TEST(Args, MalformedNumbersThrowNamingTheFlag) {
+  // The whole token must parse, and a double must be finite.
+  for (const char* v : {"x", "8x", "1.5", "99999999999999999999"}) {
+    EXPECT_THROW(make_args({"--points", v}).get_int("points", 0),
+                 std::invalid_argument)
+        << v;
+  }
+  for (const char* v : {"nan", "inf", "1e999", "0.1x", "x"}) {
+    EXPECT_THROW(make_args({"--max-rate", v}).get_double("max-rate", 0.0),
+                 std::invalid_argument)
+        << v;
+  }
+  try {
+    make_args({"--points", "x"}).get_int("points", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--points"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(make_args({"--points", "-3"}).get_int("points", 0), -3);
+  EXPECT_DOUBLE_EQ(make_args({"--lo", "1e-3"}).get_double("lo", 0.0), 1e-3);
 }
 
 }  // namespace
