@@ -8,8 +8,10 @@
 //    links, bidirectional torus links, permutation traffic patterns and an
 //    off-centre mesh hot node;
 //  * model::unsupported_reason, for what a ModelConfig can express: torus
-//    n != 2, MMPP arrivals off the torus, and ablation knobs a family has no
-//    variant for (uniform torus: blocking and bases; hypercube: blocking).
+//    n != 2, MMPP arrivals off the torus, ablation knobs a family has no
+//    variant for (uniform torus: blocking and bases; hypercube: blocking),
+//    and models over the engine's channel-class bound (a hot-spot torus
+//    past k = 253; every 2-D mesh and uniform torus fits).
 //
 // Every other (topology, traffic, arrivals) combination is modeled: the
 // hot-spot and uniform 2-D torus, the uniform and centre-hot-spot k-ary

@@ -1,7 +1,9 @@
 #include "model/analytical_model.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "model/engine/bursty.hpp"
 #include "model/families.hpp"
@@ -14,25 +16,30 @@ struct ModelFamily {
   ModelResult (*solve)(const ModelConfig& cfg, double lambda, double arrival_idc);
   double (*zero_load_latency)(const ModelConfig& cfg);
   double (*estimated_saturation_rate)(const ModelConfig& cfg);
+  std::int64_t (*class_count)(const ModelConfig& cfg);
 };
 
 namespace {
 
 const ModelFamily kHotspotTorus{"hotspot-torus", solve_hotspot_torus,
                                 hotspot_torus_zero_load_latency,
-                                hotspot_torus_saturation_estimate};
+                                hotspot_torus_saturation_estimate,
+                                hotspot_torus_class_count};
 const ModelFamily kUniformTorus{"uniform-torus", solve_uniform_torus,
                                 uniform_torus_zero_load_latency,
-                                uniform_torus_saturation_estimate};
+                                uniform_torus_saturation_estimate,
+                                uniform_torus_class_count};
 const ModelFamily kHypercube{"hotspot-hypercube", solve_hypercube,
                              hypercube_zero_load_latency,
-                             hypercube_saturation_estimate};
+                             hypercube_saturation_estimate, hypercube_class_count};
 const ModelFamily kUniformMesh{"uniform-mesh", solve_uniform_mesh,
                                uniform_mesh_zero_load_latency,
-                               uniform_mesh_saturation_estimate};
+                               uniform_mesh_saturation_estimate,
+                               uniform_mesh_class_count};
 const ModelFamily kHotspotMesh{"hotspot-mesh", solve_hotspot_mesh,
                                hotspot_mesh_zero_load_latency,
-                               hotspot_mesh_saturation_estimate};
+                               hotspot_mesh_saturation_estimate,
+                               hotspot_mesh_class_count};
 
 const ModelFamily& family_of(const ModelConfig& cfg) {
   const bool hot = cfg.hot_fraction.has_value();
@@ -82,7 +89,7 @@ std::string unsupported_reason(const ModelConfig& cfg) {
           (cfg.blocking != BlockingVariant::kPaper || !default_bases)) {
         return "uniform-torus model has no blocking/basis ablation variants";
       }
-      return {};
+      break;
     case TopologyKind::kMesh:
     case TopologyKind::kHypercube:
       // The bursty service stage is threaded through the torus builders
@@ -95,7 +102,15 @@ std::string unsupported_reason(const ModelConfig& cfg) {
           cfg.blocking != BlockingVariant::kPaper) {
         return "hypercube model has no blocking-form ablation variant";
       }
-      return {};
+      break;
+  }
+  // Every per-solve array, and the storage a thread keeps between solves,
+  // scales with the class count (DESIGN.md §4): bound it before building.
+  const std::int64_t classes = family_of(cfg).class_count(cfg);
+  if (classes > engine::kMaxClasses) {
+    return "analytical model would declare " + std::to_string(classes) +
+           " channel classes, above the bound of " +
+           std::to_string(engine::kMaxClasses);
   }
   return {};
 }

@@ -65,7 +65,9 @@ struct ModelConfig {
 };
 
 /// Why no family models `cfg` (empty when one does): torus n != 2, MMPP off
-/// the torus, and ablation knobs the family has no variant for.
+/// the torus, ablation knobs the family has no variant for, and models that
+/// would declare more than engine::kMaxClasses channel classes. Checked
+/// before anything is built.
 std::string unsupported_reason(const ModelConfig& cfg);
 
 /// One solved operating point. Disk-store records and wire blobs are this

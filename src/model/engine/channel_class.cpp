@@ -1,5 +1,7 @@
 #include "model/engine/channel_class.hpp"
 
+#include <utility>
+
 #include "model/engine/mg1.hpp"
 #include "util/assert.hpp"
 
@@ -9,7 +11,28 @@ namespace {
 
 std::size_t at(int index) { return static_cast<std::size_t>(index); }
 
+/// The most spare storage a thread keeps of each kind (a system's arrays, a
+/// solve's workspace). Every model within kMaxClasses fits, but a model's
+/// size is not its class count alone (a mesh continuation carries O(k)
+/// coefficients), so larger storage is freed rather than kept.
+constexpr std::size_t kMaxSpareBytes = std::size_t{16} << 20;
+
+template <class... Vectors>
+std::size_t capacity_bytes(const Vectors&... v) {
+  return (... + (v.capacity() * sizeof(typename Vectors::value_type)));
+}
+
 }  // namespace
+
+ChannelClassSystem::Arrays& ChannelClassSystem::spare_arrays() {
+  thread_local Arrays spare;
+  return spare;
+}
+
+ChannelClassSystem::Workspace& ChannelClassSystem::spare_workspace() {
+  thread_local Workspace spare;
+  return spare;
+}
 
 ChannelClassSystem::ChannelClassSystem(int slots, EngineOptions options)
     : options_(options),
@@ -18,43 +41,60 @@ ChannelClassSystem::ChannelClassSystem(int slots, EngineOptions options)
       // ablation) every blocking input is a constant of the system.
       blocking_state_dependent_(options.blocking == BlockingVariant::kPaper &&
                                 options.busy_basis == ServiceBasis::kInclusive) {
-  KNC_ASSERT(slots > 0);
-  classes_.resize(at(slots));
+  KNC_ASSERT_MSG(slots > 0 && slots <= kMaxClasses, "class count out of range");
+  std::swap(a_, spare_arrays());
+  a_.reads.clear();
+  a_.terms.clear();
+  a_.items.clear();
+  a_.mixtures.clear();
+  a_.coefs.clear();
+  a_.classes.assign(at(slots), ChannelClass{});
+}
+
+ChannelClassSystem::~ChannelClassSystem() {
+  // The spare keeps the larger of the two: a moved-from system (or a second
+  // system alive on the thread) must not displace bigger storage.
+  Arrays& spare = spare_arrays();
+  if (a_.classes.capacity() > spare.classes.capacity() &&
+      capacity_bytes(a_.classes, a_.reads, a_.terms, a_.items, a_.mixtures, a_.coefs) <=
+          kMaxSpareBytes) {
+    std::swap(a_, spare);
+  }
 }
 
 int ChannelClassSystem::add_read(int first, int count) {
-  KNC_ASSERT_MSG(first >= 0 && count > 0 && at(first + count) <= classes_.size(),
+  KNC_ASSERT_MSG(first >= 0 && count > 0 && at(first + count) <= a_.classes.size(),
                  "read slots out of range");
   if (!blocking_state_dependent_) return -1;
-  reads_.push_back({first, count});
-  return static_cast<int>(reads_.size()) - 1;
+  a_.reads.push_back({first, count});
+  return static_cast<int>(a_.reads.size()) - 1;
 }
 
 int ChannelClassSystem::add_term(const TermStream& regular, const TermStream& hot) {
-  terms_.push_back({regular, hot});
-  return static_cast<int>(terms_.size()) - 1;
+  a_.terms.push_back({regular, hot});
+  return static_cast<int>(a_.terms.size()) - 1;
 }
 
 int ChannelClassSystem::add_mixture(std::initializer_list<Weighted> items,
                                     double divisor) {
-  const int begin = static_cast<int>(items_.size());
+  const int begin = static_cast<int>(a_.items.size());
   for (const Weighted& item : items) {
-    KNC_ASSERT_MSG(item.term >= 0 && at(item.term) < terms_.size(),
+    KNC_ASSERT_MSG(item.term >= 0 && at(item.term) < a_.terms.size(),
                    "mixture term out of range");
-    items_.push_back(item);
+    a_.items.push_back(item);
   }
-  mixtures_.push_back({begin, static_cast<int>(items_.size()), divisor});
-  return static_cast<int>(mixtures_.size()) - 1;
+  a_.mixtures.push_back({begin, static_cast<int>(a_.items.size()), divisor});
+  return static_cast<int>(a_.mixtures.size()) - 1;
 }
 
 int ChannelClassSystem::add_term_mean(int first, int count) {
-  KNC_ASSERT_MSG(first >= 0 && count > 0 && at(first + count) <= terms_.size(),
+  KNC_ASSERT_MSG(first >= 0 && count > 0 && at(first + count) <= a_.terms.size(),
                  "mixture term out of range");
-  const int begin = static_cast<int>(items_.size());
-  for (int i = 0; i < count; ++i) items_.push_back({first + i, 1.0});
-  mixtures_.push_back(
-      {begin, static_cast<int>(items_.size()), static_cast<double>(count)});
-  return static_cast<int>(mixtures_.size()) - 1;
+  const int begin = static_cast<int>(a_.items.size());
+  for (int i = 0; i < count; ++i) a_.items.push_back({first + i, 1.0});
+  a_.mixtures.push_back(
+      {begin, static_cast<int>(a_.items.size()), static_cast<double>(count)});
+  return static_cast<int>(a_.mixtures.size()) - 1;
 }
 
 Linear ChannelClassSystem::slot(int index) {
@@ -64,42 +104,45 @@ Linear ChannelClassSystem::slot(int index) {
 
 Linear ChannelClassSystem::mean(int first, int count) {
   KNC_ASSERT(count > 0);
-  Linear lin{0.0, static_cast<double>(count), static_cast<int>(coefs_.size()), 0};
-  for (int i = 0; i < count; ++i) coefs_.push_back({first + i, 1.0});
-  lin.end = static_cast<int>(coefs_.size());
+  Linear lin{0.0, static_cast<double>(count), static_cast<int>(a_.coefs.size()), 0};
+  for (int i = 0; i < count; ++i) a_.coefs.push_back({first + i, 1.0});
+  lin.end = static_cast<int>(a_.coefs.size());
   return lin;
 }
 
 Linear ChannelClassSystem::linear(double constant, std::span<const Coef> coefs) {
-  Linear lin{constant, 1.0, static_cast<int>(coefs_.size()), 0};
-  coefs_.insert(coefs_.end(), coefs.begin(), coefs.end());
-  lin.end = static_cast<int>(coefs_.size());
+  Linear lin{constant, 1.0, static_cast<int>(a_.coefs.size()), 0};
+  a_.coefs.insert(a_.coefs.end(), coefs.begin(), coefs.end());
+  lin.end = static_cast<int>(a_.coefs.size());
   return lin;
 }
 
 void ChannelClassSystem::set_class(int slot, const ChannelClass& cls) {
-  KNC_ASSERT_MSG(slot >= 0 && at(slot) < classes_.size(), "class slot out of range");
-  KNC_ASSERT_MSG(cls.blocking >= -1 && cls.blocking < static_cast<int>(mixtures_.size()),
-                 "class blocking is not a declared mixture");
+  KNC_ASSERT_MSG(slot >= 0 && at(slot) < a_.classes.size(), "class slot out of range");
+  KNC_ASSERT_MSG(
+      cls.blocking >= -1 && cls.blocking < static_cast<int>(a_.mixtures.size()),
+      "class blocking is not a declared mixture");
   const auto reads_below = [&](const Linear& lin, int limit) {
-    if (lin.begin < 0 || lin.begin > lin.end || at(lin.end) > coefs_.size()) return false;
+    if (lin.begin < 0 || lin.begin > lin.end || at(lin.end) > a_.coefs.size()) {
+      return false;
+    }
     for (int c = lin.begin; c < lin.end; ++c) {
-      const int ref = coefs_[at(c)].slot;
+      const int ref = a_.coefs[at(c)].slot;
       if (ref < 0 || ref >= limit) return false;
     }
     return true;
   };
-  KNC_ASSERT_MSG(reads_below(cls.input, static_cast<int>(classes_.size())),
+  KNC_ASSERT_MSG(reads_below(cls.input, static_cast<int>(a_.classes.size())),
                  "continuation reads a slot out of range");
   KNC_ASSERT_MSG(reads_below(cls.output, slot),
                  "within-sweep continuation must read an earlier slot");
-  classes_[at(slot)] = cls;
+  a_.classes[at(slot)] = cls;
 }
 
 double ChannelClassSystem::eval(const Linear& lin, const std::vector<double>& s) const {
   double acc = 0.0;
   for (int c = lin.begin; c < lin.end; ++c) {
-    const Coef& coef = coefs_[at(c)];
+    const Coef& coef = a_.coefs[at(c)];
     acc += coef.weight * s[at(coef.slot)];
   }
   return lin.constant + acc / lin.divisor;
@@ -138,25 +181,25 @@ bool ChannelClassSystem::step(const std::vector<double>& in, std::vector<double>
   // the output continuations (Gauss-Seidel along each path). Constant
   // blocking is evaluated on the first sweep only (Workspace::blocking_cached).
   if (!ws.blocking_cached) {
-    for (std::size_t r = 0; r < reads_.size(); ++r) {
+    for (std::size_t r = 0; r < a_.reads.size(); ++r) {
       double acc = 0.0;
-      for (int i = 0; i < reads_[r].count; ++i) acc += in[at(reads_[r].first + i)];
-      ws.reads[r] = acc / static_cast<double>(reads_[r].count);
+      for (int i = 0; i < a_.reads[r].count; ++i) acc += in[at(a_.reads[r].first + i)];
+      ws.reads[r] = acc / static_cast<double>(a_.reads[r].count);
     }
-    for (std::size_t t = 0; t < terms_.size(); ++t) {
-      if (!term_value(terms_[t], ws.reads, ws.terms[t])) return false;
+    for (std::size_t t = 0; t < a_.terms.size(); ++t) {
+      if (!term_value(a_.terms[t], ws.reads, ws.terms[t])) return false;
     }
-    for (std::size_t m = 0; m < mixtures_.size(); ++m) {
+    for (std::size_t m = 0; m < a_.mixtures.size(); ++m) {
       double acc = 0.0;
-      for (int i = mixtures_[m].begin; i < mixtures_[m].end; ++i) {
-        acc += items_[at(i)].weight * ws.terms[at(items_[at(i)].term)];
+      for (int i = a_.mixtures[m].begin; i < a_.mixtures[m].end; ++i) {
+        acc += a_.items[at(i)].weight * ws.terms[at(a_.items[at(i)].term)];
       }
-      ws.mixtures[m] = acc / mixtures_[m].divisor;
+      ws.mixtures[m] = acc / a_.mixtures[m].divisor;
     }
     ws.blocking_cached = !blocking_state_dependent_;
   }
-  for (std::size_t slot = 0; slot < classes_.size(); ++slot) {
-    const ChannelClass& cls = classes_[slot];
+  for (std::size_t slot = 0; slot < a_.classes.size(); ++slot) {
+    const ChannelClass& cls = a_.classes[slot];
     const double blocking = cls.blocking >= 0 ? ws.mixtures[at(cls.blocking)] : 0.0;
     out[slot] = blocking + 1.0 + eval(cls.input, in) + eval(cls.output, out);
   }
@@ -164,18 +207,34 @@ bool ChannelClassSystem::step(const std::vector<double>& in, std::vector<double>
 }
 
 FixedPointResult ChannelClassSystem::solve(std::vector<double>& state) const {
-  Workspace ws;  // one allocation per solve, reused across sweeps
-  ws.reads.resize(reads_.size());
-  ws.terms.resize(terms_.size());
-  ws.mixtures.resize(mixtures_.size());
+  // Borrow this thread's spare workspace; it goes back, grown if this system
+  // needed more, when the solve ends (unless it outgrew kMaxSpareBytes).
+  Workspace ws;
+  std::swap(ws, spare_workspace());
+  const FixedPointResult fp = solve_in(ws, state);
+  if (capacity_bytes(ws.reads, ws.terms, ws.mixtures, ws.sweep.next, ws.sweep.prev) <=
+      kMaxSpareBytes) {
+    std::swap(ws, spare_workspace());
+  }
+  return fp;
+}
+
+FixedPointResult ChannelClassSystem::solve_in(Workspace& ws,
+                                              std::vector<double>& state) const {
+  // Every workspace value is written before it is read, so resizing (not
+  // clearing) suffices; only the blocking cache must start empty.
+  ws.reads.resize(a_.reads.size());
+  ws.terms.resize(a_.terms.size());
+  ws.mixtures.resize(a_.mixtures.size());
+  ws.blocking_cached = false;
   const auto step_fn = [this, &ws](const std::vector<double>& in,
                                    std::vector<double>& out) {
     return step(in, out, ws);
   };
   const auto run_from_zero_load = [&](const FixedPointOptions& options) {
-    state.resize(classes_.size());
-    for (std::size_t i = 0; i < classes_.size(); ++i) state[i] = classes_[i].initial;
-    return solve_fixed_point(state, step_fn, options);
+    state.resize(a_.classes.size());
+    for (std::size_t i = 0; i < a_.classes.size(); ++i) state[i] = a_.classes[i].initial;
+    return solve_fixed_point(state, step_fn, options, ws.sweep);
   };
   const FixedPointOptions damped{};
   if (!blocking_state_dependent_) {

@@ -101,6 +101,12 @@ struct ChannelClass {
   Linear output;
 };
 
+/// The most channel classes (state slots) one system may declare. A system's
+/// arrays and its solve's workspace grow with its class count, and each
+/// thread keeps its storage between solves (ChannelClassSystem), so
+/// model::unsupported_reason turns larger models away before they are built.
+inline constexpr int kMaxClasses = 1 << 16;
+
 /// Queueing-policy knobs shared by every blocking evaluation in a system.
 struct EngineOptions {
   double service_floor = 1.0;  ///< Lm, the contention-free variance floor
@@ -116,9 +122,24 @@ struct EngineOptions {
 /// A declarative channel-class system. Slots are fixed at construction so
 /// builders can lay out and cross-reference indices before declaring the
 /// classes; slot order is the within-sweep evaluation order.
+///
+/// Storage is per thread (DESIGN.md §4): a system takes its flat arrays from
+/// the constructing thread's spare storage and hands them back, capacity
+/// kept, when it is destroyed; solve() likewise borrows the solving thread's
+/// spare workspace for the duration of the call. Once a thread has built and
+/// solved a system of a given size, building and solving one no larger
+/// allocates nothing, unless that storage outgrew the 16 MiB of each kind a
+/// thread keeps. Results do not depend on what the storage held before.
 class ChannelClassSystem {
  public:
   explicit ChannelClassSystem(int slots, EngineOptions options);
+  ~ChannelClassSystem();
+  /// Movable, so builders can return a system; a moved-from system holds no
+  /// storage and hands nothing back. Copying would duplicate the arrays.
+  ChannelClassSystem(ChannelClassSystem&& other) noexcept = default;
+  ChannelClassSystem(const ChannelClassSystem&) = delete;
+  ChannelClassSystem& operator=(const ChannelClassSystem&) = delete;
+  ChannelClassSystem& operator=(ChannelClassSystem&&) = delete;
 
   /// Declares a read of the mean of `count` consecutive slots from `first`,
   /// evaluated on the sweep's input. Returns its index for TermStream::read,
@@ -169,36 +190,46 @@ class ChannelClassSystem {
     TermStream hot;
   };
   struct Mixture {
-    int begin = 0;  ///< range of items_
+    int begin = 0;  ///< range of Arrays::items
     int end = 0;
     double divisor = 1.0;
   };
-  /// Per-solve scratch, allocated once per solve() rather than per sweep.
+  /// Everything a builder declares, in declaration order.
+  struct Arrays {
+    std::vector<ChannelClass> classes;
+    std::vector<Read> reads;
+    std::vector<Term> terms;
+    std::vector<Weighted> items;
+    std::vector<Mixture> mixtures;
+    std::vector<Coef> coefs;
+  };
+  /// Per-solve scratch: the values of the reads, terms and mixtures, and the
+  /// fixed-point iteration's sweep buffers.
   struct Workspace {
     std::vector<double> reads;
     std::vector<double> terms;
     std::vector<double> mixtures;
+    FixedPointBuffers sweep;
     /// Constant blocking reads nothing from the state — Pb and the
     /// merged-stream wait depend only on rates and contention-free holding
     /// times — so it is computed on the first sweep and reused bit-for-bit
     /// afterwards. The inclusive basis stays per-sweep.
     bool blocking_cached = false;
   };
+  /// The calling thread's spare storage (one of each, possibly empty).
+  static Arrays& spare_arrays();
+  static Workspace& spare_workspace();
 
   double eval(const Linear& lin, const std::vector<double>& s) const;
   bool term_value(const Term& term, const std::vector<double>& reads,
                   double& out) const;
   bool step(const std::vector<double>& in, std::vector<double>& out,
             Workspace& ws) const;
+  FixedPointResult solve_in(Workspace& ws, std::vector<double>& state) const;
 
   EngineOptions options_;
   bool blocking_state_dependent_;
-  std::vector<ChannelClass> classes_;
-  std::vector<Read> reads_;
-  std::vector<Term> terms_;
-  std::vector<Weighted> items_;
-  std::vector<Mixture> mixtures_;
-  std::vector<Coef> coefs_;
+  Arrays a_;
 };
 
 }  // namespace engine

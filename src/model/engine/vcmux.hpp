@@ -24,7 +24,8 @@ namespace kncube::model {
 /// saturation (it tends to V).
 double vc_multiplexing_degree(double rate, double service, int vcs);
 
-/// Busy-VC distribution P_0..P_V (size V+1), exposed for tests.
+/// Busy-VC distribution P_0..P_V (size V+1): the chain vc_multiplexing_degree
+/// evaluates without storing it, exposed for tests.
 void vc_occupancy_distribution(double rate, double service, int vcs, double* out);
 
 }  // namespace kncube::model

@@ -393,6 +393,13 @@ ModelResult solve_hotspot_torus(const ModelConfig& cfg, double lambda,
   return res;
 }
 
+/// Layout::total: five regular classes and S^h_y over k-1 positions, plus
+/// the (k-1) x k S^h_x block.
+std::int64_t hotspot_torus_class_count(const ModelConfig& cfg) {
+  const std::int64_t ns = cfg.k - 1;
+  return 6 * ns + ns * cfg.k;
+}
+
 /// Mean hops + Lm - 1, averaged over the hot/regular mix.
 double hotspot_torus_zero_load_latency(const ModelConfig& cfg) {
   const int k = cfg.k;

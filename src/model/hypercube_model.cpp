@@ -247,6 +247,11 @@ ModelResult solve_hypercube(const ModelConfig& cfg, double lambda,
   return res;
 }
 
+/// Lay::total(): a regular and a hot class per dimension.
+std::int64_t hypercube_class_count(const ModelConfig& cfg) {
+  return 2 * std::int64_t{cfg.n};
+}
+
 /// Mean e-cube hops + Lm - 1 over the hot/regular mix (hot and regular
 /// coincide: both are uniform over the other nodes' bit patterns).
 double hypercube_zero_load_latency(const ModelConfig& cfg) {

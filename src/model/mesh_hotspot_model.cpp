@@ -355,6 +355,12 @@ ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
   return res;
 }
 
+/// Lay::regular.end(): the n(k-1) hot-chain slots, then the n(k-1) regular
+/// classes.
+std::int64_t hotspot_mesh_class_count(const ModelConfig& cfg) {
+  return 2 * std::int64_t{cfg.n} * (cfg.k - 1);
+}
+
 /// The h-weighted mix of the uniform mean Manhattan distance and the mean
 /// distance to the centre, plus Lm - 1.
 double hotspot_mesh_zero_load_latency(const ModelConfig& cfg) {

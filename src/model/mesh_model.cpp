@@ -119,6 +119,11 @@ ModelResult solve_uniform_mesh(const ModelConfig& cfg, double lambda,
   return finish();
 }
 
+/// RegularLayout::end() from slot 0: one class per (dimension, position).
+std::int64_t uniform_mesh_class_count(const ModelConfig& cfg) {
+  return std::int64_t{cfg.n} * (cfg.k - 1);
+}
+
 /// E[Manhattan distance | dst != src] + Lm - 1.
 double uniform_mesh_zero_load_latency(const ModelConfig& cfg) {
   return topo::mesh_mean_hops_uniform(cfg.k, cfg.n) +

@@ -35,12 +35,11 @@ double max_rel_change(const std::vector<double>& a, const std::vector<double>& b
 /// rounding-level oscillation — are canonicalised to the componentwise
 /// minimum so every trajectory that lands on the cycle reports the same
 /// state. Best-effort: on budget exhaustion the current iterate stands.
-void polish_to_stationary(
-    std::vector<double>& state, std::vector<double>& next,
-    const std::function<bool(const std::vector<double>&, std::vector<double>&)>& step,
-    const FixedPointOptions& options) {
+void polish_to_stationary(std::vector<double>& state, std::vector<double>& next,
+                          std::vector<double>& prev, const FixedPointStep& step,
+                          const FixedPointOptions& options) {
   const std::size_t size = state.size();
-  std::vector<double> prev;
+  prev.clear();
   double last_rel = std::numeric_limits<double>::infinity();
   constexpr int kUndampedBudget = 48;
   for (int it = 0; it < kUndampedBudget; ++it) {
@@ -77,12 +76,20 @@ void polish_to_stationary(
 
 }  // namespace
 
-FixedPointResult solve_fixed_point(
-    std::vector<double>& state,
-    const std::function<bool(const std::vector<double>&, std::vector<double>&)>& step,
-    const FixedPointOptions& options) {
+FixedPointResult solve_fixed_point(std::vector<double>& state,
+                                   const FixedPointStep& step,
+                                   const FixedPointOptions& options) {
+  FixedPointBuffers buffers;
+  return solve_fixed_point(state, step, options, buffers);
+}
+
+FixedPointResult solve_fixed_point(std::vector<double>& state,
+                                   const FixedPointStep& step,
+                                   const FixedPointOptions& options,
+                                   FixedPointBuffers& buffers) {
   FixedPointResult result;
-  std::vector<double> next(state.size());
+  std::vector<double>& next = buffers.next;
+  next.assign(state.size(), 0.0);
   const double alpha = options.damping;
   KNC_ASSERT_MSG(alpha > 0.0 && alpha <= 1.0, "damping must be in (0, 1]");
 
@@ -116,7 +123,7 @@ FixedPointResult solve_fixed_point(
       // A reproduced state is already exactly stationary: polishing it would
       // only repeat this sweep.
       if (options.polish_iterations > 0 && !reproduced) {
-        polish_to_stationary(state, next, step, options);
+        polish_to_stationary(state, next, buffers.prev, step, options);
       }
       return result;
     }

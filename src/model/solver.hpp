@@ -35,6 +35,10 @@ struct FixedPointResult {
   int iterations = 0;
 };
 
+/// One sweep: fills `next` from `current`; false signals saturation.
+using FixedPointStep =
+    std::function<bool(const std::vector<double>&, std::vector<double>&)>;
+
 /// `step(current, next)` must fill `next` (same size) and return false to
 /// signal saturation. `state` holds the initial guess on entry and the final
 /// iterate on exit.
@@ -49,9 +53,24 @@ struct FixedPointResult {
 /// from the zero-load state. Polish never changes the converged / diverged
 /// classification nor the reported iteration count, and it is skipped when
 /// the converging sweep already reproduced its input.
-FixedPointResult solve_fixed_point(
-    std::vector<double>& state,
-    const std::function<bool(const std::vector<double>&, std::vector<double>&)>& step,
-    const FixedPointOptions& options = {});
+FixedPointResult solve_fixed_point(std::vector<double>& state,
+                                   const FixedPointStep& step,
+                                   const FixedPointOptions& options = {});
+
+/// The sweep buffers solve_fixed_point iterates in. A caller that solves
+/// many systems passes the same buffers every time, so after the first solve
+/// of a given size they are reused rather than allocated.
+struct FixedPointBuffers {
+  std::vector<double> next;  ///< the sweep's output
+  std::vector<double> prev;  ///< the polish's previous iterate
+};
+
+/// The same iteration in the caller's `buffers`. `next` starts each call
+/// zero-filled, as in the overload above, so the answers are identical; the
+/// polish may exchange `state`'s storage with `buffers.next`.
+FixedPointResult solve_fixed_point(std::vector<double>& state,
+                                   const FixedPointStep& step,
+                                   const FixedPointOptions& options,
+                                   FixedPointBuffers& buffers);
 
 }  // namespace kncube::model

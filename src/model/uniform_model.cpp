@@ -151,6 +151,11 @@ ModelResult solve_uniform_torus(const ModelConfig& cfg, double lambda,
   return finish();
 }
 
+/// Lay::total: the y, x and x-then-y classes over k-1 positions.
+std::int64_t uniform_torus_class_count(const ModelConfig& cfg) {
+  return 3 * (std::int64_t{cfg.k} - 1);
+}
+
 double uniform_torus_zero_load_latency(const ModelConfig& cfg) {
   const int k = cfg.k;
   const double lm = static_cast<double>(cfg.message_length);
