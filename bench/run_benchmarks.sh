@@ -9,6 +9,9 @@
 # Examples:
 #   bench/run_benchmarks.sh                       # full run, build/ tree
 #   bench/run_benchmarks.sh build --benchmark_filter='BM_SimulatorCycles'
+#   bench/run_benchmarks.sh build --benchmark_filter='BM_Model|BM_UniformModel'
+#
+# A binary none of whose benchmarks match the filter keeps its baseline.
 #
 # The build must contain the perf binaries (configure with google-benchmark
 # installed; a bare `cmake -B build` defaults to a Release build, which is
@@ -41,17 +44,33 @@ if grep -q "CMAKE_BUILD_TYPE:STRING=Debug" "$build_dir/CMakeCache.txt" 2>/dev/nu
   echo "warning: Debug build (override active); do not commit these numbers." >&2
 fi
 
-echo "== perf_sim -> BENCH_sim.json"
-"$build_dir/bench/perf_sim" \
-  --benchmark_format=json \
-  --benchmark_out="$repo_root/BENCH_sim.json" \
-  --benchmark_out_format=json "$@"
-
-echo "== perf_model -> BENCH_model.json"
-"$build_dir/bench/perf_model" \
-  --benchmark_format=json \
-  --benchmark_out="$repo_root/BENCH_model.json" \
-  --benchmark_out_format=json "$@"
+# Each binary writes to a temporary file first, and replaces its committed
+# baseline only if it ran at least one benchmark: a --benchmark_filter that
+# matches rows of one binary leaves the other binary's baseline untouched.
+tmp_dir="$(mktemp -d)"
+trap 'rm -rf "$tmp_dir"' EXIT
+written=()
+for bin in perf_sim perf_model; do
+  case "$bin" in
+    perf_sim) out="BENCH_sim.json" ;;
+    perf_model) out="BENCH_model.json" ;;
+  esac
+  echo "== $bin -> $out"
+  "$build_dir/bench/$bin" \
+    --benchmark_format=json \
+    --benchmark_out="$tmp_dir/$out" \
+    --benchmark_out_format=json "$@"
+  if grep -q '"run_name"' "$tmp_dir/$out" 2>/dev/null; then
+    mv "$tmp_dir/$out" "$repo_root/$out"
+    written+=("$repo_root/$out")
+  else
+    echo "== $bin ran no benchmark; $out left as it was"
+  fi
+done
+if [[ ${#written[@]} -eq 0 ]]; then
+  echo "error: no benchmark matched; no baseline written." >&2
+  exit 1
+fi
 
 # Host metadata: stamp the machine shape and the *kncube* build type into
 # each baseline's context block. google-benchmark records its own num_cpus
@@ -66,7 +85,7 @@ echo "== perf_model -> BENCH_model.json"
 # flagged row against an unflagged one.
 kncube_build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' \
   "$build_dir/CMakeCache.txt" 2>/dev/null || true)"
-for f in "$repo_root/BENCH_sim.json" "$repo_root/BENCH_model.json"; do
+for f in "${written[@]}"; do
   if command -v python3 >/dev/null 2>&1; then
     python3 - "$f" "${kncube_build_type:-unknown}" <<'PY'
 import json, os, sys
@@ -105,7 +124,7 @@ done
 # The distro's libbenchmark can itself be a debug flavour; it stamps the
 # context block, so surface it — the numbers are still comparable between
 # runs on the same library, but note it when reading absolute values.
-for f in "$repo_root/BENCH_sim.json" "$repo_root/BENCH_model.json"; do
+for f in "${written[@]}"; do
   if grep -q '"library_build_type": "debug"' "$f"; then
     echo "WARNING: $(basename "$f") was produced against a debug google-benchmark" >&2
     echo "         library (see its context block); absolute timings carry" >&2
@@ -113,4 +132,4 @@ for f in "$repo_root/BENCH_sim.json" "$repo_root/BENCH_model.json"; do
   fi
 done
 
-echo "Wrote $repo_root/BENCH_sim.json and $repo_root/BENCH_model.json"
+echo "Wrote ${written[*]}"

@@ -40,6 +40,20 @@ std::uint64_t SweepEngine::point_seed(std::size_t index) const noexcept {
   return spec_.seed ^ (0x9e3779b97f4a7c15ULL * (index + 1));
 }
 
+const model::CompiledModel& SweepEngine::CallModel::get() {
+  std::call_once(once_, [this] {
+    compiled_ = engine_.analytical_model().compile();
+    std::lock_guard<std::mutex> lock(engine_.mutex_);
+    ++engine_.model_compiles_;
+  });
+  return *compiled_;
+}
+
+model::ModelResult SweepEngine::model_point(double lambda) {
+  CallModel model(*this);
+  return model_point(lambda, model);
+}
+
 // Memoization with in-flight dedup: a miss registers itself as the key's
 // owner before solving, so concurrent callers of the same key find the
 // registration and wait for the owner's result instead of recomputing —
@@ -49,8 +63,8 @@ std::uint64_t SweepEngine::point_seed(std::size_t index) const noexcept {
 // gap. Waiting never deadlocks the thread pool: the owner runs the solve
 // synchronously on its own thread (it is never parked in the queue), so
 // every waiter has a running producer.
-model::ModelResult SweepEngine::model_point(double lambda) {
-  const model::AnalyticalModel& model = analytical_model();
+model::ModelResult SweepEngine::model_point(double lambda, CallModel& model) {
+  analytical_model();  // sim-only specs throw before touching the store
   const std::uint64_t key = lambda_key(lambda);
   std::shared_ptr<Inflight<model::ModelResult>> inflight;
   bool owner = false;
@@ -74,7 +88,7 @@ model::ModelResult SweepEngine::model_point(double lambda) {
 
   model::ModelResult result;
   try {
-    result = model.solve_at(lambda);
+    result = model.get().solve(lambda);
   } catch (const std::exception& e) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -141,23 +155,31 @@ sim::SimResult SweepEngine::sim_point(double lambda, std::uint64_t seed) {
 std::vector<PointResult> SweepEngine::run(const std::vector<double>& lambdas,
                                           bool run_sim) {
   std::vector<PointResult> results(lambdas.size());
+  run(lambdas, run_sim,
+      [&results](std::size_t i, const PointResult& pt) { results[i] = pt; });
+  return results;
+}
+
+void SweepEngine::run(const std::vector<double>& lambdas, bool run_sim,
+                      const PointCallback& on_point) {
+  CallModel model(*this);
   util::parallel_for(lambdas.size(), [&](std::size_t i) {
-    PointResult& pt = results[i];
+    PointResult pt;
     pt.lambda = lambdas[i];
     if (model_) {
-      pt.model = model_point(pt.lambda);
+      pt.model = model_point(pt.lambda, model);
       pt.has_model = true;
     }
     if (run_sim) {
       pt.sim = sim_point(pt.lambda, point_seed(i));
       pt.has_sim = true;
     }
+    on_point(i, pt);
   });
-  return results;
 }
 
 SaturationResult SweepEngine::saturation_rate(double rel_tol) {
-  const model::AnalyticalModel& model = analytical_model();
+  const model::AnalyticalModel& analytical = analytical_model();
   const std::uint64_t key = lambda_key(rel_tol);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -169,9 +191,12 @@ SaturationResult SweepEngine::saturation_rate(double rel_tol) {
   }
   // Concurrent first-time callers may both bisect; the probes dedup through
   // model_point, so the duplicate work is a handful of store hits.
-  const double guess = model.estimated_saturation_rate();
-  const SaturationResult res = bisect_saturation(
-      guess, rel_tol, [this](double rate) { return !model_point(rate).saturated; });
+  CallModel model(*this);
+  const double guess = analytical.estimated_saturation_rate();
+  const SaturationResult res =
+      bisect_saturation(guess, rel_tol, [this, &model](double rate) {
+        return !model_point(rate, model).saturated;
+      });
   store_->store_saturation(spec_key_, key, res);
   return res;
 }
@@ -216,6 +241,11 @@ std::size_t SweepEngine::inflight_solves() const {
   return inflight_model_.size() + inflight_sim_.size();
 }
 
+std::uint64_t SweepEngine::model_compiles() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return model_compiles_;
+}
+
 void SweepEngine::clear_cache() {
   store_->clear();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -225,6 +255,7 @@ void SweepEngine::clear_cache() {
   model_solves_ = 0;
   sim_runs_ = 0;
   inflight_waits_ = 0;
+  model_compiles_ = 0;
 }
 
 }  // namespace kncube::core

@@ -38,11 +38,20 @@
 // the caller waits for that solve instead of recomputing — N clients asking
 // for the same (spec, lambda) pay one fixed point. The dedup counter is
 // part of CacheStats and pinned by tests/core/sweep_engine_test.
+//
+// Each run() and saturation_rate() call compiles the model
+// (model::AnalyticalModel::compile) at most once: on the call's first store
+// miss, outside the engine mutex, shared read-only by every pool lane of the
+// call and destroyed when the call returns (DESIGN.md §5.3). Nothing compiles
+// in the constructor or on a call whose points all hit the store, and no
+// compiled model outlives its call, so an engine's memory does not grow with
+// the models it has solved.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -86,9 +95,16 @@ class SweepEngine {
   std::vector<PointResult> run(const std::vector<double>& lambdas,
                                bool run_sim = true);
 
+  /// The same points, each handed to `on_point(index, point)` on the pool
+  /// lane that finished it, as soon as it is done (concurrently, in any
+  /// order).
+  using PointCallback = std::function<void(std::size_t, const PointResult&)>;
+  void run(const std::vector<double>& lambdas, bool run_sim,
+           const PointCallback& on_point);
+
   /// One model evaluation, memoized through the store and deduplicated
-  /// against identical in-flight solves. Throws std::logic_error for
-  /// sim-only specs.
+  /// against identical in-flight solves; a miss compiles the model for this
+  /// call alone. Throws std::logic_error for sim-only specs.
   model::ModelResult model_point(double lambda);
 
   /// One simulation, memoized on (lambda, seed) and deduplicated in flight.
@@ -116,11 +132,31 @@ class SweepEngine {
   CacheStats cache_stats() const;
   /// Solves this engine currently has in flight (owner threads running).
   std::size_t inflight_solves() const;
+  /// Models this engine has compiled: at most one per run(),
+  /// saturation_rate() or model_point() call, and none for a call whose
+  /// model points all hit the store.
+  std::uint64_t model_compiles() const;
 
   /// Clears the backing store (every spec, when shared) and the counters.
   void clear_cache();
 
  private:
+  /// The model compiled for one call, lazily on the call's first store miss
+  /// (std::call_once, outside the engine mutex) and shared read-only by
+  /// every lane of the call.
+  class CallModel {
+   public:
+    explicit CallModel(SweepEngine& engine) : engine_(engine) {}
+    const model::CompiledModel& get();
+
+   private:
+    SweepEngine& engine_;
+    std::once_flag once_;
+    std::unique_ptr<const model::CompiledModel> compiled_;
+  };
+
+  model::ModelResult model_point(double lambda, CallModel& model);
+
   /// Rendezvous for threads that asked for a key another thread is already
   /// computing: the owner fulfills (or fails) it once, waiters block on the
   /// condition variable. Failure rethrows in every waiter.
@@ -176,6 +212,7 @@ class SweepEngine {
   std::uint64_t model_solves_ = 0;
   std::uint64_t sim_runs_ = 0;
   std::uint64_t inflight_waits_ = 0;
+  std::uint64_t model_compiles_ = 0;
 };
 
 }  // namespace kncube::core

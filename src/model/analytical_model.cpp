@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "model/engine/bursty.hpp"
 #include "model/families.hpp"
@@ -13,33 +14,29 @@ namespace kncube::model {
 
 struct ModelFamily {
   const char* name;
-  ModelResult (*solve)(const ModelConfig& cfg, double lambda, double arrival_idc);
+  std::unique_ptr<const CompiledModel> (*compile)(const ModelConfig& cfg);
   double (*zero_load_latency)(const ModelConfig& cfg);
   double (*estimated_saturation_rate)(const ModelConfig& cfg);
-  std::int64_t (*class_count)(const ModelConfig& cfg);
+  ModelSize (*size)(const ModelConfig& cfg);
 };
 
 namespace {
 
-const ModelFamily kHotspotTorus{"hotspot-torus", solve_hotspot_torus,
+const ModelFamily kHotspotTorus{"hotspot-torus", compile_hotspot_torus,
                                 hotspot_torus_zero_load_latency,
-                                hotspot_torus_saturation_estimate,
-                                hotspot_torus_class_count};
-const ModelFamily kUniformTorus{"uniform-torus", solve_uniform_torus,
+                                hotspot_torus_saturation_estimate, hotspot_torus_size};
+const ModelFamily kUniformTorus{"uniform-torus", compile_uniform_torus,
                                 uniform_torus_zero_load_latency,
-                                uniform_torus_saturation_estimate,
-                                uniform_torus_class_count};
-const ModelFamily kHypercube{"hotspot-hypercube", solve_hypercube,
+                                uniform_torus_saturation_estimate, uniform_torus_size};
+const ModelFamily kHypercube{"hotspot-hypercube", compile_hypercube,
                              hypercube_zero_load_latency,
-                             hypercube_saturation_estimate, hypercube_class_count};
-const ModelFamily kUniformMesh{"uniform-mesh", solve_uniform_mesh,
+                             hypercube_saturation_estimate, hypercube_size};
+const ModelFamily kUniformMesh{"uniform-mesh", compile_uniform_mesh,
                                uniform_mesh_zero_load_latency,
-                               uniform_mesh_saturation_estimate,
-                               uniform_mesh_class_count};
-const ModelFamily kHotspotMesh{"hotspot-mesh", solve_hotspot_mesh,
+                               uniform_mesh_saturation_estimate, uniform_mesh_size};
+const ModelFamily kHotspotMesh{"hotspot-mesh", compile_hotspot_mesh,
                                hotspot_mesh_zero_load_latency,
-                               hotspot_mesh_saturation_estimate,
-                               hotspot_mesh_class_count};
+                               hotspot_mesh_saturation_estimate, hotspot_mesh_size};
 
 const ModelFamily& family_of(const ModelConfig& cfg) {
   const bool hot = cfg.hot_fraction.has_value();
@@ -53,6 +50,12 @@ const ModelFamily& family_of(const ModelConfig& cfg) {
 
 [[noreturn]] void fail(const std::string& msg) {
   throw std::invalid_argument("ModelConfig: " + msg);
+}
+
+void check_rate(double lambda) {
+  if (!(lambda >= 0.0 && lambda <= 1.0)) {
+    throw std::invalid_argument("AnalyticalModel: injection rate must be in [0,1]");
+  }
 }
 
 }  // namespace
@@ -105,14 +108,36 @@ std::string unsupported_reason(const ModelConfig& cfg) {
       break;
   }
   // Every per-solve array, and the storage a thread keeps between solves,
-  // scales with the class count (DESIGN.md §4): bound it before building.
-  const std::int64_t classes = family_of(cfg).class_count(cfg);
-  if (classes > engine::kMaxClasses) {
-    return "analytical model would declare " + std::to_string(classes) +
-           " channel classes, above the bound of " +
-           std::to_string(engine::kMaxClasses);
+  // scales with the class and coefficient counts (DESIGN.md §4): bound both
+  // before compiling.
+  const ModelSize size = family_of(cfg).size(cfg);
+  const auto over = [](std::int64_t count, const char* what, int bound) {
+    return "analytical model would declare " + std::to_string(count) + " " + what +
+           ", above the bound of " + std::to_string(bound);
+  };
+  if (size.classes > engine::kMaxClasses) {
+    return over(size.classes, "channel classes", engine::kMaxClasses);
+  }
+  if (size.coefficients > engine::kMaxCoefficients) {
+    return over(size.coefficients, "continuation coefficients",
+                engine::kMaxCoefficients);
   }
   return {};
+}
+
+ModelSize model_size(const ModelConfig& cfg) { return family_of(cfg).size(cfg); }
+
+CompiledModel::CompiledModel(const ModelConfig& cfg, engine::ChannelClassSystem system)
+    : system_(std::move(system)), mmpp_(cfg.mmpp) {}
+
+ModelResult CompiledModel::solve(double lambda) const {
+  check_rate(lambda);
+  // The IDC depends on the operating point's mean rate; burst_multiplier == 1
+  // makes it exactly 1, so such solves are bitwise the Bernoulli ones.
+  const double idc = mmpp_ ? mmpp_arrival_idc(lambda, mmpp_->burst_multiplier,
+                                              mmpp_->p_enter_burst, mmpp_->p_leave_burst)
+                           : 1.0;
+  return evaluate(lambda, idc);
 }
 
 AnalyticalModel::AnalyticalModel(ModelConfig cfg)
@@ -124,17 +149,13 @@ AnalyticalModel::AnalyticalModel(ModelConfig cfg)
   name_ = cfg_.mmpp ? std::string("mmpp-") + family_->name : family_->name;
 }
 
+std::unique_ptr<const CompiledModel> AnalyticalModel::compile() const {
+  return family_->compile(cfg_);
+}
+
 ModelResult AnalyticalModel::solve_at(double lambda) const {
-  if (!(lambda >= 0.0 && lambda <= 1.0)) {
-    throw std::invalid_argument("AnalyticalModel: injection rate must be in [0,1]");
-  }
-  // The IDC depends on the operating point's mean rate; burst_multiplier == 1
-  // makes it exactly 1, so such solves are bitwise the Bernoulli ones.
-  const double idc = cfg_.mmpp ? mmpp_arrival_idc(lambda, cfg_.mmpp->burst_multiplier,
-                                                  cfg_.mmpp->p_enter_burst,
-                                                  cfg_.mmpp->p_leave_burst)
-                               : 1.0;
-  return family_->solve(cfg_, lambda, idc);
+  check_rate(lambda);  // before compiling anything
+  return compile()->solve(lambda);
 }
 
 double AnalyticalModel::zero_load_latency() const {

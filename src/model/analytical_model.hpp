@@ -16,14 +16,20 @@
 // covers, and the constructor throws for those rather than silently solving
 // the default approximation under an ablation's name.
 //
-// solve_at(lambda) solves from the zero-load state every time, so its
-// ModelResult — iteration count included — is a pure function of (config,
-// lambda). `saturated == true` means the operating point has no steady state
-// (the blank region past the latency asymptote). core/model_registry.hpp maps
-// a core::ScenarioSpec onto a ModelConfig.
+// Nothing in a family's channel-class system but its stream rates depends on
+// the injection rate, so a model is *compiled* once — the system declared,
+// every stream rate named by its slot in a per-λ rate table — and solved at
+// any number of rates (DESIGN.md §4, §5.3). solve_at(lambda) is
+// compile().solve(lambda). Every solve starts from the zero-load state, so
+// its ModelResult — iteration count included — is a pure function of
+// (config, lambda). `saturated == true` means the operating point has no
+// steady state (the blank region past the latency asymptote).
+// core/model_registry.hpp maps a core::ScenarioSpec onto a ModelConfig.
 #pragma once
 
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -66,9 +72,18 @@ struct ModelConfig {
 
 /// Why no family models `cfg` (empty when one does): torus n != 2, MMPP off
 /// the torus, ablation knobs the family has no variant for, and models that
-/// would declare more than engine::kMaxClasses channel classes. Checked
-/// before anything is built.
+/// would declare more than engine::kMaxClasses channel classes or
+/// engine::kMaxCoefficients continuation coefficients. Checked before
+/// anything is compiled.
 std::string unsupported_reason(const ModelConfig& cfg);
+
+/// What a supported `cfg`'s compiled system declares, counted without
+/// declaring it (in 64 bits, so oversized models can be counted too).
+struct ModelSize {
+  std::int64_t classes = 0;
+  std::int64_t coefficients = 0;
+};
+ModelSize model_size(const ModelConfig& cfg);
 
 /// One solved operating point. Disk-store records and wire blobs are this
 /// struct's raw bytes: keep its fields and layout.
@@ -99,6 +114,39 @@ struct ModelResult {
   double max_channel_utilization = 0.0;
 };
 
+/// One configuration's model with everything but the injection rate
+/// declared: the family's channel-class system and the geometry its
+/// assembly reads. solve() fills the per-λ rate table with the family's
+/// traffic-rate arithmetic, sets the arrival IDC, iterates and assembles. It
+/// is const and writes only the calling thread's engine::ThreadWorkspace, so
+/// one compiled model may be solved from many threads at once. A
+/// core::SweepEngine keeps one for a single call (DESIGN.md §5.3).
+class CompiledModel {
+ public:
+  virtual ~CompiledModel() = default;
+  CompiledModel(const CompiledModel&) = delete;
+  CompiledModel& operator=(const CompiledModel&) = delete;
+
+  /// Solves at injection rate `lambda` (throws std::invalid_argument
+  /// outside [0, 1]); bit-identical to AnalyticalModel::solve_at(lambda).
+  ModelResult solve(double lambda) const;
+
+  /// The declared system; its sizes are model_size() of the configuration.
+  const engine::ChannelClassSystem& system() const noexcept { return system_; }
+
+ protected:
+  CompiledModel(const ModelConfig& cfg, engine::ChannelClassSystem system);
+
+  const engine::ChannelClassSystem system_;
+
+ private:
+  /// The family's solve at `lambda` under the arrival index of dispersion
+  /// `arrival_idc` (1 = Bernoulli).
+  virtual ModelResult evaluate(double lambda, double arrival_idc) const = 0;
+
+  std::optional<MmppArrivalShape> mmpp_;
+};
+
 struct ModelFamily;  // one row of the family table (analytical_model.cpp)
 
 class AnalyticalModel {
@@ -111,8 +159,12 @@ class AnalyticalModel {
   const char* name() const noexcept { return name_.c_str(); }
   const ModelConfig& config() const noexcept { return cfg_; }
 
+  /// Declares this configuration's channel-class system; the result solves
+  /// it at any rate.
+  std::unique_ptr<const CompiledModel> compile() const;
+
   /// Solves the model at injection rate `lambda` (throws
-  /// std::invalid_argument outside [0, 1]).
+  /// std::invalid_argument outside [0, 1]): compile(), then one solve.
   ModelResult solve_at(double lambda) const;
 
   /// Exact zero-load latency (the lambda -> 0 limit of solve_at().latency).

@@ -22,6 +22,12 @@ std::size_t capacity_bytes(const Vectors&... v) {
   return (... + (v.capacity() * sizeof(typename Vectors::value_type)));
 }
 
+/// The calling thread's spare workspace (possibly empty).
+Workspace& spare_workspace() {
+  thread_local Workspace spare;
+  return spare;
+}
+
 }  // namespace
 
 ChannelClassSystem::Arrays& ChannelClassSystem::spare_arrays() {
@@ -29,19 +35,31 @@ ChannelClassSystem::Arrays& ChannelClassSystem::spare_arrays() {
   return spare;
 }
 
-ChannelClassSystem::Workspace& ChannelClassSystem::spare_workspace() {
-  thread_local Workspace spare;
-  return spare;
+ThreadWorkspace::ThreadWorkspace() { std::swap(ws_, spare_workspace()); }
+
+ThreadWorkspace::~ThreadWorkspace() {
+  // Handed back grown if this solve needed more, unless it outgrew
+  // kMaxSpareBytes (a second ThreadWorkspace on the thread took an empty
+  // spare and hands back whichever is larger).
+  Workspace& spare = spare_workspace();
+  std::size_t bytes = capacity_bytes(ws_.rates, ws_.state, ws_.reads, ws_.terms,
+                                     ws_.mixtures, ws_.sweep.next, ws_.sweep.prev);
+  for (const std::vector<double>& v : ws_.scratch) bytes += capacity_bytes(v);
+  if (ws_.state.capacity() >= spare.state.capacity() && bytes <= kMaxSpareBytes) {
+    std::swap(ws_, spare);
+  }
 }
 
-ChannelClassSystem::ChannelClassSystem(int slots, EngineOptions options)
+ChannelClassSystem::ChannelClassSystem(int slots, int rates, EngineOptions options)
     : options_(options),
+      rate_count_(rates),
       // Blocking reads the iterated state only through Pb on the inclusive
       // basis (eq 27); on the transmission basis (and for the pure-wait
       // ablation) every blocking input is a constant of the system.
       blocking_state_dependent_(options.blocking == BlockingVariant::kPaper &&
                                 options.busy_basis == ServiceBasis::kInclusive) {
   KNC_ASSERT_MSG(slots > 0 && slots <= kMaxClasses, "class count out of range");
+  KNC_ASSERT_MSG(rates >= 0, "rate count out of range");
   std::swap(a_, spare_arrays());
   a_.reads.clear();
   a_.terms.clear();
@@ -71,6 +89,9 @@ int ChannelClassSystem::add_read(int first, int count) {
 }
 
 int ChannelClassSystem::add_term(const TermStream& regular, const TermStream& hot) {
+  KNC_ASSERT_MSG(regular.rate >= -1 && regular.rate < rate_count_ && hot.rate >= -1 &&
+                     hot.rate < rate_count_,
+                 "stream rate slot out of range");
   a_.terms.push_back({regular, hot});
   return static_cast<int>(a_.terms.size()) - 1;
 }
@@ -145,13 +166,16 @@ double ChannelClassSystem::eval(const Linear& lin, const std::vector<double>& s)
     const Coef& coef = a_.coefs[at(c)];
     acc += coef.weight * s[at(coef.slot)];
   }
-  return lin.constant + acc / lin.divisor;
+  // x / 1.0 == x for every double, so the common unit divisor skips a
+  // division on the sweep's serial chain without changing a bit.
+  return lin.constant + (lin.divisor == 1.0 ? acc : acc / lin.divisor);
 }
 
-bool ChannelClassSystem::term_value(const Term& term, const std::vector<double>& reads,
+bool ChannelClassSystem::term_value(const Term& term, const Workspace& ws,
                                     double& out) const {
   const auto bind = [&](const TermStream& s) {
-    return Stream{s.rate, s.read < 0 ? 0.0 : reads[at(s.read)], s.tx};
+    return Stream{s.rate < 0 ? 0.0 : ws.rates[at(s.rate)],
+                  s.read < 0 ? 0.0 : ws.reads[at(s.read)], s.tx};
   };
   const Stream reg = bind(term.regular);
   const Stream hot = bind(term.hot);
@@ -159,7 +183,7 @@ bool ChannelClassSystem::term_value(const Term& term, const std::vector<double>&
     const QueueDelay b =
         blocking_delay(reg, hot, options_.service_floor,
                        options_.busy_basis == ServiceBasis::kInclusive,
-                       options_.arrival_idc);
+                       ws.arrival_idc);
     out = b.value;
     return !b.saturated;
   }
@@ -169,7 +193,7 @@ bool ChannelClassSystem::term_value(const Term& term, const std::vector<double>&
   if (rate <= 0.0) return true;
   const double mean_tx = (reg.rate * reg.tx + hot.rate * hot.tx) / rate;
   const QueueDelay w =
-      mg1_wait(rate, mean_tx, options_.service_floor, options_.arrival_idc);
+      mg1_wait(rate, mean_tx, options_.service_floor, ws.arrival_idc);
   out = w.value;
   return !w.saturated;
 }
@@ -187,14 +211,15 @@ bool ChannelClassSystem::step(const std::vector<double>& in, std::vector<double>
       ws.reads[r] = acc / static_cast<double>(a_.reads[r].count);
     }
     for (std::size_t t = 0; t < a_.terms.size(); ++t) {
-      if (!term_value(a_.terms[t], ws.reads, ws.terms[t])) return false;
+      if (!term_value(a_.terms[t], ws, ws.terms[t])) return false;
     }
     for (std::size_t m = 0; m < a_.mixtures.size(); ++m) {
       double acc = 0.0;
       for (int i = a_.mixtures[m].begin; i < a_.mixtures[m].end; ++i) {
         acc += a_.items[at(i)].weight * ws.terms[at(a_.items[at(i)].term)];
       }
-      ws.mixtures[m] = acc / a_.mixtures[m].divisor;
+      const double divisor = a_.mixtures[m].divisor;
+      ws.mixtures[m] = divisor == 1.0 ? acc : acc / divisor;
     }
     ws.blocking_cached = !blocking_state_dependent_;
   }
@@ -206,35 +231,26 @@ bool ChannelClassSystem::step(const std::vector<double>& in, std::vector<double>
   return true;
 }
 
-FixedPointResult ChannelClassSystem::solve(std::vector<double>& state) const {
-  // Borrow this thread's spare workspace; it goes back, grown if this system
-  // needed more, when the solve ends (unless it outgrew kMaxSpareBytes).
-  Workspace ws;
-  std::swap(ws, spare_workspace());
-  const FixedPointResult fp = solve_in(ws, state);
-  if (capacity_bytes(ws.reads, ws.terms, ws.mixtures, ws.sweep.next, ws.sweep.prev) <=
-      kMaxSpareBytes) {
-    std::swap(ws, spare_workspace());
-  }
-  return fp;
-}
-
-FixedPointResult ChannelClassSystem::solve_in(Workspace& ws,
-                                              std::vector<double>& state) const {
+FixedPointResult ChannelClassSystem::solve(Workspace& ws, double arrival_idc) const {
+  KNC_ASSERT_MSG(ws.rates.size() == at(rate_count_),
+                 "rate table size differs from the system's");
   // Every workspace value is written before it is read, so resizing (not
   // clearing) suffices; only the blocking cache must start empty.
   ws.reads.resize(a_.reads.size());
   ws.terms.resize(a_.terms.size());
   ws.mixtures.resize(a_.mixtures.size());
+  ws.arrival_idc = arrival_idc;
   ws.blocking_cached = false;
   const auto step_fn = [this, &ws](const std::vector<double>& in,
                                    std::vector<double>& out) {
     return step(in, out, ws);
   };
   const auto run_from_zero_load = [&](const FixedPointOptions& options) {
-    state.resize(a_.classes.size());
-    for (std::size_t i = 0; i < a_.classes.size(); ++i) state[i] = a_.classes[i].initial;
-    return solve_fixed_point(state, step_fn, options, ws.sweep);
+    ws.state.resize(a_.classes.size());
+    for (std::size_t i = 0; i < a_.classes.size(); ++i) {
+      ws.state[i] = a_.classes[i].initial;
+    }
+    return solve_fixed_point(ws.state, step_fn, options, ws.sweep);
   };
   const FixedPointOptions damped{};
   if (!blocking_state_dependent_) {

@@ -18,7 +18,8 @@
 //
 // This header turns that shape into data held in a few flat arrays. A
 // builder declares
-//   - *terms*: one blocking_delay of a regular and a hot stream each;
+//   - *terms*: one blocking_delay of a regular and a hot stream each, every
+//     stream rate named by its slot in the per-λ rate table;
 //   - *mixtures*: a weighted term list plus a divisor (the eq 17-20 averages,
 //     the hypercube and mesh line-type mixtures, or a single shared term);
 //   - *reads*: the inclusive service times the streams carry, each a mean of
@@ -26,12 +27,16 @@
 //   - one channel class per state slot, whose blocking is a mixture and whose
 //     continuations are linear in the state.
 // A class whose blocking is one channel of an average shares that average's
-// term instead of declaring it a second time.
+// term instead of declaring it a second time. Nothing a builder declares
+// depends on λ: the system is declared once per configuration and solved at
+// any number of rates, each solve reading its stream rates and arrival IDC
+// from its Workspace (DESIGN.md §4).
 // The five model builders are thin layers over this engine (DESIGN.md §4);
 // the h = 0 agreement between the uniform and hot-spot torus models is
 // structural, because both declare the same terms with the same streams.
 #pragma once
 
+#include <array>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -54,11 +59,12 @@ enum class ServiceBasis : int { kInclusive = 0, kTransmission = 1 };
 
 namespace engine {
 
-/// One stream of a term: the messages/cycle crossing the channel, their
+/// One stream of a term: the slot of the per-λ rate table holding the
+/// messages/cycle crossing the channel (-1: no stream, rate 0), their
 /// contention-free holding time (>= Lm), and the declared read of their
 /// blocking-inclusive service time (-1 reads nothing: 0).
 struct TermStream {
-  double rate = 0.0;
+  int rate = -1;
   double tx = 0.0;
   int read = -1;
 };
@@ -101,11 +107,13 @@ struct ChannelClass {
   Linear output;
 };
 
-/// The most channel classes (state slots) one system may declare. A system's
-/// arrays and its solve's workspace grow with its class count, and each
-/// thread keeps its storage between solves (ChannelClassSystem), so
-/// model::unsupported_reason turns larger models away before they are built.
+/// The most channel classes (state slots) and continuation coefficients one
+/// system may declare. A system's arrays and its solve's workspace grow with
+/// both, and each thread keeps its storage between solves (ChannelClassSystem,
+/// Workspace), so model::unsupported_reason turns larger models away before
+/// they are built.
 inline constexpr int kMaxClasses = 1 << 16;
+inline constexpr int kMaxCoefficients = 1 << 22;
 
 /// Queueing-policy knobs shared by every blocking evaluation in a system.
 struct EngineOptions {
@@ -113,26 +121,78 @@ struct EngineOptions {
   BlockingVariant blocking = BlockingVariant::kPaper;
   /// Service scale entering the busy probability Pb (eq 27).
   ServiceBasis busy_basis = ServiceBasis::kTransmission;
-  /// Arrival-process index of dispersion fed to every waiting-time
-  /// evaluation (engine/bursty.hpp). 1 = Bernoulli/Poisson arrivals, in
-  /// which case every result is bitwise-identical to the pre-bursty engine.
-  double arrival_idc = 1.0;
 };
 
-/// A declarative channel-class system. Slots are fixed at construction so
-/// builders can lay out and cross-reference indices before declaring the
-/// classes; slot order is the within-sweep evaluation order.
+/// Everything one solve writes: the per-λ rate table and the state, which
+/// the model family fills and reads, scratch vectors for the family's
+/// assembly, and the engine's own per-sweep values. A ThreadWorkspace lends
+/// the calling thread's, so a thread that has solved a model of a given size
+/// solves the next one no larger without allocating.
+struct Workspace {
+  /// The stream rates of this solve, indexed by TermStream::rate; as many
+  /// as the system declared.
+  std::vector<double> rates;
+  /// The iterate; the converged state once ChannelClassSystem::solve
+  /// returns converged.
+  std::vector<double> state;
+  /// Free for the family's assembly (the hot-spot torus keeps its
+  /// per-position source waits and multiplexing degrees here).
+  std::array<std::vector<double>, 4> scratch;
+
+ private:
+  friend class ChannelClassSystem;
+  friend class ThreadWorkspace;
+  /// The values of the reads, terms and mixtures, and the fixed-point
+  /// iteration's sweep buffers.
+  std::vector<double> reads;
+  std::vector<double> terms;
+  std::vector<double> mixtures;
+  FixedPointBuffers sweep;
+  /// The arrival index of dispersion fed to every waiting-time evaluation
+  /// (engine/bursty.hpp): 1 = Bernoulli arrivals, bitwise the pre-bursty
+  /// engine.
+  double arrival_idc = 1.0;
+  /// Constant blocking reads nothing from the state — Pb and the
+  /// merged-stream wait depend only on rates and contention-free holding
+  /// times — so it is computed on the first sweep and reused bit-for-bit
+  /// afterwards. The inclusive basis stays per-sweep.
+  bool blocking_cached = false;
+};
+
+/// The calling thread's spare Workspace, lent for this object's lifetime and
+/// handed back, capacity kept, when it is destroyed (unless it outgrew the
+/// 16 MiB a thread keeps). A second ThreadWorkspace alive on the same thread
+/// starts empty. Results never depend on what the storage held before: every
+/// value a solve reads, it first writes.
+class ThreadWorkspace {
+ public:
+  ThreadWorkspace();
+  ~ThreadWorkspace();
+  ThreadWorkspace(const ThreadWorkspace&) = delete;
+  ThreadWorkspace& operator=(const ThreadWorkspace&) = delete;
+
+  Workspace& operator*() noexcept { return ws_; }
+  Workspace* operator->() noexcept { return &ws_; }
+
+ private:
+  Workspace ws_;
+};
+
+/// A declarative channel-class system. Slots and the size of the rate table
+/// are fixed at construction so builders can lay out and cross-reference
+/// indices before declaring the classes; slot order is the within-sweep
+/// evaluation order. A declared system is read-only: solve() is const and
+/// writes only the caller's Workspace, so one system may be solved from many
+/// threads at once.
 ///
-/// Storage is per thread (DESIGN.md §4): a system takes its flat arrays from
-/// the constructing thread's spare storage and hands them back, capacity
-/// kept, when it is destroyed; solve() likewise borrows the solving thread's
-/// spare workspace for the duration of the call. Once a thread has built and
-/// solved a system of a given size, building and solving one no larger
-/// allocates nothing, unless that storage outgrew the 16 MiB of each kind a
-/// thread keeps. Results do not depend on what the storage held before.
+/// A system takes its flat arrays from the constructing thread's spare
+/// storage and hands them back, capacity kept, when it is destroyed (DESIGN.md
+/// §4): once a thread has declared a system of a given size, declaring one no
+/// larger allocates nothing, unless that storage outgrew the 16 MiB a thread
+/// keeps.
 class ChannelClassSystem {
  public:
-  explicit ChannelClassSystem(int slots, EngineOptions options);
+  ChannelClassSystem(int slots, int rates, EngineOptions options);
   ~ChannelClassSystem();
   /// Movable, so builders can return a system; a moved-from system holds no
   /// storage and hands nothing back. Copying would duplicate the arrays.
@@ -148,6 +208,7 @@ class ChannelClassSystem {
   int add_read(int first, int count);
   /// Declares one blocking_delay of a regular and a hot stream; returns its
   /// index for Weighted::term. Terms are numbered in declaration order.
+  /// Aborts unless each stream's rate slot is -1 or one of the system's.
   int add_term(const TermStream& regular, const TermStream& hot = {});
   /// Declares the mixture (sum of weight * term) / divisor; returns its
   /// index for ChannelClass::blocking.
@@ -166,8 +227,15 @@ class ChannelClassSystem {
   /// raw scratch and converge to a silently wrong fixed point.
   void set_class(int slot, const ChannelClass& cls);
 
-  /// Fixed-point solve from the zero-load state. `state` holds the converged
-  /// iterate on success.
+  /// The declared state slots and continuation coefficients: what
+  /// model::unsupported_reason bounds before anything is declared.
+  int class_count() const noexcept { return static_cast<int>(a_.classes.size()); }
+  int coefficient_count() const noexcept { return static_cast<int>(a_.coefs.size()); }
+
+  /// Fixed-point solve from the zero-load state at the stream rates in
+  /// `ws.rates` (as many as the constructor's `rates`) and arrival index of
+  /// dispersion `arrival_idc`. `ws.state` holds the converged iterate on
+  /// success.
   ///
   /// With state-independent blocking (transmission basis or pure wait) the
   /// solve first runs undamped sweeps. Every builder in this repository then
@@ -177,8 +245,8 @@ class ChannelClassSystem {
   /// with state-dependent (inclusive-basis) blocking — the damped iteration
   /// runs, then the stubborn-point retry (DESIGN.md R7). Every path starts
   /// from the zero-load state, so the result (iteration count included)
-  /// depends only on the system.
-  FixedPointResult solve(std::vector<double>& state) const;
+  /// depends only on the system, the rates and the IDC.
+  FixedPointResult solve(Workspace& ws, double arrival_idc = 1.0) const;
 
  private:
   struct Read {
@@ -203,31 +271,16 @@ class ChannelClassSystem {
     std::vector<Mixture> mixtures;
     std::vector<Coef> coefs;
   };
-  /// Per-solve scratch: the values of the reads, terms and mixtures, and the
-  /// fixed-point iteration's sweep buffers.
-  struct Workspace {
-    std::vector<double> reads;
-    std::vector<double> terms;
-    std::vector<double> mixtures;
-    FixedPointBuffers sweep;
-    /// Constant blocking reads nothing from the state — Pb and the
-    /// merged-stream wait depend only on rates and contention-free holding
-    /// times — so it is computed on the first sweep and reused bit-for-bit
-    /// afterwards. The inclusive basis stays per-sweep.
-    bool blocking_cached = false;
-  };
-  /// The calling thread's spare storage (one of each, possibly empty).
+  /// The calling thread's spare arrays (possibly empty).
   static Arrays& spare_arrays();
-  static Workspace& spare_workspace();
 
   double eval(const Linear& lin, const std::vector<double>& s) const;
-  bool term_value(const Term& term, const std::vector<double>& reads,
-                  double& out) const;
+  bool term_value(const Term& term, const Workspace& ws, double& out) const;
   bool step(const std::vector<double>& in, std::vector<double>& out,
             Workspace& ws) const;
-  FixedPointResult solve_in(Workspace& ws, std::vector<double>& state) const;
 
   EngineOptions options_;
+  int rate_count_;
   bool blocking_state_dependent_;
   Arrays a_;
 };

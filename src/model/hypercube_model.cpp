@@ -24,14 +24,18 @@
 //    blocking/waiting primitives (mg1.hpp) and Dally VC chain (vcmux.hpp),
 //    solved by the shared fixed-point driver.
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "model/engine/channel_class.hpp"
 #include "model/engine/mg1.hpp"
 #include "model/engine/vcmux.hpp"
 #include "model/families.hpp"
+#include "topology/torus.hpp"  // topo::kMaxDims
 #include "util/assert.hpp"
 
 namespace kncube::model {
@@ -52,144 +56,170 @@ struct Lay {
   int h(int d) const { return r(d) + 1; }
 };
 
-/// Declarative description of the hot-spot hypercube over the shared
-/// engine: per-dimension regular/hot channel classes whose continuations are
-/// the e-cube next-dimension mixture, with funnel/plain blocking mixtures.
-class Builder {
- public:
-  Builder(const ModelConfig& cfg, double lambda)
-      : cfg_(cfg),
-        lay_{cfg.n},
-        lm_(static_cast<double>(cfg.message_length)),
-        lambda_(lambda),
-        h_(cfg.hot_fraction.value_or(0.0)) {
-    const int n = cfg_.n;
-    lambda_r_ = lambda * (1.0 - h_) * pow2(n - 1) / (pow2(n) - 1.0);
-    hot_rate_.resize(static_cast<std::size_t>(n));
-    funnel_fraction_.resize(static_cast<std::size_t>(n));
-    for (int d = 0; d < n; ++d) {
-      hot_rate_[static_cast<std::size_t>(d)] = hypercube_hot_funnel_rate(lambda, h_, d);
-      // Funnel channels at dim d: 2^{n-d-1} of the 2^n dim-d channels.
-      funnel_fraction_[static_cast<std::size_t>(d)] = pow2(-(d + 1));
-    }
-  }
+/// The per-λ rate table: the regular rate, then the dim-d funnel's hot rate.
+constexpr int kRegularRate = 0;
+int hot_rate_slot(int d) { return 1 + d; }
 
-  double hot_rate(int d) const { return hot_rate_[static_cast<std::size_t>(d)]; }
+/// What the declaration and the assembly share: nothing in it depends on λ.
+struct Geometry {
+  ModelConfig cfg;
+  Lay lay;
+  double lm;
 
   /// Contention-free holding time of a dim-d channel: Lm flits plus the
   /// header's expected remaining hops (each higher dimension differs with
   /// probability 1/2) — identical for hot and regular streams.
-  double tx(int d) const {
-    return lm_ + static_cast<double>(cfg_.n - 1 - d) / 2.0;
-  }
-
+  double tx(int d) const { return lm + static_cast<double>(cfg.n - 1 - d) / 2.0; }
   /// P(next corrected dimension is d' | currently at dim d); delivery
   /// otherwise.
   double next_dim_probability(int d, int dp) const {
     KNC_DEBUG_ASSERT(dp > d);
     return pow2(-(dp - d));
   }
-  double delivery_probability(int d) const { return pow2(-(cfg_.n - 1 - d)); }
+  double delivery_probability(int d) const { return pow2(-(cfg.n - 1 - d)); }
+  /// Funnel channels at dim d: 2^{n-d-1} of the 2^n dim-d channels.
+  double funnel_fraction(int d) const { return pow2(-(d + 1)); }
+};
 
-  ChannelClassSystem build() const {
-    const int n = cfg_.n;
+/// Per-dimension regular/hot channel classes whose continuations are the
+/// e-cube next-dimension mixture, with funnel/plain blocking mixtures.
+ChannelClassSystem declare_system(const Geometry& geo) {
+  const int n = geo.cfg.n;
+  const double lm = geo.lm;
+  const Lay& lay = geo.lay;
 
-    engine::EngineOptions opts;
-    opts.service_floor = lm_;
-    opts.blocking = BlockingVariant::kPaper;
-    opts.busy_basis = cfg_.busy_basis;
-    ChannelClassSystem sys(lay_.total(), opts);
+  engine::EngineOptions opts;
+  opts.service_floor = lm;
+  opts.blocking = BlockingVariant::kPaper;
+  opts.busy_basis = geo.cfg.busy_basis;
+  ChannelClassSystem sys(lay.total(), hot_rate_slot(n), opts);
 
-    // Zero-load service times S_d = 1 + sum P S_d' + P0 (Lm-1), solved
-    // backwards; hot and regular share the geometry at zero load.
-    std::vector<double> s0(static_cast<std::size_t>(n));
-    for (int d = n - 1; d >= 0; --d) {
-      double acc = 1.0 + delivery_probability(d) * (lm_ - 1.0);
-      for (int dp = d + 1; dp < n; ++dp) {
-        acc += next_dim_probability(d, dp) * s0[static_cast<std::size_t>(dp)];
-      }
-      s0[static_cast<std::size_t>(d)] = acc;
+  // Zero-load service times S_d = 1 + sum P S_d' + P0 (Lm-1), solved
+  // backwards; hot and regular share the geometry at zero load.
+  std::vector<double> s0(static_cast<std::size_t>(n));
+  for (int d = n - 1; d >= 0; --d) {
+    double acc = 1.0 + geo.delivery_probability(d) * (lm - 1.0);
+    for (int dp = d + 1; dp < n; ++dp) {
+      acc += geo.next_dim_probability(d, dp) * s0[static_cast<std::size_t>(dp)];
     }
-
-    std::vector<engine::Coef> next_r;
-    std::vector<engine::Coef> next_h;
-    for (int d = n - 1; d >= 0; --d) {
-      const double f = funnel_fraction_[static_cast<std::size_t>(d)];
-      const engine::TermStream reg{lambda_r_, tx(d), sys.add_read(lay_.r(d), 1)};
-      const engine::TermStream hot{hot_rate(d), tx(d), sys.add_read(lay_.h(d), 1)};
-      const int funnel = sys.add_term(reg, hot);
-      const int plain = sys.add_term(reg);
-      // Blocking seen by a regular message at a random dim-d channel: the
-      // funnel fraction of them also carries the hot stream. Hot messages
-      // always ride funnel channels.
-      const int b_reg = sys.add_mixture({{funnel, f}, {plain, 1.0 - f}});
-      const int b_hot = sys.add_mixture({{funnel}});
-
-      const double cont0 = delivery_probability(d) * (lm_ - 1.0);
-      next_r.clear();
-      next_h.clear();
-      for (int dp = d + 1; dp < n; ++dp) {
-        const double p = next_dim_probability(d, dp);
-        next_r.push_back({lay_.r(dp), p});
-        next_h.push_back({lay_.h(dp), p});
-      }
-      const double s0_d = s0[static_cast<std::size_t>(d)];
-      sys.set_class(lay_.r(d), {b_reg, s0_d, {}, sys.linear(cont0, next_r)});
-      sys.set_class(lay_.h(d), {b_hot, s0_d, {}, sys.linear(cont0, next_h)});
-    }
-    return sys;
+    s0[static_cast<std::size_t>(d)] = acc;
   }
 
-  bool assemble(const std::vector<double>& s, ModelResult& res) const {
-    const int n = cfg_.n;
-    const double h = h_;
-    const int vcs = cfg_.vcs;
+  std::vector<engine::Coef> next_r;
+  std::vector<engine::Coef> next_h;
+  for (int d = n - 1; d >= 0; --d) {
+    const double f = geo.funnel_fraction(d);
+    const engine::TermStream reg{kRegularRate, geo.tx(d), sys.add_read(lay.r(d), 1)};
+    const engine::TermStream hot{hot_rate_slot(d), geo.tx(d), sys.add_read(lay.h(d), 1)};
+    const int funnel = sys.add_term(reg, hot);
+    const int plain = sys.add_term(reg);
+    // Blocking seen by a regular message at a random dim-d channel: the
+    // funnel fraction of them also carries the hot stream. Hot messages
+    // always ride funnel channels.
+    const int b_reg = sys.add_mixture({{funnel, f}, {plain, 1.0 - f}});
+    const int b_hot = sys.add_mixture({{funnel}});
 
-    // Entry distribution over the first corrected dimension.
-    std::vector<double> p_first(static_cast<std::size_t>(n));
-    for (int d = 0; d < n; ++d) {
-      p_first[static_cast<std::size_t>(d)] = hypercube_first_dim_probability(n, d);
+    const double cont0 = geo.delivery_probability(d) * (lm - 1.0);
+    next_r.clear();
+    next_h.clear();
+    for (int dp = d + 1; dp < n; ++dp) {
+      const double p = geo.next_dim_probability(d, dp);
+      next_r.push_back({lay.r(dp), p});
+      next_h.push_back({lay.h(dp), p});
     }
+    const double s0_d = s0[static_cast<std::size_t>(d)];
+    sys.set_class(lay.r(d), {b_reg, s0_d, {}, sys.linear(cont0, next_r)});
+    sys.set_class(lay.h(d), {b_hot, s0_d, {}, sys.linear(cont0, next_h)});
+  }
+  return sys;
+}
+
+/// The compiled hot-spot hypercube: the declared system plus the geometry
+/// and entry distribution its assembly reads.
+class Hypercube final : public CompiledModel {
+ public:
+  explicit Hypercube(const Geometry& geo)
+      : CompiledModel(geo.cfg, declare_system(geo)),
+        geo_(geo),
+        h_(geo.cfg.hot_fraction.value_or(0.0)) {
+    // Entry distribution over the first corrected dimension.
+    for (int d = 0; d < geo.cfg.n; ++d) {
+      p_first_[static_cast<std::size_t>(d)] = hypercube_first_dim_probability(geo.cfg.n, d);
+    }
+  }
+
+ private:
+  ModelResult evaluate(double lambda, double /*arrival_idc: Bernoulli only*/) const override {
+    const int n = geo_.cfg.n;
+    engine::ThreadWorkspace ws;
+    ws->rates.resize(static_cast<std::size_t>(hot_rate_slot(n)));
+    ws->rates[kRegularRate] = lambda * (1.0 - h_) * pow2(n - 1) / (pow2(n) - 1.0);
+    for (int d = 0; d < n; ++d) {
+      ws->rates[static_cast<std::size_t>(hot_rate_slot(d))] =
+          hypercube_hot_funnel_rate(lambda, h_, d);
+    }
+    ModelResult res;
+    const FixedPointResult fp = system_.solve(*ws);
+    res.iterations = fp.iterations;
+    res.converged = fp.converged;
+    if (!fp.converged) {
+      res.saturated = true;
+      return res;
+    }
+    if (!assemble(lambda, *ws, res)) {
+      res.saturated = true;
+      res.latency = std::numeric_limits<double>::infinity();
+    }
+    return res;
+  }
+
+  bool assemble(double lambda, const engine::Workspace& ws, ModelResult& res) const {
+    const ModelConfig& cfg = geo_.cfg;
+    const Lay& lay = geo_.lay;
+    const int n = cfg.n;
+    const double h = h_;
+    const int vcs = cfg.vcs;
+    const std::vector<double>& s = ws.state;
+    const double lambda_r = ws.rates[kRegularRate];
+    const auto p_first = [&](int d) { return p_first_[static_cast<std::size_t>(d)]; };
 
     double sr_net = 0.0;
     double sh_net = 0.0;
     for (int d = 0; d < n; ++d) {
-      sr_net +=
-          p_first[static_cast<std::size_t>(d)] * s[static_cast<std::size_t>(lay_.r(d))];
-      sh_net +=
-          p_first[static_cast<std::size_t>(d)] * s[static_cast<std::size_t>(lay_.h(d))];
+      sr_net += p_first(d) * s[static_cast<std::size_t>(lay.r(d))];
+      sh_net += p_first(d) * s[static_cast<std::size_t>(lay.h(d))];
     }
 
     // Source queue: per-VC M/G/1 with the node-averaged network latency.
-    const double arr = lambda_ / static_cast<double>(vcs);
-    const QueueDelay ws = mg1_wait(arr, (1.0 - h) * sr_net + h * sh_net, lm_);
-    if (ws.saturated) return false;
-    res.source_wait_regular = ws.value;
+    const double arr = lambda / static_cast<double>(vcs);
+    const QueueDelay wait = mg1_wait(arr, (1.0 - h) * sr_net + h * sh_net, geo_.lm);
+    if (wait.saturated) return false;
+    res.source_wait_regular = wait.value;
 
     // VC multiplexing per dimension, funnel and plain channel classes.
-    const bool mux_incl = cfg_.vcmux_basis == ServiceBasis::kInclusive;
+    const bool mux_incl = cfg.vcmux_basis == ServiceBasis::kInclusive;
     double sr_total = 0.0;
     double sh_total = 0.0;
     double max_util = 0.0;
-    const bool busy_incl = cfg_.busy_basis == ServiceBasis::kInclusive;
+    const bool busy_incl = cfg.busy_basis == ServiceBasis::kInclusive;
     for (int d = 0; d < n; ++d) {
-      const double rate_h = hot_rate(d);
-      const Stream reg{lambda_r_, s[static_cast<std::size_t>(lay_.r(d))], tx(d)};
-      const Stream hot{rate_h, s[static_cast<std::size_t>(lay_.h(d))], tx(d)};
-      const double s_r = mux_incl ? s[static_cast<std::size_t>(lay_.r(d))] : tx(d);
-      const double s_h = mux_incl ? s[static_cast<std::size_t>(lay_.h(d))] : tx(d);
+      const double rate_h = ws.rates[static_cast<std::size_t>(hot_rate_slot(d))];
+      const double tx = geo_.tx(d);
+      const Stream reg{lambda_r, s[static_cast<std::size_t>(lay.r(d))], tx};
+      const Stream hot{rate_h, s[static_cast<std::size_t>(lay.h(d))], tx};
+      const double s_r = mux_incl ? s[static_cast<std::size_t>(lay.r(d))] : tx;
+      const double s_h = mux_incl ? s[static_cast<std::size_t>(lay.h(d))] : tx;
 
-      const double rate_f = lambda_r_ + rate_h;
-      const double sbar_f = (lambda_r_ * s_r + rate_h * s_h) / rate_f;
+      const double rate_f = lambda_r + rate_h;
+      const double sbar_f = (lambda_r * s_r + rate_h * s_h) / rate_f;
       const double v_funnel = vc_multiplexing_degree(rate_f, sbar_f, vcs);
-      const double v_plain = vc_multiplexing_degree(lambda_r_, s_r, vcs);
-      const double f = funnel_fraction_[static_cast<std::size_t>(d)];
+      const double v_plain = vc_multiplexing_degree(lambda_r, s_r, vcs);
+      const double f = geo_.funnel_fraction(d);
       const double v_reg = f * v_funnel + (1.0 - f) * v_plain;
 
-      sr_total += p_first[static_cast<std::size_t>(d)] *
-                  (s[static_cast<std::size_t>(lay_.r(d))] + ws.value) * v_reg;
-      sh_total += p_first[static_cast<std::size_t>(d)] *
-                  (s[static_cast<std::size_t>(lay_.h(d))] + ws.value) * v_funnel;
+      sr_total += p_first(d) * (s[static_cast<std::size_t>(lay.r(d))] + wait.value) * v_reg;
+      sh_total +=
+          p_first(d) * (s[static_cast<std::size_t>(lay.h(d))] + wait.value) * v_funnel;
       max_util = std::max(max_util, busy_probability(reg, hot, busy_incl));
       // The funnel channel into the hot node is the hypercube's hot-y
       // analogue; vc_mux_x and vc_mux_nonhot_y keep their defaults.
@@ -203,15 +233,9 @@ class Builder {
     return true;
   }
 
- private:
-  const ModelConfig& cfg_;
-  Lay lay_;
-  double lm_;
-  double lambda_;
+  Geometry geo_;
   double h_;
-  double lambda_r_ = 0.0;
-  std::vector<double> hot_rate_;
-  std::vector<double> funnel_fraction_;
+  std::array<double, topo::kMaxDims> p_first_{};
 };
 
 }  // namespace
@@ -225,31 +249,16 @@ double hypercube_first_dim_probability(int n, int d) {
   return pow2(n - 1 - d) / (pow2(n) - 1.0);
 }
 
-ModelResult solve_hypercube(const ModelConfig& cfg, double lambda,
-                            double /*arrival_idc: Bernoulli only*/) {
-  const Builder builder(cfg, lambda);
-  ModelResult res;
-
-  const ChannelClassSystem sys = builder.build();
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state);
-  res.iterations = fp.iterations;
-  res.converged = fp.converged;
-  if (!fp.converged) {
-    res.saturated = true;
-    return res;
-  }
-  if (!builder.assemble(state, res)) {
-    res.saturated = true;
-    res.latency = std::numeric_limits<double>::infinity();
-    return res;
-  }
-  return res;
+std::unique_ptr<const CompiledModel> compile_hypercube(const ModelConfig& cfg) {
+  return std::make_unique<Hypercube>(
+      Geometry{cfg, Lay{cfg.n}, static_cast<double>(cfg.message_length)});
 }
 
-/// Lay::total(): a regular and a hot class per dimension.
-std::int64_t hypercube_class_count(const ModelConfig& cfg) {
-  return 2 * std::int64_t{cfg.n};
+/// Lay::total(): a regular and a hot class per dimension, each dim-d class
+/// continuing through the n-1-d higher dimensions.
+ModelSize hypercube_size(const ModelConfig& cfg) {
+  const std::int64_t n = cfg.n;
+  return {2 * n, n * (n - 1)};
 }
 
 /// Mean e-cube hops + Lm - 1 over the hot/regular mix (hot and regular

@@ -16,6 +16,8 @@
 // +hot / -hot line cases. DESIGN.md §13 derives the rates and recursions.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -67,16 +69,16 @@ struct Lay {
   int reg(int d, int i) const { return regular.slot(d, i); }
 };
 
-/// Builder: shared geometry, rates and holding times for build + assembly.
+/// Shared geometry, rate slots and holding times for the declaration and
+/// the assembly; nothing in it depends on λ.
 struct Geo {
-  const ModelConfig& cfg;
+  ModelConfig cfg;
   Lay lay;
-  double lambda, lm, h, md_hot;
+  double lm, h, md_hot;
 
-  Geo(const ModelConfig& c, double rate)
+  explicit Geo(const ModelConfig& c)
       : cfg(c),
         lay(c.k, c.n),
-        lambda(rate),
         lm(static_cast<double>(c.message_length)),
         h(*c.hot_fraction),
         md_hot(mean_hot_line_hops(c.k)) {}
@@ -85,30 +87,37 @@ struct Geo {
   double q(int d) const {
     return std::pow(1.0 / static_cast<double>(lay.k), d);
   }
-  /// Sources funnelled per hot-line position of dimension d: k^d (every
-  /// combination of the already-corrected coordinates), each offering
-  /// h*lambda toward the centre.
-  double funnel(int d) const {
-    return std::pow(static_cast<double>(lay.k), d) * h * lambda;
-  }
-  double sp_rate(int d, int p) const {
-    return static_cast<double>(p + 1) * funnel(d);
-  }
-  double sm_rate(int d, int x) const {
-    return static_cast<double>(lay.k - x) * funnel(d);
-  }
-  /// Hot rates on the + and - instances of folded regular position i: the
-  /// + link carries +chain traffic below the centre, and the fold maps the
-  /// - instance onto the link from k-1-i down to k-2-i, in the -chain when
-  /// k-1-i > c.
-  double plus_rate(int d, int i) const { return i < lay.c ? sp_rate(d, i) : 0.0; }
-  double minus_rate(int d, int i) const {
-    const int x = lay.k - 1 - i;
-    return x > lay.c ? sm_rate(d, x) : 0.0;
-  }
-  double reg_rate(int i) const {
-    return topo::mesh_channel_rate((1.0 - h) * lambda, lay.k,
-                                   lay.n, i);
+
+  // --- the per-λ rate table: the regular rate of each folded position i,
+  // then per dimension the +chain links p = 0..c-1 and the -chain links
+  // x = c+1..k-1.
+  int reg_slot(int i) const { return i; }
+  int sp_slot(int d, int p) const { return (d + 1) * lay.ns + p; }
+  int sm_slot(int d, int x) const { return (d + 1) * lay.ns + x - 1; }
+  int rate_count() const { return (lay.n + 1) * lay.ns; }
+
+  /// Fills `table` with the rates at injection rate `lambda`.
+  void fill_rates(double lambda, std::vector<double>& table) const {
+    const int k = lay.k;
+    table.resize(static_cast<std::size_t>(rate_count()));
+    const auto at = [&](int slot) -> double& {
+      return table[static_cast<std::size_t>(slot)];
+    };
+    for (int i = 0; i < k - 1; ++i) {
+      at(reg_slot(i)) = topo::mesh_channel_rate((1.0 - h) * lambda, k, lay.n, i);
+    }
+    for (int d = 0; d < lay.n; ++d) {
+      // Sources funnelled per hot-line position of dimension d: k^d (every
+      // combination of the already-corrected coordinates), each offering
+      // h*lambda toward the centre.
+      const double funnel = std::pow(static_cast<double>(k), d) * h * lambda;
+      for (int p = 0; p < lay.c; ++p) {
+        at(sp_slot(d, p)) = static_cast<double>(p + 1) * funnel;
+      }
+      for (int x = lay.c + 1; x < k; ++x) {
+        at(sm_slot(d, x)) = static_cast<double>(k - x) * funnel;
+      }
+    }
   }
 
   /// Contention-free holding times: Lm plus the mean hops remaining after
@@ -133,7 +142,7 @@ struct Geo {
 ///
 /// plus the uniform-mesh regular recursion with the hot-line blocking
 /// mixture. `eh_out` receives the E_h(0) expression for the assembly phase.
-ChannelClassSystem build_system(const Geo& geo, Lin& eh_out) {
+ChannelClassSystem declare_system(const Geo& geo, Lin& eh_out) {
   const ModelConfig& cfg = geo.cfg;
   const Lay& lay = geo.lay;
   const int k = lay.k;
@@ -145,7 +154,7 @@ ChannelClassSystem build_system(const Geo& geo, Lin& eh_out) {
   opts.service_floor = lm;
   opts.blocking = cfg.blocking;
   opts.busy_basis = cfg.busy_basis;
-  ChannelClassSystem sys(lay.regular.end(), opts);
+  ChannelClassSystem sys(lay.regular.end(), geo.rate_count(), opts);
 
   // --- terms: one per distinct stream pair of each folded regular position
   // (d, i) — the plain line and the + and - instances of a hot line. An
@@ -159,15 +168,15 @@ ChannelClassSystem build_system(const Geo& geo, Lin& eh_out) {
   };
   for (int d = 0; d < n; ++d) {
     for (int i = 0; i < k - 1; ++i) {
-      const engine::TermStream reg{geo.reg_rate(i), mesh::regular_holding_time(cfg, d, i),
+      const engine::TermStream reg{geo.reg_slot(i), mesh::regular_holding_time(cfg, d, i),
                                    sys.add_read(lay.reg(d, i), 1)};
       const int x = k - 1 - i;
       LineTerms& t = line_terms(d, i);
       t.plain = geo.q(d) < 1.0 || i >= c || x <= c ? sys.add_term(reg) : -1;
-      t.plus = i < c ? sys.add_term(reg, {geo.sp_rate(d, i), geo.tx_sp(d, i),
+      t.plus = i < c ? sys.add_term(reg, {geo.sp_slot(d, i), geo.tx_sp(d, i),
                                           sys.add_read(lay.sp(d, i), 1)})
                      : t.plain;
-      t.minus = x > c ? sys.add_term(reg, {geo.sm_rate(d, x), geo.tx_sm(d, x),
+      t.minus = x > c ? sys.add_term(reg, {geo.sm_slot(d, x), geo.tx_sm(d, x),
                                            sys.add_read(lay.sm(d, x), 1)})
                       : t.plain;
     }
@@ -237,128 +246,165 @@ ChannelClassSystem build_system(const Geo& geo, Lin& eh_out) {
   return sys;
 }
 
+/// The compiled hot-spot mesh: the declared system, its geometry and the
+/// E_h(0) expression the assembly evaluates on the converged state.
+class HotspotMesh final : public CompiledModel {
+ public:
+  HotspotMesh(const Geo& geo, ChannelClassSystem sys, Lin eh)
+      : CompiledModel(geo.cfg, std::move(sys)), geo_(geo), eh_(std::move(eh)) {}
+
+ private:
+  ModelResult evaluate(double lambda, double /*arrival_idc: Bernoulli only*/) const override {
+    const Geo& geo = geo_;
+    const ModelConfig& cfg = geo.cfg;
+    const Lay& lay = geo.lay;
+    const int k = lay.k;
+    const int n = lay.n;
+    const double lm = geo.lm;
+    const double h = geo.h;
+
+    engine::ThreadWorkspace ws;
+    geo.fill_rates(lambda, ws->rates);
+    const auto rate = [&](int slot) { return ws->rates[static_cast<std::size_t>(slot)]; };
+    // Hot rates on the + and - instances of folded regular position i: the
+    // + link carries +chain traffic below the centre, and the fold maps the
+    // - instance onto the link from k-1-i down to k-2-i, in the -chain when
+    // k-1-i > c.
+    const auto plus_rate = [&](int d, int i) {
+      return i < lay.c ? rate(geo.sp_slot(d, i)) : 0.0;
+    };
+    const auto minus_rate = [&](int d, int i) {
+      const int x = k - 1 - i;
+      return x > lay.c ? rate(geo.sm_slot(d, x)) : 0.0;
+    };
+    const auto reg_rate = [&](int i) { return rate(geo.reg_slot(i)); };
+
+    ModelResult res;
+
+    const FixedPointResult fp = system_.solve(*ws);
+    res.iterations = fp.iterations;
+    res.converged = fp.converged;
+    if (!fp.converged) return res;  // saturated (diverged or no steady state)
+    const std::vector<double>& state = ws->state;
+
+    // --- regular network latency: uniform-mesh assembly over the regular
+    // slots (first-correcting-dimension probabilities are exact path counts).
+    const mesh::RegularEntrances ent = mesh::regular_entrances(state, lay.regular);
+    const double s_net = ent.network;
+    res.regular_network_latency = s_net;
+
+    // Hot network latency: E_h(0) evaluated on the converged state.
+    double eh_net = eh_.c;
+    for (const engine::Coef& coef : eh_.terms) {
+      eh_net += coef.weight * state[static_cast<std::size_t>(coef.slot)];
+    }
+
+    // --- source wait: per-VC M/G/1 over the h-mixed network service.
+    const double arr = lambda / static_cast<double>(cfg.vcs);
+    const double s_mix = (1.0 - h) * s_net + h * eh_net;
+    const QueueDelay wait = mg1_wait(arr, s_mix, lm);
+    if (wait.saturated) return res;
+    res.source_wait_regular = wait.value;
+
+    // --- VC multiplexing: entrance-weighted per dimension for the regular
+    // path (folded-pair mean rate includes the hot share of the line mix) and
+    // entry-weighted over the funnel dimension's chains for the hot path.
+    const auto mux_service_reg = [&](int d, int i) {
+      return cfg.vcmux_basis == ServiceBasis::kTransmission
+                 ? mesh::regular_holding_time(cfg, d, i)
+                 : state[static_cast<std::size_t>(lay.reg(d, i))];
+    };
+    double latency_reg = 0.0;
+    double vbar_first = 1.0;
+    double vbar_last = 1.0;
+    for (int j = 0; j < n; ++j) {
+      const double qd = geo.q(j);
+      double vbar = 0.0;
+      for (int i = 0; i < k - 1; ++i) {
+        const double hot_pair = qd * 0.5 * (plus_rate(j, i) + minus_rate(j, i));
+        vbar += topo::mesh_entrance_weight(k, i) *
+                vc_multiplexing_degree(reg_rate(i) + hot_pair, mux_service_reg(j, i),
+                                       cfg.vcs);
+      }
+      if (j == 0) vbar_first = vbar;
+      if (j == n - 1) vbar_last = vbar;
+      latency_reg += ent.p_first[static_cast<std::size_t>(j)] *
+                     (ent.entrance[static_cast<std::size_t>(j)] + wait.value) * vbar;
+    }
+    res.vc_mux_x = vbar_first;
+    res.vc_mux_nonhot_y = vbar_last;
+
+    // Funnel-dimension hot multiplexing, entry-coordinate weighted.
+    const int fd = n - 1;
+    double vbar_hot = 0.0;
+    for (int x = 0; x < k; ++x) {
+      double total = 0.0;
+      double service = lm;
+      if (x < lay.c) {
+        total = rate(geo.sp_slot(fd, x)) + reg_rate(x);
+        service = cfg.vcmux_basis == ServiceBasis::kTransmission
+                      ? geo.tx_sp(fd, x)
+                      : state[static_cast<std::size_t>(lay.sp(fd, x))];
+      } else if (x > lay.c) {
+        total = rate(geo.sm_slot(fd, x)) + reg_rate(k - 1 - x);
+        service = cfg.vcmux_basis == ServiceBasis::kTransmission
+                      ? geo.tx_sm(fd, x)
+                      : state[static_cast<std::size_t>(lay.sm(fd, x))];
+      }
+      vbar_hot += vc_multiplexing_degree(total, service, cfg.vcs) /
+                  static_cast<double>(k);
+    }
+    res.vc_mux_hot_y = vbar_hot;
+
+    const double latency_hot = (eh_net + wait.value) * vbar_hot;
+    res.regular_latency = latency_reg;
+    res.hot_latency = latency_hot;
+    res.latency = (1.0 - h) * latency_reg + h * latency_hot;
+
+    // --- utilisation: regular classes at the regular rate, hot chains at the
+    // full (regular + hot) link rate.
+    double util = 0.0;
+    for (int d = 0; d < n; ++d) {
+      for (int i = 0; i < k - 1; ++i) {
+        util = std::max(util, reg_rate(i) * state[static_cast<std::size_t>(lay.reg(d, i))]);
+      }
+      for (int p = 0; p < lay.c; ++p) {
+        util = std::max(util, (rate(geo.sp_slot(d, p)) + reg_rate(p)) *
+                                  state[static_cast<std::size_t>(lay.sp(d, p))]);
+      }
+      for (int x = lay.c + 1; x < k; ++x) {
+        util = std::max(util, (rate(geo.sm_slot(d, x)) + reg_rate(k - 1 - x)) *
+                                  state[static_cast<std::size_t>(lay.sm(d, x))]);
+      }
+    }
+    res.max_channel_utilization = std::min(1.0, util);
+    res.saturated = false;
+    return res;
+  }
+
+  Geo geo_;
+  Lin eh_;
+};
+
 }  // namespace
 
-ModelResult solve_hotspot_mesh(const ModelConfig& cfg, double lambda,
-                               double /*arrival_idc: Bernoulli only*/) {
-  const Geo geo(cfg, lambda);
-  const Lay& lay = geo.lay;
-  const int k = lay.k;
-  const int n = lay.n;
-  const double lm = geo.lm;
-  const double h = geo.h;
-
-  ModelResult res;
-
+std::unique_ptr<const CompiledModel> compile_hotspot_mesh(const ModelConfig& cfg) {
+  const Geo geo(cfg);
   Lin eh;
-  const ChannelClassSystem sys = build_system(geo, eh);
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state);
-  res.iterations = fp.iterations;
-  res.converged = fp.converged;
-  if (!fp.converged) return res;  // saturated (diverged or no steady state)
-
-  // --- regular network latency: uniform-mesh assembly over the regular
-  // slots (first-correcting-dimension probabilities are exact path counts).
-  const mesh::RegularEntrances ent = mesh::regular_entrances(state, lay.regular);
-  const double s_net = ent.network;
-  res.regular_network_latency = s_net;
-
-  // Hot network latency: E_h(0) evaluated on the converged state.
-  double eh_net = eh.c;
-  for (const engine::Coef& coef : eh.terms) {
-    eh_net += coef.weight * state[static_cast<std::size_t>(coef.slot)];
-  }
-
-  // --- source wait: per-VC M/G/1 over the h-mixed network service.
-  const double arr = lambda / static_cast<double>(cfg.vcs);
-  const double s_mix = (1.0 - h) * s_net + h * eh_net;
-  const QueueDelay ws = mg1_wait(arr, s_mix, lm);
-  if (ws.saturated) return res;
-  res.source_wait_regular = ws.value;
-
-  // --- VC multiplexing: entrance-weighted per dimension for the regular
-  // path (folded-pair mean rate includes the hot share of the line mix) and
-  // entry-weighted over the funnel dimension's chains for the hot path.
-  const auto mux_service_reg = [&](int d, int i) {
-    return cfg.vcmux_basis == ServiceBasis::kTransmission
-               ? mesh::regular_holding_time(cfg, d, i)
-               : state[static_cast<std::size_t>(lay.reg(d, i))];
-  };
-  double latency_reg = 0.0;
-  double vbar_first = 1.0;
-  double vbar_last = 1.0;
-  for (int j = 0; j < n; ++j) {
-    const double qd = geo.q(j);
-    double vbar = 0.0;
-    for (int i = 0; i < k - 1; ++i) {
-      const double hot_pair = qd * 0.5 * (geo.plus_rate(j, i) + geo.minus_rate(j, i));
-      vbar += topo::mesh_entrance_weight(k, i) *
-              vc_multiplexing_degree(geo.reg_rate(i) + hot_pair,
-                                     mux_service_reg(j, i), cfg.vcs);
-    }
-    if (j == 0) vbar_first = vbar;
-    if (j == n - 1) vbar_last = vbar;
-    latency_reg += ent.p_first[static_cast<std::size_t>(j)] *
-                   (ent.entrance[static_cast<std::size_t>(j)] + ws.value) * vbar;
-  }
-  res.vc_mux_x = vbar_first;
-  res.vc_mux_nonhot_y = vbar_last;
-
-  // Funnel-dimension hot multiplexing, entry-coordinate weighted.
-  const int fd = n - 1;
-  double vbar_hot = 0.0;
-  for (int x = 0; x < k; ++x) {
-    double rate = 0.0;
-    double service = lm;
-    if (x < lay.c) {
-      rate = geo.sp_rate(fd, x) + geo.reg_rate(x);
-      service = cfg.vcmux_basis == ServiceBasis::kTransmission
-                    ? geo.tx_sp(fd, x)
-                    : state[static_cast<std::size_t>(lay.sp(fd, x))];
-    } else if (x > lay.c) {
-      rate = geo.sm_rate(fd, x) + geo.reg_rate(k - 1 - x);
-      service = cfg.vcmux_basis == ServiceBasis::kTransmission
-                    ? geo.tx_sm(fd, x)
-                    : state[static_cast<std::size_t>(lay.sm(fd, x))];
-    }
-    vbar_hot += vc_multiplexing_degree(rate, service, cfg.vcs) /
-                static_cast<double>(k);
-  }
-  res.vc_mux_hot_y = vbar_hot;
-
-  const double latency_hot = (eh_net + ws.value) * vbar_hot;
-  res.regular_latency = latency_reg;
-  res.hot_latency = latency_hot;
-  res.latency = (1.0 - h) * latency_reg + h * latency_hot;
-
-  // --- utilisation: regular classes at the regular rate, hot chains at the
-  // full (regular + hot) link rate.
-  double util = 0.0;
-  for (int d = 0; d < n; ++d) {
-    for (int i = 0; i < k - 1; ++i) {
-      util = std::max(util, geo.reg_rate(i) *
-                                state[static_cast<std::size_t>(lay.reg(d, i))]);
-    }
-    for (int p = 0; p < lay.c; ++p) {
-      util = std::max(util, (geo.sp_rate(d, p) + geo.reg_rate(p)) *
-                                state[static_cast<std::size_t>(lay.sp(d, p))]);
-    }
-    for (int x = lay.c + 1; x < k; ++x) {
-      util = std::max(util,
-                      (geo.sm_rate(d, x) + geo.reg_rate(k - 1 - x)) *
-                          state[static_cast<std::size_t>(lay.sm(d, x))]);
-    }
-  }
-  res.max_channel_utilization = std::min(1.0, util);
-  res.saturated = false;
-  return res;
+  ChannelClassSystem sys = declare_system(geo, eh);
+  return std::make_unique<HotspotMesh>(geo, std::move(sys), std::move(eh));
 }
 
 /// Lay::regular.end(): the n(k-1) hot-chain slots, then the n(k-1) regular
-/// classes.
-std::int64_t hotspot_mesh_class_count(const ModelConfig& cfg) {
-  return 2 * std::int64_t{cfg.n} * (cfg.k - 1);
+/// classes. Coefficients: E_h(d+1) once per dimension below the funnel (it
+/// carries (n-1-d)(k-1)), one per chain link but the two into the centre,
+/// and the regular recursion's.
+ModelSize hotspot_mesh_size(const ModelConfig& cfg) {
+  const std::int64_t k = cfg.k;
+  const std::int64_t n = cfg.n;
+  const std::int64_t chain_links = std::max<std::int64_t>(k - 3, 0);
+  return {2 * n * (k - 1), (k - 1) * (n * (n - 1) / 2) + n * chain_links +
+                               mesh::regular_coefficient_count(cfg.k, cfg.n)};
 }
 
 /// The h-weighted mix of the uniform mean Manhattan distance and the mean
@@ -376,7 +422,7 @@ double hotspot_mesh_zero_load_latency(const ModelConfig& cfg) {
 /// pole.
 double hotspot_mesh_saturation_estimate(const ModelConfig& cfg) {
   const double h = *cfg.hot_fraction;
-  const Geo geo(cfg, 0.0);  // holding times only: rate-independent
+  const Geo geo(cfg);
   const Lay& lay = geo.lay;
   // Regular pole: the dimension-0 bisection link at the uniform component.
   const double coef_reg =

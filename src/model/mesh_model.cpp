@@ -15,6 +15,8 @@
 // the per-class rate and continuation equations and maps each to its paper
 // counterpart.
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "model/engine/mg1.hpp"
@@ -27,101 +29,120 @@ namespace kncube::model {
 
 namespace {
 
-/// Builds the n(k-1)-class mesh system (DESIGN.md §8): the regular classes
-/// alone, each blocking on its own channel (per-position rates make
-/// blocking position-dependent).
-engine::ChannelClassSystem build_system(const ModelConfig& cfg, double lambda,
-                                        const mesh::RegularLayout& lay) {
+/// The n(k-1)-class mesh system (DESIGN.md §8): the regular classes alone,
+/// each blocking on its own channel (per-position rates make blocking
+/// position-dependent). Rate slot i holds the position-i channel rate, the
+/// same in every dimension.
+engine::ChannelClassSystem declare_system(const ModelConfig& cfg,
+                                          const mesh::RegularLayout& lay) {
   const double lm = static_cast<double>(cfg.message_length);
   engine::EngineOptions opts;
   opts.service_floor = lm;
   opts.blocking = cfg.blocking;
   opts.busy_basis = cfg.busy_basis;
-  engine::ChannelClassSystem sys(lay.end(), opts);
+  engine::ChannelClassSystem sys(lay.end(), cfg.k - 1, opts);
   mesh::declare_regular_classes(sys, lay, lm, [&](int d, int i) {
-    const int term = sys.add_term({topo::mesh_channel_rate(lambda, cfg.k, cfg.n, i),
-                                   mesh::regular_holding_time(cfg, d, i),
-                                   sys.add_read(lay.slot(d, i), 1)});
+    const int term = sys.add_term(
+        {i, mesh::regular_holding_time(cfg, d, i), sys.add_read(lay.slot(d, i), 1)});
     return sys.add_mixture({{term}});
   });
   return sys;
 }
 
+class UniformMesh final : public CompiledModel {
+ public:
+  explicit UniformMesh(const ModelConfig& cfg)
+      : CompiledModel(cfg, declare_system(cfg, {cfg.k, cfg.n, 0})),
+        cfg_(cfg),
+        lay_{cfg.k, cfg.n, 0} {}
+
+ private:
+  ModelResult evaluate(double lambda, double /*arrival_idc: Bernoulli only*/) const override {
+    const ModelConfig& cfg = cfg_;
+    const int k = cfg.k;
+    const int n = cfg.n;
+    const double lm = static_cast<double>(cfg.message_length);
+    const mesh::RegularLayout& lay = lay_;
+
+    engine::ThreadWorkspace ws;
+    ws->rates.resize(static_cast<std::size_t>(k - 1));
+    for (int i = 0; i < k - 1; ++i) {
+      ws->rates[static_cast<std::size_t>(i)] = topo::mesh_channel_rate(lambda, k, n, i);
+    }
+    const auto channel_rate = [&](int i) { return ws->rates[static_cast<std::size_t>(i)]; };
+
+    ModelResult res;
+    // All traffic is regular: regular_latency mirrors latency on every path,
+    // +inf when saturated.
+    const auto finish = [&res] {
+      res.regular_latency = res.latency;
+      return res;
+    };
+
+    const FixedPointResult fp = system_.solve(*ws);
+    res.iterations = fp.iterations;
+    res.converged = fp.converged;
+    if (!fp.converged) return finish();  // saturated (diverged or no steady state)
+
+    const std::vector<double>& state = ws->state;
+    const mesh::RegularEntrances ent = mesh::regular_entrances(state, lay);
+    const double s_net = ent.network;
+    res.regular_network_latency = s_net;
+
+    const double arr = lambda / static_cast<double>(cfg.vcs);
+    const QueueDelay wait = mg1_wait(arr, s_net, lm);
+    if (wait.saturated) return finish();
+    res.source_wait_regular = wait.value;
+
+    // Entrance-weighted VC multiplexing per first dimension (eqs 33-35 per
+    // class), on the configured occupancy basis. Dimension 0 carries the
+    // longest continuations (vc_mux_x); the last dimension drains into the
+    // destination (both y slots).
+    double latency = 0.0;
+    for (int j = 0; j < n; ++j) {
+      double vbar = 0.0;
+      for (int i = 0; i < k - 1; ++i) {
+        const double service =
+            cfg.vcmux_basis == ServiceBasis::kTransmission
+                ? mesh::regular_holding_time(cfg, j, i)
+                : state[static_cast<std::size_t>(lay.slot(j, i))];
+        vbar += topo::mesh_entrance_weight(k, i) *
+                vc_multiplexing_degree(channel_rate(i), service, cfg.vcs);
+      }
+      if (j == 0) res.vc_mux_x = vbar;
+      if (j == n - 1) res.vc_mux_hot_y = res.vc_mux_nonhot_y = vbar;
+      latency += ent.p_first[static_cast<std::size_t>(j)] *
+                 (ent.entrance[static_cast<std::size_t>(j)] + wait.value) * vbar;
+    }
+    res.latency = latency;
+
+    // The most loaded class: a centre (bisection) link of dimension 0 in all
+    // non-degenerate cases.
+    double util = 0.0;
+    for (int d = 0; d < n; ++d) {
+      for (int i = 0; i < k - 1; ++i) {
+        util = std::max(util, channel_rate(i) *
+                                  state[static_cast<std::size_t>(lay.slot(d, i))]);
+      }
+    }
+    res.max_channel_utilization = std::min(1.0, util);
+    res.saturated = false;
+    return finish();
+  }
+
+  ModelConfig cfg_;
+  mesh::RegularLayout lay_;
+};
+
 }  // namespace
 
-ModelResult solve_uniform_mesh(const ModelConfig& cfg, double lambda,
-                               double /*arrival_idc: Bernoulli only*/) {
-  const int k = cfg.k;
-  const int n = cfg.n;
-  const double lm = static_cast<double>(cfg.message_length);
-  const mesh::RegularLayout lay{k, n, 0};
-  const auto channel_rate = [&](int i) {
-    return topo::mesh_channel_rate(lambda, k, n, i);
-  };
-
-  ModelResult res;
-  // All traffic is regular: regular_latency mirrors latency on every path,
-  // +inf when saturated.
-  const auto finish = [&res] {
-    res.regular_latency = res.latency;
-    return res;
-  };
-
-  const engine::ChannelClassSystem sys = build_system(cfg, lambda, lay);
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state);
-  res.iterations = fp.iterations;
-  res.converged = fp.converged;
-  if (!fp.converged) return finish();  // saturated (diverged or no steady state)
-
-  const mesh::RegularEntrances ent = mesh::regular_entrances(state, lay);
-  const double s_net = ent.network;
-  res.regular_network_latency = s_net;
-
-  const double arr = lambda / static_cast<double>(cfg.vcs);
-  const QueueDelay ws = mg1_wait(arr, s_net, lm);
-  if (ws.saturated) return finish();
-  res.source_wait_regular = ws.value;
-
-  // Entrance-weighted VC multiplexing per first dimension (eqs 33-35 per
-  // class), on the configured occupancy basis. Dimension 0 carries the
-  // longest continuations (vc_mux_x); the last dimension drains into the
-  // destination (both y slots).
-  double latency = 0.0;
-  for (int j = 0; j < n; ++j) {
-    double vbar = 0.0;
-    for (int i = 0; i < k - 1; ++i) {
-      const double service =
-          cfg.vcmux_basis == ServiceBasis::kTransmission
-              ? mesh::regular_holding_time(cfg, j, i)
-              : state[static_cast<std::size_t>(lay.slot(j, i))];
-      vbar += topo::mesh_entrance_weight(k, i) *
-              vc_multiplexing_degree(channel_rate(i), service, cfg.vcs);
-    }
-    if (j == 0) res.vc_mux_x = vbar;
-    if (j == n - 1) res.vc_mux_hot_y = res.vc_mux_nonhot_y = vbar;
-    latency += ent.p_first[static_cast<std::size_t>(j)] *
-               (ent.entrance[static_cast<std::size_t>(j)] + ws.value) * vbar;
-  }
-  res.latency = latency;
-
-  // The most loaded class: a centre (bisection) link of dimension 0 in all
-  // non-degenerate cases.
-  double util = 0.0;
-  for (int d = 0; d < n; ++d) {
-    for (int i = 0; i < k - 1; ++i) {
-      util = std::max(util, channel_rate(i) *
-                                state[static_cast<std::size_t>(lay.slot(d, i))]);
-    }
-  }
-  res.max_channel_utilization = std::min(1.0, util);
-  res.saturated = false;
-  return finish();
+std::unique_ptr<const CompiledModel> compile_uniform_mesh(const ModelConfig& cfg) {
+  return std::make_unique<UniformMesh>(cfg);
 }
 
 /// RegularLayout::end() from slot 0: one class per (dimension, position).
-std::int64_t uniform_mesh_class_count(const ModelConfig& cfg) {
-  return std::int64_t{cfg.n} * (cfg.k - 1);
+ModelSize uniform_mesh_size(const ModelConfig& cfg) {
+  return {std::int64_t{cfg.n} * (cfg.k - 1), mesh::regular_coefficient_count(cfg.k, cfg.n)};
 }
 
 /// E[Manhattan distance | dst != src] + Lm - 1.

@@ -71,14 +71,18 @@ void declare_regular_classes(engine::ChannelClassSystem& sys,
   }
 }
 
+std::int64_t regular_coefficient_count(int k, int n) {
+  const std::int64_t line = std::int64_t{k} - 1;
+  const std::int64_t dims = n;
+  return line * line * (dims * (dims - 1) / 2) + dims * (line - 1);
+}
+
 RegularEntrances regular_entrances(const std::vector<double>& state,
                                    const RegularLayout& lay) {
   const int k = lay.k;
   const int n = lay.n;
   const double p_self = std::pow(static_cast<double>(k), -n);
   RegularEntrances out;
-  out.entrance.assign(static_cast<std::size_t>(n), 0.0);
-  out.p_first.assign(static_cast<std::size_t>(n), 0.0);
   for (int j = 0; j < n; ++j) {
     double e = 0.0;
     for (int i = 0; i < k - 1; ++i) {

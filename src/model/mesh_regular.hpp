@@ -4,11 +4,14 @@
 // close over.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "model/analytical_model.hpp"
 #include "model/engine/channel_class.hpp"
+#include "topology/torus.hpp"  // topo::kMaxDims
 
 namespace kncube::model::mesh {
 
@@ -51,13 +54,18 @@ void declare_regular_classes(engine::ChannelClassSystem& sys,
                              const RegularLayout& lay, double lm,
                              const std::function<int(int d, int i)>& blocking);
 
+/// The continuation coefficients declare_regular_classes declares: G_{d+1}
+/// carries (n-1-d)(k-1) of them into each of dimension d's k-1 classes, and
+/// every class but the line's last adds its next link.
+std::int64_t regular_coefficient_count(int k, int n);
+
 /// Entrance sums over a converged state: E_enter(j), the exact
 /// first-correcting-dimension probabilities (dimensions 0..j-1 match with
 /// probability k^-j, dimension j differs with (k-1)/k, renormalised by the
 /// dst != src conditioning), and the mean regular network latency.
 struct RegularEntrances {
-  std::vector<double> entrance;
-  std::vector<double> p_first;
+  std::array<double, topo::kMaxDims> entrance{};
+  std::array<double, topo::kMaxDims> p_first{};
   double network = 0.0;
 };
 

@@ -28,4 +28,19 @@ struct TrafficRates {
 
 TrafficRates traffic_rates(int k, double lambda, double hot_fraction);
 
+/// The slots of the same rates in the hot-spot torus's per-λ rate table,
+/// which its compiled channel-class system reads (engine::TermStream::rate):
+/// lambda_r, then lambda^h_y[j] and lambda^h_x[j] for j = 1..k.
+struct TrafficRateSlots {
+  int k;
+  static constexpr int regular() { return 0; }
+  int hot_y(int j) const { return j; }
+  int hot_x(int j) const { return k + j; }
+  int count() const { return 2 * k + 1; }
+};
+
+/// Fills `table` (resized to TrafficRateSlots{k}.count()) with the rates
+/// traffic_rates(k, lambda, hot_fraction) returns, bit for bit.
+void traffic_rates(int k, double lambda, double hot_fraction, std::vector<double>& table);
+
 }  // namespace kncube::model

@@ -7,6 +7,8 @@
 // must reproduce it to solver tolerance, which the tests use as a strong
 // structural cross-check of both implementations.
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "model/engine/channel_class.hpp"
@@ -46,10 +48,10 @@ HoldingTimes holding_times(int k, double lm) {
 }
 
 /// Declares the three uniform path classes (y-only, x-only, x-then-y) over
-/// the shared engine: one blocking term per dimension, chained per-hop
-/// recursions, x-then-y entering the y dimension at its entrance average.
-ChannelClassSystem build_system(const ModelConfig& cfg, double lc,
-                                double arrival_idc) {
+/// the shared engine: one blocking term per dimension, both streams at the
+/// one channel rate of rate slot 0, chained per-hop recursions, x-then-y
+/// entering the y dimension at its entrance average.
+ChannelClassSystem declare_system(const ModelConfig& cfg) {
   const int k = cfg.k;
   const double lm = static_cast<double>(cfg.message_length);
   const Lay lay(k);
@@ -60,9 +62,9 @@ ChannelClassSystem build_system(const ModelConfig& cfg, double lc,
   opts.service_floor = lm;
   opts.blocking = BlockingVariant::kPaper;
   opts.busy_basis = ServiceBasis::kTransmission;
-  opts.arrival_idc = arrival_idc;
-  ChannelClassSystem sys(lay.total, opts);
+  ChannelClassSystem sys(lay.total, 1, opts);
 
+  const int lc = 0;
   const int b_y = sys.add_mixture(
       {{sys.add_term({lc, tx_y, sys.add_read(lay.y, lay.ns)})}});
   const int b_x = sys.add_mixture(
@@ -90,70 +92,85 @@ ChannelClassSystem build_system(const ModelConfig& cfg, double lc,
   return sys;
 }
 
+class UniformTorus final : public CompiledModel {
+ public:
+  explicit UniformTorus(const ModelConfig& cfg)
+      : CompiledModel(cfg, declare_system(cfg)), cfg_(cfg) {}
+
+ private:
+  ModelResult evaluate(double lambda, double arrival_idc) const override {
+    const int k = cfg_.k;
+    const double lm = static_cast<double>(cfg_.message_length);
+    const double lc = uniform_torus_channel_rate(k, lambda);
+    const Lay lay(k);
+
+    ModelResult res;
+    // All traffic is regular: regular_latency mirrors latency on every path,
+    // +inf when saturated.
+    const auto finish = [&res] {
+      res.regular_latency = res.latency;
+      return res;
+    };
+
+    engine::ThreadWorkspace ws;
+    ws->rates.assign(1, lc);
+    const FixedPointResult fp = system_.solve(*ws, arrival_idc);
+    res.iterations = fp.iterations;
+    res.converged = fp.converged;
+    if (!fp.converged) return finish();  // saturated (diverged or no steady state)
+
+    const std::vector<double>& state = ws->state;
+    const double ey = avg(state, lay.y, lay.ns);
+    const double ex = avg(state, lay.x, lay.ns);
+    const double exy = avg(state, lay.xy, lay.ns);
+
+    // Exact path-class probabilities under uniform destinations.
+    const double n = static_cast<double>(k) * static_cast<double>(k);
+    const double p_xonly = (static_cast<double>(k) - 1.0) / (n - 1.0);
+    const double p_yonly = p_xonly;
+    const double p_xy = (static_cast<double>(k) - 1.0) *
+                        (static_cast<double>(k) - 1.0) / (n - 1.0);
+
+    const double s_net = p_xonly * ex + p_xy * exy + p_yonly * ey;
+    res.regular_network_latency = s_net;
+
+    const double arr = lambda / static_cast<double>(cfg_.vcs);
+    const QueueDelay wait = mg1_wait(arr, s_net, lm, arrival_idc);
+    if (wait.saturated) return finish();
+    res.source_wait_regular = wait.value;
+
+    // Transmission-basis occupancy, matching the hot-spot model's default.
+    const auto [tx_y, tx_x] = holding_times(k, lm);
+    res.vc_mux_x = vc_multiplexing_degree(lc, tx_x, cfg_.vcs);
+    res.vc_mux_hot_y = vc_multiplexing_degree(lc, tx_y, cfg_.vcs);
+    res.vc_mux_nonhot_y = res.vc_mux_hot_y;
+
+    res.latency = p_xonly * (ex + wait.value) * res.vc_mux_x +
+                  p_xy * (exy + wait.value) * res.vc_mux_x +
+                  p_yonly * (ey + wait.value) * res.vc_mux_hot_y;
+    res.max_channel_utilization = std::min(1.0, lc * ex);  // identical on every channel
+    res.saturated = false;
+    return finish();
+  }
+
+  ModelConfig cfg_;
+};
+
 }  // namespace
 
 double uniform_torus_channel_rate(int k, double lambda) {
   return lambda * static_cast<double>(k - 1) / 2.0;
 }
 
-ModelResult solve_uniform_torus(const ModelConfig& cfg, double lambda,
-                                double arrival_idc) {
-  const int k = cfg.k;
-  const double lm = static_cast<double>(cfg.message_length);
-  const double lc = uniform_torus_channel_rate(k, lambda);
-  const Lay lay(k);
-
-  ModelResult res;
-  // All traffic is regular: regular_latency mirrors latency on every path,
-  // +inf when saturated.
-  const auto finish = [&res] {
-    res.regular_latency = res.latency;
-    return res;
-  };
-
-  const ChannelClassSystem sys = build_system(cfg, lc, arrival_idc);
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state);
-  res.iterations = fp.iterations;
-  res.converged = fp.converged;
-  if (!fp.converged) return finish();  // saturated (diverged or no steady state)
-
-  const double ey = avg(state, lay.y, lay.ns);
-  const double ex = avg(state, lay.x, lay.ns);
-  const double exy = avg(state, lay.xy, lay.ns);
-
-  // Exact path-class probabilities under uniform destinations.
-  const double n = static_cast<double>(k) * static_cast<double>(k);
-  const double p_xonly = (static_cast<double>(k) - 1.0) / (n - 1.0);
-  const double p_yonly = p_xonly;
-  const double p_xy = (static_cast<double>(k) - 1.0) * (static_cast<double>(k) - 1.0) /
-                      (n - 1.0);
-
-  const double s_net = p_xonly * ex + p_xy * exy + p_yonly * ey;
-  res.regular_network_latency = s_net;
-
-  const double arr = lambda / static_cast<double>(cfg.vcs);
-  const QueueDelay ws = mg1_wait(arr, s_net, lm, arrival_idc);
-  if (ws.saturated) return finish();
-  res.source_wait_regular = ws.value;
-
-  // Transmission-basis occupancy, matching the hot-spot model's default.
-  const auto [tx_y, tx_x] = holding_times(k, lm);
-  res.vc_mux_x = vc_multiplexing_degree(lc, tx_x, cfg.vcs);
-  res.vc_mux_hot_y = vc_multiplexing_degree(lc, tx_y, cfg.vcs);
-  res.vc_mux_nonhot_y = res.vc_mux_hot_y;
-
-  res.latency = p_xonly * (ex + ws.value) * res.vc_mux_x +
-                p_xy * (exy + ws.value) * res.vc_mux_x +
-                p_yonly * (ey + ws.value) * res.vc_mux_hot_y;
-  res.max_channel_utilization = std::min(1.0, lc * ex);  // identical on every channel
-  res.saturated = false;
-  return finish();
+std::unique_ptr<const CompiledModel> compile_uniform_torus(const ModelConfig& cfg) {
+  return std::make_unique<UniformTorus>(cfg);
 }
 
 /// Lay::total: the y, x and x-then-y classes over k-1 positions.
-std::int64_t uniform_torus_class_count(const ModelConfig& cfg) {
-  return 3 * (std::int64_t{cfg.k} - 1);
+/// Coefficients: the y entrance average and one per hop continuation.
+ModelSize uniform_torus_size(const ModelConfig& cfg) {
+  const std::int64_t ns = std::int64_t{cfg.k} - 1;
+  return {3 * ns, ns + 3 * (ns - 1)};
 }
 
 double uniform_torus_zero_load_latency(const ModelConfig& cfg) {

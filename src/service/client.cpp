@@ -87,9 +87,7 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void Client::send_line(const std::string& line) {
-  std::string out = line;
-  out.push_back('\n');
+void Client::send_all(const std::string& out) {
   std::size_t sent = 0;
   while (sent < out.size()) {
     const ssize_t n =
@@ -146,12 +144,19 @@ StatsMsg Client::server_stats() {
 
 Client::SweepOutcome Client::run(const core::ScenarioSpec& spec,
                                  Request params) {
-  params.id = "r" + std::to_string(next_id_++);
+  params.id = 'r' + std::to_string(next_id_++);
   params.spec_text = core::format_scenario(spec);
 
-  send_line("REQUEST " + params.id);
-  for (const std::string& line : format_request_body(params)) send_line(line);
-  send_line("END");
+  // One write for the whole frame: the same bytes as a line at a time.
+  std::string frame = "REQUEST ";
+  frame += params.id;
+  frame += '\n';
+  for (const std::string& line : format_request_body(params)) {
+    frame += line;
+    frame += '\n';
+  }
+  frame += "END\n";
+  send_all(frame);
 
   SweepOutcome outcome;
   std::map<std::uint64_t, core::PointResult> by_index;

@@ -54,7 +54,10 @@ class Client {
 
  private:
   std::string read_line();
-  void send_line(const std::string& line);
+  /// Sends `bytes` (whole lines, each ending in '\n') in as few send() calls
+  /// as the socket allows.
+  void send_all(const std::string& bytes);
+  void send_line(const std::string& line) { send_all(line + '\n'); }
 
   int fd_ = -1;
   std::string buffer_;

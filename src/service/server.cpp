@@ -12,7 +12,6 @@
 #include "service/protocol.hpp"
 #include "service/store_version.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace kncube::service {
 
@@ -329,20 +328,8 @@ void Server::handle_request(Connection* conn, const std::string& id,
 
     // The solves/sims batch onto the global thread pool; each point streams
     // out the moment it converges.
-    util::parallel_for(lambdas.size(), [&](std::size_t i) {
-      PointMsg msg;
-      msg.id = id;
-      msg.index = i;
-      msg.point.lambda = lambdas[i];
-      if (engine->has_model()) {
-        msg.point.model = engine->model_point(lambdas[i]);
-        msg.point.has_model = true;
-      }
-      if (req.with_sim) {
-        msg.point.sim = engine->sim_point(lambdas[i], engine->point_seed(i));
-        msg.point.has_sim = true;
-      }
-      send_line(conn, format_point(msg));
+    engine->run(lambdas, req.with_sim, [&](std::size_t i, const core::PointResult& pt) {
+      send_line(conn, format_point(PointMsg{id, i, pt}));
     });
 
     StatsMsg stats_msg;

@@ -105,6 +105,73 @@ TEST(SweepEngine, SaturationBisectionSharesTheModelCache) {
   EXPECT_EQ(engine.cache_stats().model_solves, solves_before);
 }
 
+TEST(SweepEngine, CompilesTheModelOncePerCallAndOnlyOnAStoreMiss) {
+  auto store = std::make_shared<MemoryResultStore>();
+  SweepEngine engine(small_scenario(), store);
+  EXPECT_EQ(engine.model_compiles(), 0u);  // construction compiles nothing
+
+  // A search compiles once for all its probes; its cached result, none.
+  const SaturationResult sat = engine.saturation_rate();
+  EXPECT_GT(sat.probes, 1);
+  EXPECT_EQ(engine.model_compiles(), 1u);
+  engine.saturation_rate();
+  EXPECT_EQ(engine.model_compiles(), 1u);
+
+  // A run compiles once for all its lanes; a run of stored points, never.
+  const std::vector<double> lambdas = engine.lambda_sweep(8);
+  engine.run(lambdas, /*run_sim=*/false);
+  EXPECT_EQ(engine.model_compiles(), 2u);
+  engine.run(lambdas, /*run_sim=*/false);
+  EXPECT_EQ(engine.model_compiles(), 2u);
+
+  // A second engine on the same store finds everything stored.
+  SweepEngine second(small_scenario(), store);
+  second.saturation_rate();
+  second.run(lambdas, /*run_sim=*/false);
+  second.model_point(lambdas[3]);
+  EXPECT_EQ(second.model_compiles(), 0u);
+  EXPECT_EQ(second.cache_stats().model_solves, 0u);
+
+  // One missing point among stored ones: one compile, one solve.
+  std::vector<double> with_new = lambdas;
+  with_new.push_back(0.5 * lambdas[0]);
+  second.run(with_new, /*run_sim=*/false);
+  EXPECT_EQ(second.model_compiles(), 1u);
+  EXPECT_EQ(second.cache_stats().model_solves, 1u);
+}
+
+TEST(SweepEngine, SimOnlyRunsCompileNothing) {
+  ScenarioSpec spec = small_scenario();
+  spec.torus().bidirectional = true;  // no analytical model
+  SweepEngine engine(spec);
+  ASSERT_FALSE(engine.has_model());
+  engine.run({2e-4}, /*run_sim=*/true);
+  EXPECT_EQ(engine.model_compiles(), 0u);
+}
+
+TEST(SweepEngine, RunStreamsEveryPointToTheCallbackOnce) {
+  SweepEngine engine(small_scenario());
+  const std::vector<double> lambdas = {3e-4, 1e-4, 2e-4, 1e-4};
+  const std::vector<PointResult> collected = SweepEngine(small_scenario()).run(lambdas, false);
+  std::mutex m;
+  std::vector<int> calls(lambdas.size(), 0);
+  std::vector<PointResult> streamed(lambdas.size());
+  engine.run(lambdas, /*run_sim=*/false, [&](std::size_t i, const PointResult& pt) {
+    std::lock_guard<std::mutex> lock(m);
+    ++calls[i];
+    streamed[i] = pt;
+  });
+  EXPECT_EQ(calls, std::vector<int>(lambdas.size(), 1));
+  for (std::size_t i = 0; i < lambdas.size(); ++i) {
+    EXPECT_EQ(streamed[i].lambda, lambdas[i]);
+    EXPECT_TRUE(streamed[i].has_model);
+    EXPECT_FALSE(streamed[i].has_sim);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(streamed[i].model.latency),
+              std::bit_cast<std::uint64_t>(collected[i].model.latency));
+  }
+  EXPECT_EQ(engine.model_compiles(), 1u);
+}
+
 TEST(SweepEngine, LambdaSweepSpansRequestedRange) {
   SweepEngine engine(small_scenario());
   const auto lams = engine.lambda_sweep(5, 0.2, 0.9);

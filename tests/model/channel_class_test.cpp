@@ -96,17 +96,17 @@ TEST(ChannelClassSolve, UndampedCycleFallsBackToTheDampedIteration) {
   // s0 = 2 - s1_in and s1 = 2 - s0_in: no blocking, so nothing depends on
   // the state but the continuations, yet the undamped sweep alternates
   // between (0, 0) and (2, 2) forever. The damped fallback lands on (1, 1).
-  engine::ChannelClassSystem sys(2, engine::EngineOptions{});
+  engine::ChannelClassSystem sys(2, 0, engine::EngineOptions{});
   const engine::Coef minus_s1[] = {{1, -1.0}};
   const engine::Coef minus_s0[] = {{0, -1.0}};
   sys.set_class(0, {-1, 0.0, sys.linear(1.0, minus_s1), {}});
   sys.set_class(1, {-1, 0.0, sys.linear(1.0, minus_s0), {}});
 
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state);
+  engine::Workspace ws;
+  const FixedPointResult fp = sys.solve(ws);
   EXPECT_TRUE(fp.converged);
   EXPECT_FALSE(fp.diverged);
-  EXPECT_EQ(state, (std::vector<double>{1.0, 1.0}));
+  EXPECT_EQ(ws.state, (std::vector<double>{1.0, 1.0}));
 }
 
 TEST(ChannelClassSolve, InclusiveBasisKeepsTheDampedIterationCounts) {
@@ -141,7 +141,7 @@ TEST(ChannelClassSolve, InclusiveBasisKeepsTheDampedIterationCounts) {
 // previous sweep's raw scratch. Declaring one aborts.
 TEST(ChannelClassSystemDeathTest, WithinSweepContinuationMustReadAnEarlierSlot) {
   const auto declare_slot_1_reading = [](int ref) {
-    engine::ChannelClassSystem sys(3, engine::EngineOptions{});
+    engine::ChannelClassSystem sys(3, 0, engine::EngineOptions{});
     sys.set_class(1, {-1, 0.0, {}, sys.slot(ref)});
   };
   declare_slot_1_reading(0);  // an earlier slot is fine

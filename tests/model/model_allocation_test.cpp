@@ -1,12 +1,12 @@
 // Heap allocations of a model solve.
 //
-// ChannelClassSystem takes its arrays and its solve workspace from storage
-// each thread keeps between solves, and the VC-occupancy chain stores
-// nothing. Once a thread has solved a system, building and solving one no
-// larger allocates nothing, and a whole AnalyticalModel::solve_at allocates
-// only the fixed handful of blocks its family's builder and assembly make,
-// whatever the radix. Models too large to bound that storage are turned
-// away before anything is built.
+// ChannelClassSystem takes its arrays, and every solve its workspace (rate
+// table, state, assembly vectors, per-sweep values), from storage each thread
+// keeps between solves, and the VC-occupancy chain stores nothing. Once a
+// thread has solved a model, solving a compiled model no larger allocates
+// nothing, and a whole AnalyticalModel::solve_at (compile, then solve)
+// allocates the same fixed handful of blocks whatever the radix. Models too
+// large to bound that storage are turned away before anything is compiled.
 //
 // This binary replaces the global operator new to count the allocations of
 // the calling thread, which is why it is a test binary of its own.
@@ -15,7 +15,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,20 +93,80 @@ TEST(ModelAllocations, SolveCountDoesNotGrowWithTheRadix) {
   }
 }
 
+ModelConfig mmpp(ModelConfig cfg) {
+  cfg.mmpp = MmppArrivalShape{};
+  return cfg;
+}
+ModelConfig uniform(ModelConfig cfg) {
+  cfg.hot_fraction = std::nullopt;
+  return cfg;
+}
+ModelConfig mesh(int k, int n, bool hot) {
+  ModelConfig cfg;
+  cfg.topology = TopologyKind::kMesh;
+  cfg.k = k;
+  cfg.n = n;
+  return hot ? cfg : uniform(cfg);
+}
+ModelConfig hypercube(int dims) {
+  ModelConfig cfg;
+  cfg.topology = TopologyKind::kHypercube;
+  cfg.k = 2;
+  cfg.n = dims;
+  return cfg;
+}
+
+TEST(ModelAllocations, WarmCompiledSolveAllocatesNothing) {
+  // The rate table, the state, the assembly's vectors and the engine's
+  // per-sweep values all live in the solving thread's workspace.
+  const struct {
+    const char* name;
+    ModelConfig cfg;
+  } cases[] = {
+      {"hotspot torus k=8", hotspot_torus(8)},
+      {"hotspot torus k=32", hotspot_torus(32)},
+      {"uniform torus k=16", uniform(hotspot_torus(16))},
+      {"mmpp hotspot torus k=8", mmpp(hotspot_torus(8))},
+      {"uniform mesh k=8 n=3", mesh(8, 3, false)},
+      {"hotspot mesh k=9", mesh(9, 2, true)},
+      {"hotspot hypercube dims=6", hypercube(6)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const AnalyticalModel model(c.cfg);
+    const std::unique_ptr<const CompiledModel> compiled = model.compile();
+    // A stable point and a saturated probe.
+    for (const double f : {0.5, 3.0}) {
+      SCOPED_TRACE(f);
+      const double lambda = f * model.estimated_saturation_rate();
+      ModelResult r;
+      Allocations warm_up, warm;
+      std::thread([&] {
+        warm_up = allocations_of([&] { compiled->solve(lambda); });
+        warm = allocations_of([&] { r = compiled->solve(lambda); });
+      }).join();
+      EXPECT_GT(warm_up.count, 0u);
+      EXPECT_EQ(warm.count, 0u) << warm.bytes << " bytes";
+      EXPECT_EQ(r.saturated, f > 1.0);
+    }
+  }
+}
+
 /// A chain of `slots` hops, each blocking on its own channel: a regular
 /// stream that reads the chain's mean service time and a hot stream that
 /// reads the hop's own, so on the inclusive basis every kind of declaration
 /// is exercised (reads, terms, mixtures, coefficients) and the damped
 /// iteration and its polish run.
+/// Its regular streams read rate slot 0 and its hot streams slot 1.
 engine::ChannelClassSystem chain_system(int slots, ServiceBasis basis) {
   engine::EngineOptions opts;
   opts.service_floor = 16.0;
   opts.busy_basis = basis;
-  engine::ChannelClassSystem sys(slots, opts);
+  engine::ChannelClassSystem sys(slots, 2, opts);
   const int mean_read = sys.add_read(0, slots);
   for (int i = 0; i < slots; ++i) {
-    sys.add_term({1e-4, 24.0, mean_read},
-                 {2e-5, 16.0 + static_cast<double>(i), sys.add_read(i, 1)});
+    sys.add_term({0, 24.0, mean_read},
+                 {1, 16.0 + static_cast<double>(i), sys.add_read(i, 1)});
   }
   const int chain_mean = sys.add_term_mean(0, slots);
   for (int i = 0; i < slots; ++i) {
@@ -122,11 +184,11 @@ TEST(ModelAllocations, WarmSystemBuildAndSolveAllocateNothing) {
     Allocations warm_up, same, smaller;
     bool converged = true;
     std::thread([&] {
-      std::vector<double> state;
-      state.reserve(64);  // the caller's output vector is the caller's to size
       const auto build_and_solve = [&](int slots) {
         const engine::ChannelClassSystem sys = chain_system(slots, basis);
-        converged = converged && sys.solve(state).converged;
+        engine::ThreadWorkspace ws;
+        ws->rates = {1e-4, 2e-5};
+        converged = converged && sys.solve(*ws).converged;
       };
       warm_up = allocations_of([&] { build_and_solve(64); });
       same = allocations_of([&] { build_and_solve(64); });
@@ -156,6 +218,24 @@ TEST(ModelAllocations, OversizedModelIsSimOnlyWithoutBeingBuilt) {
             std::string::npos)
       << dispatch.sim_only_reason;
   EXPECT_LT(dispatched.bytes, std::size_t{1} << 20);
+
+  // A 2-D hot-spot mesh of the same size has 4(k - 1) = 65,532 classes,
+  // inside the class bound, but each regular class's continuation inlines
+  // the next dimension's entrance average: (k - 1)^2 + 2(k - 2) regular and
+  // (k - 1) + 2(k - 3) hot-chain coefficients, several GB.
+  spec.topology = core::MeshTopology{16384, 2};
+  const Allocations mesh_dispatched =
+      allocations_of([&] { dispatch = core::make_analytical_model(spec); });
+  EXPECT_FALSE(dispatch.has_model());
+  const std::int64_t coefficients = std::int64_t{16383} * 16383 + 2 * 16382 + 16383 + 2 * 16381;
+  EXPECT_NE(dispatch.sim_only_reason.find(std::to_string(coefficients)),
+            std::string::npos)
+      << dispatch.sim_only_reason;
+  EXPECT_NE(dispatch.sim_only_reason.find(std::to_string(engine::kMaxCoefficients)),
+            std::string::npos)
+      << dispatch.sim_only_reason;
+  EXPECT_LT(mesh_dispatched.bytes, std::size_t{1} << 20);
+  spec.topology = core::TorusTopology{16384, 2, false};
 
   // The bound admits the hot-spot torus up to k = 253, (252)(259) classes,
   // and that model builds and solves.

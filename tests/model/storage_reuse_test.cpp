@@ -1,11 +1,14 @@
-// The per-thread model storage is invisible in the answers.
+// The per-thread model storage and the shared compiled model are invisible
+// in the answers.
 //
 // ChannelClassSystem keeps each thread's arrays and solve workspace between
 // solves (engine/channel_class.hpp), so a solve may start from storage that
 // a larger, smaller or differently shaped system left behind. Whatever ran
 // on the thread before, a solve must return exactly — every ModelResult
 // field, `iterations` included — what the same solve returns on a fresh
-// thread, and solves spread over the pool must return what serial ones do.
+// thread, and solves spread over the pool must return what serial ones do,
+// also when every lane solves the same CompiledModel, and a compiled system
+// declares exactly the size model_size counts.
 // The VC-occupancy chain, evaluated in two passes without storing the
 // distribution, must equal eq (35) over the stored distribution bit for bit.
 #include <gtest/gtest.h>
@@ -14,6 +17,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -105,6 +111,89 @@ TEST(StorageReuse, ConcurrentSolvesMatchSerial) {
   util::parallel_for(solves.size(), [&](std::size_t i) { parallel[i] = solve(solves[i]); });
   for (std::size_t i = 0; i < solves.size(); ++i) {
     EXPECT_EQ(model_result_words(parallel[i]), model_result_words(serial[i])) << i;
+  }
+}
+
+/// Every family, the MMPP torus families and the damped (inclusive-basis)
+/// path, each compiled once.
+std::vector<ModelConfig> every_family() {
+  ModelConfig uniform_torus = hotspot_torus(16);
+  uniform_torus.hot_fraction = std::nullopt;
+  ModelConfig mmpp_hotspot = hotspot_torus(8);
+  mmpp_hotspot.mmpp = MmppArrivalShape{};
+  ModelConfig mmpp_uniform = mmpp_hotspot;
+  mmpp_uniform.hot_fraction = std::nullopt;
+  ModelConfig uniform_mesh = hotspot_mesh();
+  uniform_mesh.k = 6;
+  uniform_mesh.n = 3;
+  uniform_mesh.hot_fraction = std::nullopt;
+  ModelConfig inclusive_torus = hotspot_torus(8);
+  inclusive_torus.busy_basis = ServiceBasis::kInclusive;
+  return {hotspot_torus(16), uniform_torus,  mmpp_hotspot,       mmpp_uniform,
+          uniform_mesh,      hotspot_mesh(), inclusive_hypercube(), inclusive_torus};
+}
+
+TEST(CompiledModel, ConcurrentSolvesMatchSerialSolveAt) {
+  // One compiled model per configuration, each solved at 16 rates from
+  // light load to past saturation, all of them at once on the pool's lanes.
+  struct Point {
+    std::size_t model;
+    double lambda;
+  };
+  const std::vector<ModelConfig> configs = every_family();
+  std::vector<std::unique_ptr<const CompiledModel>> compiled;
+  std::vector<Point> points;
+  for (std::size_t m = 0; m < configs.size(); ++m) {
+    const AnalyticalModel model(configs[m]);
+    compiled.push_back(model.compile());
+    for (int i = 1; i <= 16; ++i) {
+      points.push_back({m, 0.1 * i * model.estimated_saturation_rate()});
+    }
+  }
+  std::vector<ModelResult> concurrent(points.size());
+  util::parallel_for(points.size(), [&](std::size_t i) {
+    concurrent[i] = compiled[points[i].model]->solve(points[i].lambda);
+  });
+  int saturated = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ModelResult serial =
+        AnalyticalModel(configs[points[i].model]).solve_at(points[i].lambda);
+    EXPECT_EQ(model_result_words(concurrent[i]), model_result_words(serial))
+        << "model " << points[i].model << " at " << points[i].lambda;
+    saturated += serial.saturated ? 1 : 0;
+  }
+  EXPECT_GT(saturated, 0);
+  EXPECT_LT(saturated, static_cast<int>(points.size()));
+}
+
+TEST(CompiledModel, DeclaresTheSizeUnsupportedReasonBounds) {
+  // model_size counts without declaring; the compiled system is the count.
+  std::vector<ModelConfig> configs = every_family();
+  for (const int k : {2, 3, 4, 9, 32}) configs.push_back(hotspot_torus(k));
+  for (const int k : {2, 3, 4, 7, 16}) {
+    for (const int n : {1, 2, 3}) {
+      ModelConfig mesh = hotspot_mesh();
+      mesh.k = k;
+      mesh.n = n;
+      configs.push_back(mesh);
+      mesh.hot_fraction = std::nullopt;
+      configs.push_back(mesh);
+    }
+  }
+  for (const int dims : {1, 2, 8}) {
+    ModelConfig cube = inclusive_hypercube();
+    cube.n = dims;
+    configs.push_back(cube);
+  }
+  for (const ModelConfig& cfg : configs) {
+    const AnalyticalModel model(cfg);
+    SCOPED_TRACE(std::string(model.name()) + " k=" + std::to_string(cfg.k) +
+                 " n=" + std::to_string(cfg.n));
+    const std::unique_ptr<const CompiledModel> compiled = model.compile();
+    const engine::ChannelClassSystem& sys = compiled->system();
+    const ModelSize size = model_size(cfg);
+    EXPECT_EQ(sys.class_count(), size.classes);
+    EXPECT_EQ(sys.coefficient_count(), size.coefficients);
   }
 }
 
