@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
       const core::SaturationResult sat = engine.saturation_rate();
       std::cout << "model saturation rate: " << sat.rate << " messages/node/cycle ("
                 << sat.probes << " probes)\n\n";
-      lambdas = engine.lambda_sweep(points, lo, hi);
+      lambdas = core::sweep_rates(sat, points, lo, hi);
     } else {
       std::cout << "analytical model: none — " << engine.sim_only_reason()
                 << " (simulator only)\n\n";
@@ -194,11 +194,7 @@ int main(int argc, char** argv) {
                      "the sweep\n";
         return EXIT_FAILURE;
       }
-      for (int i = 0; i < points; ++i) {
-        const double f = lo + (hi - lo) * static_cast<double>(i) /
-                                  static_cast<double>(points - 1);
-        lambdas.push_back(f * max_rate);
-      }
+      lambdas = core::sweep_rates({max_rate}, points, lo, hi);
     }
 
     const auto pts = engine.run(lambdas, with_sim);

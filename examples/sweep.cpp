@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
             << "%, V=" << s.vcs
             << "; model saturation " << sat.rate << " msg/node/cycle\n\n";
 
-  const auto lambdas = engine.lambda_sweep(points, lo, hi);
+  const auto lambdas = core::sweep_rates(sat, points, lo, hi);
   const auto pts = engine.run(lambdas, with_sim);
   util::Table table = core::figure_table("sweep", pts);
   table.print(std::cout);

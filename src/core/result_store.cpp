@@ -1,18 +1,21 @@
 #include "core/result_store.hpp"
 
-#include <sstream>
+#include <charconv>
 
 namespace kncube::core {
 
 std::string format_cache_stats(const CacheStats& s) {
-  std::ostringstream os;
-  os << "model_entries=" << s.model_entries << " sim_entries=" << s.sim_entries
-     << " saturation_entries=" << s.saturation_entries
-     << " model_hits=" << s.model_hits << " sim_hits=" << s.sim_hits
-     << " saturation_hits=" << s.saturation_hits
-     << " model_solves=" << s.model_solves << " sim_runs=" << s.sim_runs
-     << " inflight_waits=" << s.inflight_waits;
-  return os.str();
+  std::string out;
+  out.reserve(192);
+  for (const auto& [name, counter] : kCacheStatsFields) {
+    if (!out.empty()) out += ' ';
+    out += name;
+    out += '=';
+    char buf[20];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), s.*counter);
+    out.append(buf, end);
+  }
+  return out;
 }
 
 bool MemoryResultStore::load_model(std::uint64_t spec_key,

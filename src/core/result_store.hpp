@@ -27,6 +27,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -62,6 +63,21 @@ struct CacheStats {
   /// In-flight dedup: calls that found another thread already solving their
   /// exact key and waited for its result instead of recomputing.
   std::uint64_t inflight_waits = 0;
+};
+
+/// Every CacheStats counter with its `k=v` name, in canonical order: what
+/// format_cache_stats writes and the daemon's STATS parser reads.
+inline constexpr std::pair<std::string_view, std::uint64_t CacheStats::*>
+    kCacheStatsFields[] = {
+        {"model_entries", &CacheStats::model_entries},
+        {"sim_entries", &CacheStats::sim_entries},
+        {"saturation_entries", &CacheStats::saturation_entries},
+        {"model_hits", &CacheStats::model_hits},
+        {"sim_hits", &CacheStats::sim_hits},
+        {"saturation_hits", &CacheStats::saturation_hits},
+        {"model_solves", &CacheStats::model_solves},
+        {"sim_runs", &CacheStats::sim_runs},
+        {"inflight_waits", &CacheStats::inflight_waits},
 };
 
 /// `k=v` space-separated rendering, one canonical order — the shared format

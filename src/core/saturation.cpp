@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/sweep_engine.hpp"
 
@@ -62,6 +63,23 @@ SaturationResult bisect_saturation(double initial_guess, double rel_tol,
   }
   res.rate = lo;
   return res;
+}
+
+std::vector<double> sweep_rates(const SaturationResult& anchor, int points,
+                                double lo_frac, double hi_frac) {
+  KNC_ASSERT(points >= 2 && lo_frac > 0.0 && hi_frac > lo_frac);
+  if (anchor.failed) {
+    throw std::runtime_error(
+        "saturation search failed: no stable rate observed for this spec");
+  }
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(points));
+  for (int i = 0; i < points; ++i) {
+    const double f = lo_frac + (hi_frac - lo_frac) * static_cast<double>(i) /
+                                   static_cast<double>(points - 1);
+    out.push_back(f * anchor.rate);
+  }
+  return out;
 }
 
 SaturationResult model_saturation_rate(const ScenarioSpec& spec, double rel_tol) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "core/experiment.hpp"
 
@@ -32,6 +33,13 @@ struct SaturationResult {
 /// core::SweepEngine) can reuse the search.
 SaturationResult bisect_saturation(double initial_guess, double rel_tol,
                                    const std::function<bool(double)>& stable);
+
+/// `points` evenly spaced rates from `lo_frac` to `hi_frac` of `anchor.rate`:
+/// the grid of SweepEngine::lambda_sweep, for a caller that already holds
+/// the saturation result (or anchors a sim-only sweep at a rate cap). Throws
+/// std::runtime_error when `anchor` is a failed search.
+std::vector<double> sweep_rates(const SaturationResult& anchor, int points,
+                                double lo_frac, double hi_frac);
 
 /// Bisects the dispatched model's saturation boundary to relative width
 /// `rel_tol`. Throws std::logic_error for sim-only specs.

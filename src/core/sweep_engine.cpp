@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/saturation.hpp"
-#include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
 namespace kncube::core {
@@ -155,17 +154,38 @@ sim::SimResult SweepEngine::sim_point(double lambda, std::uint64_t seed) {
 std::vector<PointResult> SweepEngine::run(const std::vector<double>& lambdas,
                                           bool run_sim) {
   std::vector<PointResult> results(lambdas.size());
-  run(lambdas, run_sim,
-      [&results](std::size_t i, const PointResult& pt) { results[i] = pt; });
-  return results;
-}
-
-void SweepEngine::run(const std::vector<double>& lambdas, bool run_sim,
-                      const PointCallback& on_point) {
+  // Answer what the store holds here, counting hits as model_point and
+  // sim_point would; a point the store cannot answer whole goes to the pool.
+  std::vector<std::size_t> misses;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < lambdas.size(); ++i) {
+      PointResult& pt = results[i];
+      pt.lambda = lambdas[i];
+      const std::uint64_t key = lambda_key(pt.lambda);
+      ModelEntry cached;
+      const bool hit =
+          (!model_ || store_->load_model(spec_key_, key, &cached)) &&
+          (!run_sim || store_->load_sim(spec_key_, key, point_seed(i), &pt.sim));
+      if (!hit) {
+        misses.push_back(i);
+        continue;
+      }
+      if (model_) {
+        pt.model = cached.result;
+        pt.has_model = true;
+        ++model_hits_;
+      }
+      if (run_sim) {
+        pt.has_sim = true;
+        ++sim_hits_;
+      }
+    }
+  }
   CallModel model(*this);
-  util::parallel_for(lambdas.size(), [&](std::size_t i) {
-    PointResult pt;
-    pt.lambda = lambdas[i];
+  util::parallel_for(misses.size(), [&](std::size_t m) {
+    const std::size_t i = misses[m];
+    PointResult& pt = results[i];
     if (model_) {
       pt.model = model_point(pt.lambda, model);
       pt.has_model = true;
@@ -174,8 +194,8 @@ void SweepEngine::run(const std::vector<double>& lambdas, bool run_sim,
       pt.sim = sim_point(pt.lambda, point_seed(i));
       pt.has_sim = true;
     }
-    on_point(i, pt);
   });
+  return results;
 }
 
 SaturationResult SweepEngine::saturation_rate(double rel_tol) {
@@ -203,21 +223,7 @@ SaturationResult SweepEngine::saturation_rate(double rel_tol) {
 
 std::vector<double> SweepEngine::lambda_sweep(int points, double lo_frac,
                                               double hi_frac) {
-  KNC_ASSERT(points >= 2 && lo_frac > 0.0 && hi_frac > lo_frac);
-  const SaturationResult sat_res = saturation_rate();
-  if (sat_res.failed) {
-    throw std::runtime_error(
-        "saturation search failed: no stable rate observed for this spec");
-  }
-  const double sat = sat_res.rate;
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(points));
-  for (int i = 0; i < points; ++i) {
-    const double f = lo_frac + (hi_frac - lo_frac) * static_cast<double>(i) /
-                                   static_cast<double>(points - 1);
-    out.push_back(f * sat);
-  }
-  return out;
+  return sweep_rates(saturation_rate(), points, lo_frac, hi_frac);
 }
 
 CacheStats SweepEngine::cache_stats() const {

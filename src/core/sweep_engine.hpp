@@ -51,7 +51,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -90,17 +89,12 @@ class SweepEngine {
   const model::AnalyticalModel& analytical_model() const;
 
   /// Runs `lambdas` through the model (when one exists) and (when `run_sim`)
-  /// the simulator. Points execute in parallel on the global thread pool;
-  /// results come back in input order.
+  /// the simulator; results come back in input order. Every point is first
+  /// looked up under one hold of the engine lock, and the points the store
+  /// answers whole are answered on the calling thread. Only the rest run on
+  /// the global thread pool, so a run of stored points wakes no pool worker.
   std::vector<PointResult> run(const std::vector<double>& lambdas,
                                bool run_sim = true);
-
-  /// The same points, each handed to `on_point(index, point)` on the pool
-  /// lane that finished it, as soon as it is done (concurrently, in any
-  /// order).
-  using PointCallback = std::function<void(std::size_t, const PointResult&)>;
-  void run(const std::vector<double>& lambdas, bool run_sim,
-           const PointCallback& on_point);
 
   /// One model evaluation, memoized through the store and deduplicated
   /// against identical in-flight solves; a miss compiles the model for this
@@ -117,7 +111,9 @@ class SweepEngine {
 
   /// A sweep of `points` rates from `lo_frac` to `hi_frac` of the model's
   /// saturation rate (found by bisection), mirroring how the paper's figures
-  /// sample each curve from light load up to the latency asymptote.
+  /// sample each curve from light load up to the latency asymptote. A caller
+  /// that already holds the saturation result builds the same grid with
+  /// core::sweep_rates, which asks the store nothing.
   std::vector<double> lambda_sweep(int points, double lo_frac = 0.1,
                                    double hi_frac = 0.95);
 

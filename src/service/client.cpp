@@ -7,8 +7,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <map>
 #include <stdexcept>
+#include <string_view>
 
 #include "service/store_version.hpp"
 
@@ -102,14 +102,20 @@ void Client::send_all(const std::string& out) {
 
 std::string Client::read_line() {
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', scan_);
     if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
+      std::size_t end = nl;
+      if (end > start_ && buffer_[end - 1] == '\r') --end;
+      std::string line(buffer_, start_, end - start_);
+      start_ = scan_ = nl + 1;
       return line;
     }
-    char chunk[4096];
+    // Drop the consumed lines before reading more; the unread tail is
+    // scanned only once.
+    buffer_.erase(0, start_);
+    start_ = 0;
+    scan_ = buffer_.size();
+    char chunk[16384];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -159,43 +165,46 @@ Client::SweepOutcome Client::run(const core::ScenarioSpec& spec,
   send_all(frame);
 
   SweepOutcome outcome;
-  std::map<std::uint64_t, core::PointResult> by_index;
-  bool done = false;
-  std::uint64_t expected_points = 0;
-  while (!done) {
+  for (;;) {
     const std::string line = read_line();
-    BeginMsg begin;
-    SweepMsg sweep;
-    PointMsg point;
-    StatsMsg stats;
-    DoneMsg done_msg;
-    ErrorMsg error;
-    if (parse_point(line, &point)) {
-      by_index[point.index] = point.point;
-    } else if (parse_begin(line, &begin)) {
-      outcome.begin = begin;
-    } else if (parse_sweep(line, &sweep)) {
-      outcome.has_sweep = true;
-      outcome.sweep = sweep;
-    } else if (parse_stats(line, &stats)) {
-      outcome.stats = stats;
-    } else if (parse_done(line, &done_msg)) {
-      expected_points = done_msg.points;
-      done = true;
-    } else if (parse_error(line, &error)) {
-      throw std::runtime_error("server: " + error.message);
-    } else {
-      throw std::runtime_error("Client: unexpected line '" + line + "'");
+    const std::string_view kind =
+        std::string_view(line).substr(0, line.find(' '));
+    bool ok = false;
+    if (kind == "POINT") {
+      PointMsg point;
+      ok = parse_point(line, &point);
+      if (ok) {
+        if (point.index != outcome.points.size()) {
+          throw std::runtime_error("Client: POINT index " +
+                                   std::to_string(point.index) +
+                                   " out of order");
+        }
+        outcome.points.push_back(point.point);
+      }
+    } else if (kind == "BEGIN") {
+      ok = parse_begin(line, &outcome.begin);
+    } else if (kind == "SWEEP") {
+      ok = outcome.has_sweep = parse_sweep(line, &outcome.sweep);
+    } else if (kind == "STATS") {
+      ok = parse_stats(line, &outcome.stats);
+    } else if (kind == "DONE") {
+      DoneMsg done;
+      if (parse_done(line, &done)) {
+        if (done.points != outcome.points.size()) {
+          throw std::runtime_error(
+              "Client: server announced " + std::to_string(done.points) +
+              " points but sent " + std::to_string(outcome.points.size()));
+        }
+        return outcome;
+      }
+    } else if (kind == "ERROR") {
+      ErrorMsg error;
+      if (parse_error(line, &error)) {
+        throw std::runtime_error("server: " + error.message);
+      }
     }
+    if (!ok) throw std::runtime_error("Client: unexpected line '" + line + "'");
   }
-  if (by_index.size() != expected_points) {
-    throw std::runtime_error(
-        "Client: server announced " + std::to_string(expected_points) +
-        " points but streamed " + std::to_string(by_index.size()));
-  }
-  outcome.points.reserve(by_index.size());
-  for (auto& [index, pt] : by_index) outcome.points.push_back(pt);
-  return outcome;
 }
 
 }  // namespace kncube::service

@@ -41,8 +41,8 @@ class Client {
     BeginMsg begin;
     bool has_sweep = false;
     SweepMsg sweep;
-    /// Ordered by index (the request's lambda order), regardless of the
-    /// completion order they streamed in.
+    /// In index order (the request's lambda order), as the server sends
+    /// them.
     std::vector<core::PointResult> points;
     StatsMsg stats;
   };
@@ -60,7 +60,11 @@ class Client {
   void send_line(const std::string& line) { send_all(line + '\n'); }
 
   int fd_ = -1;
+  /// Received bytes; the next line starts at start_, and no '\n' lies in
+  /// [start_, scan_).
   std::string buffer_;
+  std::size_t start_ = 0;
+  std::size_t scan_ = 0;
   Hello hello_;
   std::uint64_t next_id_ = 1;
 };

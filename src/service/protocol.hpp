@@ -25,8 +25,9 @@
 // responses — count lines of the frame body exactly as the client sent
 // them.
 //
-// Server response stream for request <id> (points stream as they converge,
-// in completion order, each tagged with its index):
+// Server response for request <id>, written with one send loop once every
+// point is answered (points in index order; store hits are answered on the
+// connection thread, misses on the thread pool):
 //
 //   BEGIN id=<id> key=0x<16 hex> model=<name|-> [reason=<rest of line>]
 //   SWEEP id=<id> saturation=<rate bits> probes=N     (model sweeps only)
@@ -34,6 +35,14 @@
 //   STATS id=<id> <k=v cache stats>                   (engine-cumulative)
 //   DONE id=<id> points=N
 //   ERROR id=<id|-> <message>                         (newlines -> "; ")
+//
+// A request that fails gets the lines built before the failure, then its
+// ERROR line.
+//
+// Numbers are strict (std::from_chars over the whole token): an integer is
+// decimal digits, a `0x` field one `0x` and hex digits — no sign, no second
+// prefix, nothing left over. Only parse_rate's decimal form, for
+// hand-written requests, goes through strtod.
 //
 // Doubles travel as their IEEE-754 bit pattern (`0x` + 16 hex digits) and
 // result structs as hex-encoded raw bytes, so every value a client prints
@@ -46,6 +55,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -62,10 +72,10 @@ inline constexpr int kProtocolVersion = 1;
 std::string format_bits(double value);
 /// Accepts the 0x bit form (exact) or a plain decimal double (convenience
 /// for hand-written requests).
-bool parse_rate(const std::string& token, double* out);
+bool parse_rate(std::string_view token, double* out);
 
 std::string encode_hex(const void* data, std::size_t size);
-bool decode_hex(const std::string& hex, void* out, std::size_t size);
+bool decode_hex(std::string_view hex, void* out, std::size_t size);
 
 template <typename T>
 std::string encode_struct(const T& value) {
@@ -74,7 +84,7 @@ std::string encode_struct(const T& value) {
 }
 
 template <typename T>
-bool decode_struct(const std::string& hex, T* out) {
+bool decode_struct(std::string_view hex, T* out) {
   static_assert(std::is_trivially_copyable_v<T>);
   T value{};
   if (!decode_hex(hex, &value, sizeof(T))) return false;

@@ -178,20 +178,17 @@ std::shared_ptr<core::SweepEngine> Server::engine_for(
   return engine;
 }
 
-void Server::send_line(Connection* conn, const std::string& line) {
-  if (conn->dead.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(conn->write_mutex);
-  std::string out = line;
-  out.push_back('\n');
+void Server::send_all(Connection* conn, const std::string& bytes) {
+  if (conn->dead) return;
   std::size_t sent = 0;
-  while (sent < out.size()) {
-    const ssize_t n = ::send(conn->fd, out.data() + sent, out.size() - sent,
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(conn->fd, bytes.data() + sent, bytes.size() - sent,
                              MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      // Client is gone; keep computing (results land in the store) but
-      // stop writing.
-      conn->dead.store(true, std::memory_order_relaxed);
+      // Client is gone; keep serving (results land in the store) but stop
+      // writing.
+      conn->dead = true;
       return;
     }
     sent += static_cast<std::size_t>(n);
@@ -283,6 +280,13 @@ void Server::connection_loop(Connection* conn) {
 
 void Server::handle_request(Connection* conn, const std::string& id,
                             const std::vector<std::string>& body) {
+  // The whole response goes out in one send loop: the lines built before a
+  // failure, then its ERROR line.
+  std::string response;
+  const auto add_line = [&response](const std::string& line) {
+    response += line;
+    response += '\n';
+  };
   try {
     const Request req = parse_request_body(id, body);
     core::ScenarioSpec spec = core::parse_scenario(req.spec_text);
@@ -297,7 +301,7 @@ void Server::handle_request(Connection* conn, const std::string& id,
     } else {
       begin.reason = engine->sim_only_reason();
     }
-    send_line(conn, format_begin(begin));
+    add_line(format_begin(begin));
 
     std::vector<double> lambdas = req.lambdas;
     if (lambdas.empty()) {
@@ -307,18 +311,10 @@ void Server::handle_request(Connection* conn, const std::string& id,
       }
       if (engine->has_model()) {
         const core::SaturationResult sat = engine->saturation_rate();
-        SweepMsg sweep;
-        sweep.id = id;
-        sweep.saturation = sat.rate;
-        sweep.probes = sat.probes;
-        send_line(conn, format_sweep(sweep));
-        lambdas = engine->lambda_sweep(req.points, req.lo, req.hi);
+        add_line(format_sweep(SweepMsg{id, sat.rate, sat.probes}));
+        lambdas = core::sweep_rates(sat, req.points, req.lo, req.hi);
       } else if (req.max_rate > 0.0) {
-        for (int i = 0; i < req.points; ++i) {
-          const double f = req.lo + (req.hi - req.lo) * static_cast<double>(i) /
-                                        static_cast<double>(req.points - 1);
-          lambdas.push_back(f * req.max_rate);
-        }
+        lambdas = core::sweep_rates({req.max_rate}, req.points, req.lo, req.hi);
       } else {
         throw std::invalid_argument(
             "sim-only scenario (" + engine->sim_only_reason() +
@@ -326,33 +322,37 @@ void Server::handle_request(Connection* conn, const std::string& id,
       }
     }
 
-    // The solves/sims batch onto the global thread pool; each point streams
-    // out the moment it converges.
-    engine->run(lambdas, req.with_sim, [&](std::size_t i, const core::PointResult& pt) {
-      send_line(conn, format_point(PointMsg{id, i, pt}));
-    });
+    // Store hits are answered on this thread, misses on the pool; the points
+    // come back in index order.
+    const std::vector<core::PointResult> points =
+        engine->run(lambdas, req.with_sim);
+    const std::size_t point_bytes =
+        96 + id.size() + 2 * sizeof(model::ModelResult) +
+        (req.with_sim ? 2 * sizeof(sim::SimResult) : 0);
+    response.reserve(response.size() + points.size() * point_bytes + 512);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      add_line(format_point(PointMsg{id, i, points[i]}));
+    }
 
     StatsMsg stats_msg;
     stats_msg.id = id;
     stats_msg.stats = engine->cache_stats();
-    send_line(conn, format_stats(stats_msg));
-    DoneMsg done;
-    done.id = id;
-    done.points = lambdas.size();
+    add_line(format_stats(stats_msg));
     // Count before DONE goes out: a client that has seen DONE must see the
     // request in the counter.
     ++requests_served_;
-    send_line(conn, format_done(done));
+    add_line(format_done(DoneMsg{id, points.size()}));
     if (options_.verbose) {
       KNC_LOG_INFO << "[kncube_serve] id=" << id << " key=" << std::hex
-                   << begin.spec_key << std::dec << " points=" << lambdas.size()
+                   << begin.spec_key << std::dec << " points=" << points.size()
                    << " model="
                    << (begin.model_name.empty() ? "-" : begin.model_name) << " "
                    << core::format_cache_stats(stats_msg.stats);
     }
   } catch (const std::exception& e) {
-    send_line(conn, format_error(id, e.what()));
+    add_line(format_error(id, e.what()));
   }
+  send_all(conn, response);
 }
 
 void Server::reap_finished_connections() {

@@ -13,11 +13,14 @@
 // questions are answered from the store — across daemon restarts when the
 // store is disk-backed.
 //
-// Points stream back to each client as they converge (completion order,
-// index-tagged), every request ends with an engine-cumulative STATS line,
-// and malformed requests get structured ERROR responses (parse_scenario's
-// line-anchored messages pass through verbatim) without dropping the
-// connection.
+// A request's response — BEGIN, SWEEP, its POINT lines in index order, an
+// engine-cumulative STATS line and DONE — is built whole and written by the
+// connection's own thread with one send loop, so no pool worker ever writes
+// to a socket and a client that stops reading stalls only its own
+// connection. The engine answers store hits on the connection thread and
+// sends only the misses to the pool. Malformed requests get structured
+// ERROR responses (parse_scenario's line-anchored messages pass through
+// verbatim) without dropping the connection.
 //
 // stop() is async-signal-safe (a self-pipe write), so kncube_serve calls it
 // straight from its SIGTERM/SIGINT handlers; run() then drains: stops
@@ -89,8 +92,9 @@ class Server {
  private:
   struct Connection {
     int fd = -1;
-    std::mutex write_mutex;
-    std::atomic<bool> dead{false};
+    /// A send failed; the connection's thread (its only writer) stops
+    /// writing.
+    bool dead = false;
     std::atomic<bool> finished{false};
     std::thread thread;
   };
@@ -99,7 +103,12 @@ class Server {
   void handle_request(Connection* conn, const std::string& id,
                       const std::vector<std::string>& body);
   std::shared_ptr<core::SweepEngine> engine_for(const core::ScenarioSpec& spec);
-  void send_line(Connection* conn, const std::string& line);
+  /// Writes `bytes` (whole lines) from the connection's thread, its only
+  /// writer.
+  void send_all(Connection* conn, const std::string& bytes);
+  void send_line(Connection* conn, const std::string& line) {
+    send_all(conn, line + '\n');
+  }
   void reap_finished_connections();
 
   ServerOptions options_;

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "support/sim_result_words.hpp"
@@ -147,29 +148,6 @@ TEST(SweepEngine, SimOnlyRunsCompileNothing) {
   ASSERT_FALSE(engine.has_model());
   engine.run({2e-4}, /*run_sim=*/true);
   EXPECT_EQ(engine.model_compiles(), 0u);
-}
-
-TEST(SweepEngine, RunStreamsEveryPointToTheCallbackOnce) {
-  SweepEngine engine(small_scenario());
-  const std::vector<double> lambdas = {3e-4, 1e-4, 2e-4, 1e-4};
-  const std::vector<PointResult> collected = SweepEngine(small_scenario()).run(lambdas, false);
-  std::mutex m;
-  std::vector<int> calls(lambdas.size(), 0);
-  std::vector<PointResult> streamed(lambdas.size());
-  engine.run(lambdas, /*run_sim=*/false, [&](std::size_t i, const PointResult& pt) {
-    std::lock_guard<std::mutex> lock(m);
-    ++calls[i];
-    streamed[i] = pt;
-  });
-  EXPECT_EQ(calls, std::vector<int>(lambdas.size(), 1));
-  for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    EXPECT_EQ(streamed[i].lambda, lambdas[i]);
-    EXPECT_TRUE(streamed[i].has_model);
-    EXPECT_FALSE(streamed[i].has_sim);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(streamed[i].model.latency),
-              std::bit_cast<std::uint64_t>(collected[i].model.latency));
-  }
-  EXPECT_EQ(engine.model_compiles(), 1u);
 }
 
 TEST(SweepEngine, LambdaSweepSpansRequestedRange) {
@@ -368,6 +346,94 @@ std::vector<std::uint64_t> model_words(const model::ModelResult& m) {
           bits(m.hot_latency), bits(m.regular_network_latency),
           bits(m.source_wait_regular), bits(m.vc_mux_x), bits(m.vc_mux_hot_y),
           bits(m.vc_mux_nonhot_y), bits(m.max_channel_utilization)};
+}
+
+/// A memory store that records the thread of every lookup.
+class RecordingStore final : public ResultStore {
+ public:
+  bool load_model(std::uint64_t spec_key, std::uint64_t lambda_bits,
+                  ModelEntry* out) override {
+    note();
+    return mem_.load_model(spec_key, lambda_bits, out);
+  }
+  void store_model(std::uint64_t spec_key, std::uint64_t lambda_bits,
+                   const ModelEntry& entry) override {
+    mem_.store_model(spec_key, lambda_bits, entry);
+  }
+  bool load_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
+                std::uint64_t seed, sim::SimResult* out) override {
+    note();
+    return mem_.load_sim(spec_key, lambda_bits, seed, out);
+  }
+  void store_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
+                 std::uint64_t seed, const sim::SimResult& result) override {
+    mem_.store_sim(spec_key, lambda_bits, seed, result);
+  }
+  bool load_saturation(std::uint64_t spec_key, std::uint64_t tol_bits,
+                       SaturationResult* out) override {
+    note();
+    return mem_.load_saturation(spec_key, tol_bits, out);
+  }
+  void store_saturation(std::uint64_t spec_key, std::uint64_t tol_bits,
+                        const SaturationResult& result) override {
+    mem_.store_saturation(spec_key, tol_bits, result);
+  }
+  StoreSizes sizes() const override { return mem_.sizes(); }
+  void clear() override { mem_.clear(); }
+  const char* kind() const noexcept override { return "recording"; }
+
+  /// The threads of the lookups since the last call, and forgets them.
+  std::vector<std::thread::id> take_lookups() {
+    std::lock_guard<std::mutex> lock(m_);
+    return std::exchange(lookups_, {});
+  }
+
+ private:
+  void note() {
+    std::lock_guard<std::mutex> lock(m_);
+    lookups_.push_back(std::this_thread::get_id());
+  }
+
+  MemoryResultStore mem_;
+  std::mutex m_;
+  std::vector<std::thread::id> lookups_;
+};
+
+TEST(SweepEngine, AStoredRunIsAnsweredOnTheCallingThread) {
+  auto store = std::make_shared<RecordingStore>();
+  SweepEngine engine(small_scenario(), store);
+  const std::vector<double> lambdas = {1e-4, 2e-4, 3e-4, 4e-4};
+  const std::vector<double> simulated = {1e-4, 3e-4};
+  const std::vector<PointResult> cold = engine.run(lambdas, /*run_sim=*/false);
+  EXPECT_EQ(engine.model_compiles(), 1u);
+
+  // Stored models but no stored sims: each point goes to the pool whole and
+  // counts its model hit once, as model_point does.
+  const std::vector<PointResult> cold_sims = engine.run(simulated, true);
+  EXPECT_EQ(engine.cache_stats().model_hits, 2u);
+  EXPECT_EQ(engine.cache_stats().sim_runs, 2u);
+
+  store->take_lookups();
+  const std::vector<PointResult> warm = engine.run(lambdas, false);
+  const std::vector<PointResult> warm_sims = engine.run(simulated, true);
+  const std::vector<std::thread::id> lookups = store->take_lookups();
+  EXPECT_EQ(lookups.size(), lambdas.size() + 2 * simulated.size());
+  for (const std::thread::id id : lookups) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(engine.model_compiles(), 1u);
+  const CacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.model_hits, 2u + lambdas.size() + simulated.size());
+  EXPECT_EQ(stats.sim_hits, simulated.size());
+  EXPECT_EQ(stats.model_solves, lambdas.size());
+  for (std::size_t i = 0; i < lambdas.size(); ++i) {
+    EXPECT_EQ(model_words(warm[i].model), model_words(cold[i].model));
+  }
+  for (std::size_t i = 0; i < simulated.size(); ++i) {
+    EXPECT_EQ(test_support::sim_result_words(warm_sims[i].sim),
+              test_support::sim_result_words(cold_sims[i].sim));
+    EXPECT_TRUE(warm_sims[i].has_model && warm_sims[i].has_sim);
+  }
 }
 
 TEST(SweepEngine, SimRunMatchesASerialIndexOrderLoop) {

@@ -133,6 +133,8 @@ class ServerTest : public ::testing::Test {
   std::string socket_path_;
   std::unique_ptr<Server> server_;
   std::thread thread_;
+  /// A connection that stays open through TearDown's drained shutdown.
+  std::unique_ptr<RawConnection> held_open_;
 };
 
 TEST_F(ServerTest, PingAndServerWideStats) {
@@ -217,6 +219,81 @@ TEST_F(ServerTest, SweepRequestStreamsSaturationAndOrderedPoints) {
   for (std::size_t i = 1; i < outcome.points.size(); ++i) {
     EXPECT_GT(outcome.points[i].lambda, outcome.points[i - 1].lambda);
   }
+}
+
+TEST_F(ServerTest, SweepCountsASaturationHitOnlyForAStoredSearch) {
+  Client client(socket_path_);
+  Request params;
+  params.points = 3;
+  params.with_sim = false;
+  const Client::SweepOutcome cold = client.run(quick_spec(), params);
+  EXPECT_EQ(cold.stats.stats.saturation_entries, 1u);
+  EXPECT_EQ(cold.stats.stats.saturation_hits, 0u);
+  const Client::SweepOutcome warm = client.run(quick_spec(), params);
+  EXPECT_EQ(warm.stats.stats.saturation_hits, 1u);
+  EXPECT_EQ(bits(warm.sweep.saturation), bits(cold.sweep.saturation));
+}
+
+TEST_F(ServerTest, AClientThatNeverReadsStallsOnlyItsOwnConnection) {
+  // Client A asks for 5,000 points and never reads: its response (over
+  // 1 MB) outgrows the socket buffers, so its connection's send blocks.
+  constexpr std::size_t kStalledPoints = 5000;
+  held_open_ = std::make_unique<RawConnection>(socket_path_);
+  std::string frame = "REQUEST a\nrequest.sim=0\nrequest.lambdas=";
+  for (std::size_t i = 0; i < kStalledPoints; ++i) {
+    if (i > 0) frame += ',';
+    frame += format_bits(1e-5 * static_cast<double>(1 + i % 50));
+  }
+  frame += "\nEND\n";
+  held_open_->send_bytes(frame);
+
+  // Every one of A's points is answered: no pool lane waits on A's socket.
+  const auto answered = [this] {
+    const core::CacheStats s = server_->stats();
+    return s.model_hits + s.model_solves + s.inflight_waits;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (answered() < kStalledPoints &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(answered(), kStalledPoints);
+
+  // Client B still gets PONG and a complete cold sweep, in index order.
+  RawConnection b(socket_path_);
+  b.set_receive_timeout(std::chrono::seconds(30));
+  b.send_line("PING");
+  EXPECT_EQ(b.read_line(), "PONG");
+  core::ScenarioSpec spec = quick_spec();
+  spec.hotspot().fraction = 0.2;
+  Request params;
+  params.spec_text = core::format_scenario(spec);
+  params.points = 64;
+  params.with_sim = false;
+  std::string request = "REQUEST b\n";
+  for (const std::string& line : format_request_body(params)) {
+    request += line;
+    request += '\n';
+  }
+  b.send_bytes(request + "END\n");
+  BeginMsg begin;
+  ASSERT_TRUE(parse_begin(b.read_line(), &begin));
+  EXPECT_EQ(begin.spec_key, spec.key());
+  SweepMsg sweep;
+  ASSERT_TRUE(parse_sweep(b.read_line(), &sweep));
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    PointMsg point;
+    ASSERT_TRUE(parse_point(b.read_line(), &point)) << "point " << i;
+    EXPECT_EQ(point.index, i);
+    EXPECT_TRUE(point.point.has_model);
+  }
+  StatsMsg stats;
+  ASSERT_TRUE(parse_stats(b.read_line(), &stats));
+  DoneMsg done;
+  ASSERT_TRUE(parse_done(b.read_line(), &done));
+  EXPECT_EQ(done.points, 64u);
+  // TearDown then drains the daemon with A still connected and unread.
 }
 
 TEST_F(ServerTest, SimOnlySpecWithoutAnchorGetsAStructuredError) {
