@@ -3,7 +3,13 @@
 // evaluation; this bench keeps that claim measured.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "core/saturation.hpp"
+#include "core/scenario_spec.hpp"
+#include "core/sweep_engine.hpp"
 #include "model/analytical_model.hpp"
 
 namespace {
@@ -56,6 +62,48 @@ void BM_UniformModelSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UniformModelSolve);
+
+/// The paper's scenario as perfbench's sweep-hotspot16 states it
+/// (examples/specs/hotspot_torus.spec with a shorter measurement).
+constexpr const char* kPaperSpec = R"(topology.kind=torus
+topology.k=16
+topology.n=2
+topology.bidirectional=false
+traffic.kind=hotspot
+traffic.hot_fraction=0.2
+traffic.hot_node=-1
+arrivals.kind=bernoulli
+router.vcs=2
+router.buffer_depth=2
+workload.message_length=32
+measure.warmup_cycles=5000
+measure.target_messages=500
+measure.max_cycles=1500000
+)";
+
+/// A sweep's set-up from spec text to a ready engine, as sweep-hotspot16
+/// times it: parse, two `--set` overrides, validate(), then the SweepEngine
+/// constructor (registry dispatch and key()).
+void BM_ScenarioSetup(benchmark::State& state) {
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    core::ScenarioSpec spec = core::parse_scenario(kPaperSpec);
+    core::apply_scenario_setting(spec, "measure.seed", std::to_string(++seed));
+    core::apply_scenario_setting(spec, "sim.threads", "1");
+    spec.validate();
+    const core::SweepEngine engine(std::move(spec));
+    benchmark::DoNotOptimize(engine.spec_key());
+  }
+}
+BENCHMARK(BM_ScenarioSetup);
+
+/// ScenarioSpec::key(), the hash behind every store record and replication
+/// seed, on the paper's scenario.
+void BM_ScenarioKey(benchmark::State& state) {
+  const core::ScenarioSpec spec = core::parse_scenario(kPaperSpec);
+  for (auto _ : state) benchmark::DoNotOptimize(spec.key());
+}
+BENCHMARK(BM_ScenarioKey);
 
 }  // namespace
 

@@ -1,160 +1,487 @@
 #include "core/scenario_spec.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <initializer_list>
 #include <limits>
-#include <sstream>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
 
 namespace kncube::core {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& msg) {
-  throw std::invalid_argument("ScenarioSpec: " + msg);
+[[noreturn]] void fail(std::initializer_list<std::string_view> parts) {
+  std::string msg = "ScenarioSpec: ";
+  for (const std::string_view part : parts) msg += part;
+  throw std::invalid_argument(msg);
 }
 
-// Round-trip-exact double formatting: 17 significant digits reproduce any
-// IEEE-754 double bit-for-bit through strtod.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// Strips spaces, tabs and carriage returns from both ends.
+std::string_view trim(std::string_view s) {
+  const auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
+  while (!s.empty() && blank(s.front())) s.remove_prefix(1);
+  while (!s.empty() && blank(s.back())) s.remove_suffix(1);
+  return s;
 }
 
-double parse_double(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    fail(key + ": expected a number, got '" + value + "'");
+// ------------------------------------------------------------ reading ---
+// One `read` overload per field type. Numbers keep the syntax strtoll,
+// strtoull and strtod accept (leading whitespace, a '+' sign, `.5`,
+// `0x1p-2`), and the whole value must be the number. A value outside its
+// type's range fails: nothing is clamped, wrapped or flushed to zero.
+
+/// Skips leading whitespace (as strtoll does) and a sign; true for '-'.
+bool take_sign(std::string_view& v) {
+  while (!v.empty() && (v.front() == ' ' || (v.front() >= '\t' && v.front() <= '\r'))) {
+    v.remove_prefix(1);
   }
-  // nan/inf (and overflowing literals) would slip past every range check
-  // written as `x < lo || x > hi`.
-  if (!std::isfinite(v)) {
-    fail(key + ": expected a finite number, got '" + value + "'");
-  }
-  return v;
+  const bool negative = !v.empty() && v.front() == '-';
+  if (!v.empty() && (v.front() == '+' || v.front() == '-')) v.remove_prefix(1);
+  return negative;
 }
 
-std::int64_t parse_int(const std::string& key, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
-    fail(key + ": expected an integer, got '" + value + "'");
+/// Reads `digits` whole as a decimal magnitude: errc{} on success,
+/// result_out_of_range past 2^64 - 1, invalid_argument otherwise.
+std::errc read_magnitude(std::string_view digits, std::uint64_t& out) {
+  const char* const end = digits.data() + digits.size();
+  const auto [stop, ec] = std::from_chars(digits.data(), end, out);
+  if (ec == std::errc::invalid_argument || stop != end) return std::errc::invalid_argument;
+  return ec;
+}
+
+void read(std::string_view key, std::string_view value, std::int64_t& out) {
+  std::string_view digits = value;
+  const bool negative = take_sign(digits);
+  std::uint64_t magnitude = 0;
+  const std::uint64_t limit =
+      std::uint64_t{std::numeric_limits<std::int64_t>::max()} + (negative ? 1 : 0);
+  if (read_magnitude(digits, magnitude) != std::errc{} || magnitude > limit) {
+    fail({key, ": expected an integer, got '", value, "'"});
   }
-  return v;
+  out = static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude);
 }
 
 /// Checked narrowing for the int-typed knobs: out-of-range values fail like
 /// any other malformed input instead of silently wrapping.
-int parse_int32(const std::string& key, const std::string& value) {
-  const std::int64_t v = parse_int(key, value);
+void read(std::string_view key, std::string_view value, int& out) {
+  std::int64_t v = 0;
+  read(key, value, v);
   if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
-    fail(key + ": value " + value + " out of range");
+    fail({key, ": value ", value, " out of range"});
   }
-  return static_cast<int>(v);
+  out = static_cast<int>(v);
 }
 
-std::uint64_t parse_uint(const std::string& key, const std::string& value) {
-  // strtoull (not strtoll): 64-bit seeds use the full unsigned range.
-  if (!value.empty() && value[0] == '-') fail(key + ": must be non-negative");
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    fail(key + ": expected an integer, got '" + value + "'");
-  }
-  return static_cast<std::uint64_t>(v);
+/// 64-bit seeds and cycle counts use the full unsigned range.
+void read(std::string_view key, std::string_view value, std::uint64_t& out) {
+  std::string_view digits = value;
+  if (take_sign(digits)) fail({key, ": must be non-negative"});
+  std::uint64_t v = 0;
+  const std::errc ec = read_magnitude(digits, v);
+  if (ec == std::errc::result_out_of_range) fail({key, ": value ", value, " out of range"});
+  if (ec != std::errc{}) fail({key, ": expected an integer, got '", value, "'"});
+  out = v;
 }
 
-bool parse_bool(const std::string& key, const std::string& value) {
-  if (value == "true" || value == "1") return true;
-  if (value == "false" || value == "0") return false;
-  fail(key + ": expected true/false, got '" + value + "'");
-}
-
-const char* traffic_kind_name(const Traffic& t) {
-  struct Visitor {
-    const char* operator()(const HotspotTraffic&) const { return "hotspot"; }
-    const char* operator()(const UniformTraffic&) const { return "uniform"; }
-    const char* operator()(const TransposeTraffic&) const { return "transpose"; }
-    const char* operator()(const BitComplementTraffic&) const {
-      return "bit_complement";
-    }
-    const char* operator()(const BitReversalTraffic&) const {
-      return "bit_reversal";
-    }
-  };
-  return std::visit(Visitor{}, t);
-}
-
-const char* basis_name(model::ServiceBasis b) {
-  return b == model::ServiceBasis::kInclusive ? "inclusive" : "transmission";
-}
-
-model::ServiceBasis parse_basis(const std::string& key, const std::string& value) {
-  if (value == "transmission") return model::ServiceBasis::kTransmission;
-  if (value == "inclusive") return model::ServiceBasis::kInclusive;
-  fail(key + ": expected transmission|inclusive, got '" + value + "'");
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  std::size_t e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-/// Splits a comma-separated value list; the empty string is the empty list
-/// (`fault.routers=` round-trips an explicit-links-only failure set).
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> items;
-  std::size_t pos = 0;
-  while (pos <= value.size()) {
-    std::size_t comma = value.find(',', pos);
-    if (comma == std::string::npos) comma = value.size();
-    const std::string item = trim(value.substr(pos, comma - pos));
-    if (!item.empty()) items.push_back(item);
-    pos = comma + 1;
-  }
-  return items;
-}
-
-/// One failed-link entry in the canonical `node:dim:+|-` form.
-topo::FailedLink parse_failed_link(const std::string& key,
-                                   const std::string& entry) {
-  const std::size_t c1 = entry.find(':');
-  const std::size_t c2 = c1 == std::string::npos ? std::string::npos
-                                                 : entry.find(':', c1 + 1);
-  if (c1 == std::string::npos || c2 == std::string::npos) {
-    fail(key + ": expected node:dim:+|- entries, got '" + entry + "'");
-  }
-  topo::FailedLink l;
-  l.node = parse_int(key, entry.substr(0, c1));
-  l.dim = parse_int32(key, entry.substr(c1 + 1, c2 - c1 - 1));
-  const std::string dir = entry.substr(c2 + 1);
-  if (dir == "+") {
-    l.dir = topo::Direction::kPlus;
-  } else if (dir == "-") {
-    l.dir = topo::Direction::kMinus;
+void read(std::string_view key, std::string_view value, double& out) {
+  // strtod wants a terminated string; every canonical double fits the
+  // stack copy.
+  char buf[64];
+  std::string long_value;
+  const char* text = buf;
+  if (value.size() < sizeof buf) {
+    std::memcpy(buf, value.data(), value.size());
+    buf[value.size()] = '\0';
   } else {
-    fail(key + ": link direction must be + or -, got '" + dir + "'");
+    long_value = value;
+    text = long_value.c_str();
   }
-  return l;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || end != text + value.size()) {
+    fail({key, ": expected a number, got '", value, "'"});
+  }
+  // nan/inf (and overflowing literals) would slip past every range check
+  // written as `x < lo || x > hi`.
+  if (!std::isfinite(v)) fail({key, ": expected a finite number, got '", value, "'"});
+  // A nonzero literal that rounds to zero (1e-400); subnormal results are
+  // exact enough to keep.
+  if (v == 0.0 && errno == ERANGE) fail({key, ": value ", value, " out of range"});
+  out = v;
 }
 
-std::string format_failed_links(const std::vector<topo::FailedLink>& links) {
-  std::string out;
+void read(std::string_view key, std::string_view value, bool& out) {
+  if (value == "true" || value == "1") {
+    out = true;
+  } else if (value == "false" || value == "0") {
+    out = false;
+  } else {
+    fail({key, ": expected true/false, got '", value, "'"});
+  }
+}
+
+/// Calls `item` on each trimmed, non-empty entry of a comma-separated list;
+/// the empty string is the empty list (`fault.routers=` round-trips an
+/// explicit-links-only failure set).
+template <class Item>
+void for_each_item(std::string_view list, Item&& item) {
+  for (;;) {
+    const std::size_t comma = list.find(',');
+    const std::string_view entry = trim(list.substr(0, comma));
+    if (!entry.empty()) item(entry);
+    if (comma == std::string_view::npos) return;
+    list.remove_prefix(comma + 1);
+  }
+}
+
+void read(std::string_view key, std::string_view value, std::vector<std::int64_t>& out) {
+  out.clear();
+  for_each_item(value, [&](std::string_view entry) {
+    std::int64_t router = 0;
+    read(key, entry, router);
+    out.push_back(router);
+  });
+}
+
+/// Failed links in the canonical `node:dim:+|-` form.
+void read(std::string_view key, std::string_view value,
+          std::vector<topo::FailedLink>& out) {
+  out.clear();
+  for_each_item(value, [&](std::string_view entry) {
+    const std::size_t c1 = entry.find(':');
+    const std::size_t c2 =
+        c1 == std::string_view::npos ? std::string_view::npos : entry.find(':', c1 + 1);
+    if (c2 == std::string_view::npos) {
+      fail({key, ": expected node:dim:+|- entries, got '", entry, "'"});
+    }
+    topo::FailedLink l;
+    read(key, entry.substr(0, c1), l.node);
+    read(key, entry.substr(c1 + 1, c2 - c1 - 1), l.dim);
+    const std::string_view dir = entry.substr(c2 + 1);
+    if (dir == "+") {
+      l.dir = topo::Direction::kPlus;
+    } else if (dir == "-") {
+      l.dir = topo::Direction::kMinus;
+    } else {
+      fail({key, ": link direction must be + or -, got '", dir, "'"});
+    }
+    out.push_back(l);
+  });
+}
+
+// ------------------------------------------------------------ writing ---
+// The text writer appends to one string; key() runs the same writer into
+// FNV-1a, so the hash is of exactly the canonical bytes without building
+// them.
+
+struct TextSink {
+  std::string& text;
+  void put(std::string_view s) { text.append(s); }
+  void put(char c) { text.push_back(c); }
+};
+
+struct HashSink {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  void put(std::string_view s) {
+    for (const char c : s) put(c);
+  }
+  void put(char c) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+};
+
+template <class Sink, class Number>
+void write_number(Sink& out, Number v) {
+  char buf[32];
+  std::to_chars_result r;
+  if constexpr (std::is_floating_point_v<Number>) {
+    // 17 significant digits reproduce any double bit for bit through strtod
+    // (and print what snprintf's "%.17g" prints).
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  } else {
+    r = std::to_chars(buf, buf + sizeof buf, v);
+  }
+  out.put(std::string_view(buf, static_cast<std::size_t>(r.ptr - buf)));
+}
+
+template <class Sink>
+void write(Sink& out, bool v) {
+  out.put(v ? "true" : "false");
+}
+template <class Sink>
+void write(Sink& out, int v) {
+  write_number(out, v);
+}
+template <class Sink>
+void write(Sink& out, std::int64_t v) {
+  write_number(out, v);
+}
+template <class Sink>
+void write(Sink& out, std::uint64_t v) {
+  write_number(out, v);
+}
+template <class Sink>
+void write(Sink& out, double v) {
+  write_number(out, v);
+}
+template <class Sink>
+void write(Sink& out, const std::vector<std::int64_t>& routers) {
+  for (std::size_t i = 0; i < routers.size(); ++i) {
+    if (i) out.put(',');
+    write_number(out, routers[i]);
+  }
+}
+template <class Sink>
+void write(Sink& out, const std::vector<topo::FailedLink>& links) {
   for (std::size_t i = 0; i < links.size(); ++i) {
-    if (i) out += ',';
-    out += std::to_string(links[i].node);
-    out += ':';
-    out += std::to_string(links[i].dim);
-    out += links[i].dir == topo::Direction::kPlus ? ":+" : ":-";
+    if (i) out.put(',');
+    write_number(out, links[i].node);
+    out.put(':');
+    write_number(out, links[i].dim);
+    out.put(links[i].dir == topo::Direction::kPlus ? ":+" : ":-");
+  }
+}
+
+// -------------------------------------------------------- field table ---
+
+/// A field whose value is one word of a fixed list: the variant selectors
+/// (`topology.kind`, ...) and the model's enum knobs.
+struct Choice {
+  std::span<const std::string_view> words;
+  std::size_t (*get)(const ScenarioSpec&);  ///< index of the spec's word
+  void (*set)(ScenarioSpec&, std::size_t);  ///< selects word i
+};
+
+/// Where a field's value lives in a spec. Called only while the field's
+/// owner is active, so the variant accessors inside never throw.
+template <class T>
+using Slot = T* (*)(ScenarioSpec&);
+
+using Access = std::variant<Choice, Slot<bool>, Slot<int>, Slot<std::int64_t>,
+                            Slot<std::uint64_t>, Slot<double>,
+                            Slot<std::vector<std::int64_t>>,
+                            Slot<std::vector<topo::FailedLink>>>;
+
+/// When a field's line is written, and whether key() hashes it.
+enum class Emit : std::uint8_t {
+  kAlways,    ///< every spec (a variant parameter: while its owner is active)
+  kFaulty,    ///< only with a non-empty failure set, and then as a block:
+              ///< a pristine spec's text and key() predate the fault block
+  kUnhashed,  ///< every spec, but key() skips it: an execution knob whose
+              ///< every value gives bit-identical results
+};
+
+struct Field {
+  std::string_view name;  ///< the dotted key
+  Access access;
+  Emit emit = Emit::kAlways;
+  /// Variant parameters: the `*.kind` field whose active alternative must
+  /// be one of `owners` (bit i = alternative i) for this field to be set or
+  /// written.
+  const Field* selector = nullptr;
+  unsigned owners = 0;
+};
+
+/// Switching a variant kind resets it to that alternative's defaults;
+/// re-selecting the active kind is a no-op, so parameter order is free.
+template <class Variant>
+void select_alternative(Variant& v, std::size_t i) {
+  if (v.index() == i) return;
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((i == I ? (void)v.template emplace<I>() : (void)0), ...);
+  }(std::make_index_sequence<std::variant_size_v<Variant>>{});
+}
+
+/// Bit of alternative `T` in `Variant`, for Field::owners.
+template <class Variant, class T>
+constexpr unsigned owner() {
+  return 1u << Variant(T{}).index();
+}
+
+/// A variant's `*.kind` field: word i selects alternative i.
+template <auto Variant, std::size_t N>
+constexpr Field selector(std::string_view name, const std::string_view (&kinds)[N]) {
+  static_assert(N == std::variant_size_v<std::remove_reference_t<
+                         decltype(std::declval<ScenarioSpec&>().*Variant)>>);
+  return {name, Choice{kinds, [](const ScenarioSpec& s) { return (s.*Variant).index(); },
+                       [](ScenarioSpec& s, std::size_t i) {
+                         select_alternative(s.*Variant, i);
+                       }}};
+}
+
+/// A two-valued enum knob: word 0 stands for `First`, word 1 for `Second`.
+template <auto Member, auto First, auto Second>
+constexpr Choice enum_knob(std::span<const std::string_view> words) {
+  return {words,
+          [](const ScenarioSpec& s) -> std::size_t { return s.*Member == Second; },
+          [](ScenarioSpec& s, std::size_t i) { s.*Member = i ? Second : First; }};
+}
+
+constexpr std::string_view kTopologyKinds[] = {"torus", "hypercube", "mesh"};
+constexpr std::string_view kTrafficKinds[] = {"hotspot", "uniform", "transpose",
+                                              "bit_complement", "bit_reversal"};
+constexpr std::string_view kArrivalsKinds[] = {"bernoulli", "mmpp"};
+constexpr std::string_view kBlockingWords[] = {"paper", "pure_wait"};
+constexpr std::string_view kBasisWords[] = {"transmission", "inclusive"};
+
+constexpr Field kTopologyKind =
+    selector<&ScenarioSpec::topology>("topology.kind", kTopologyKinds);
+constexpr Field kTrafficKind = selector<&ScenarioSpec::traffic>("traffic.kind", kTrafficKinds);
+constexpr Field kArrivalsKind =
+    selector<&ScenarioSpec::arrivals>("arrivals.kind", kArrivalsKinds);
+
+/// A parameter of the `selector` variant's `owners` alternatives.
+constexpr Field param(const Field& selector, unsigned owners, std::string_view name,
+                      Access access) {
+  return {name, access, Emit::kAlways, &selector, owners};
+}
+
+constexpr unsigned kTorus = owner<Topology, TorusTopology>();
+constexpr unsigned kHypercube = owner<Topology, HypercubeTopology>();
+constexpr unsigned kMesh = owner<Topology, MeshTopology>();
+constexpr unsigned kHotspot = owner<Traffic, HotspotTraffic>();
+constexpr unsigned kMmpp = owner<Arrivals, MmppArrivals>();
+
+/// The grammar: every field of the text form, in canonical order. Parsing,
+/// `--set`, format_scenario and key() all read this table, so a new field
+/// is one row here plus its struct member.
+constexpr Field kFields[] = {
+    kTopologyKind,
+    // topology.k/n are shared by the two k^n families; the hypercube's size
+    // knob is topology.dims.
+    param(kTopologyKind, kTorus | kMesh, "topology.k",
+          [](ScenarioSpec& s) { return s.is_torus() ? &s.torus().k : &s.mesh().k; }),
+    param(kTopologyKind, kTorus | kMesh, "topology.n",
+          [](ScenarioSpec& s) { return s.is_torus() ? &s.torus().n : &s.mesh().n; }),
+    param(kTopologyKind, kTorus, "topology.bidirectional",
+          [](ScenarioSpec& s) { return &s.torus().bidirectional; }),
+    param(kTopologyKind, kHypercube, "topology.dims",
+          [](ScenarioSpec& s) { return &s.hypercube().dims; }),
+    kTrafficKind,
+    param(kTrafficKind, kHotspot, "traffic.hot_fraction",
+          [](ScenarioSpec& s) { return &s.hotspot().fraction; }),
+    param(kTrafficKind, kHotspot, "traffic.hot_node",
+          [](ScenarioSpec& s) { return &s.hotspot().hot_node; }),
+    kArrivalsKind,
+    param(kArrivalsKind, kMmpp, "arrivals.burst_multiplier",
+          [](ScenarioSpec& s) { return &s.mmpp().burst_multiplier; }),
+    param(kArrivalsKind, kMmpp, "arrivals.p_enter_burst",
+          [](ScenarioSpec& s) { return &s.mmpp().p_enter_burst; }),
+    param(kArrivalsKind, kMmpp, "arrivals.p_leave_burst",
+          [](ScenarioSpec& s) { return &s.mmpp().p_leave_burst; }),
+    {"router.vcs", [](ScenarioSpec& s) { return &s.vcs; }},
+    {"router.buffer_depth", [](ScenarioSpec& s) { return &s.buffer_depth; }},
+    {"workload.message_length", [](ScenarioSpec& s) { return &s.message_length; }},
+    {"measure.seed", [](ScenarioSpec& s) { return &s.seed; }},
+    {"measure.warmup_cycles", [](ScenarioSpec& s) { return &s.warmup_cycles; }},
+    {"measure.target_messages", [](ScenarioSpec& s) { return &s.target_messages; }},
+    {"measure.max_cycles", [](ScenarioSpec& s) { return &s.max_cycles; }},
+    {"model.blocking",
+     enum_knob<&ScenarioSpec::blocking, model::BlockingVariant::kPaper,
+               model::BlockingVariant::kPureWait>(kBlockingWords)},
+    {"model.busy_basis",
+     enum_knob<&ScenarioSpec::busy_basis, model::ServiceBasis::kTransmission,
+               model::ServiceBasis::kInclusive>(kBasisWords)},
+    {"model.vcmux_basis",
+     enum_knob<&ScenarioSpec::vcmux_basis, model::ServiceBasis::kTransmission,
+               model::ServiceBasis::kInclusive>(kBasisWords)},
+    {"fault.routers", [](ScenarioSpec& s) { return &s.failures.routers; }, Emit::kFaulty},
+    {"fault.links", [](ScenarioSpec& s) { return &s.failures.links; }, Emit::kFaulty},
+    {"fault.rate", [](ScenarioSpec& s) { return &s.failures.random_rate; }, Emit::kFaulty},
+    {"fault.seed", [](ScenarioSpec& s) { return &s.failures.random_seed; }, Emit::kFaulty},
+    // Execution knobs come last: everything above is the result-defining
+    // part that key() hashes.
+    {"sim.threads", [](ScenarioSpec& s) { return &s.sim_threads; }, Emit::kUnhashed},
+};
+
+bool owner_active(const ScenarioSpec& spec, const Field& f) {
+  if (!f.selector) return true;
+  return (f.owners >> std::get<Choice>(f.selector->access).get(spec)) & 1u;
+}
+
+/// The field named `key`, searched from `from` on (wrapping around): text
+/// in canonical order finds each field at the first probe.
+std::size_t find_field(std::string_view key, std::size_t from = 0) {
+  constexpr std::size_t n = std::size(kFields);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t at = (from + i) % n;
+    if (kFields[at].name == key) return at;
+  }
+  fail({"unknown key '", key, "'"});
+}
+
+/// The words whose bit is set in `mask`, joined by `sep`.
+std::string join(std::span<const std::string_view> words, std::string_view sep,
+                 unsigned mask = ~0u) {
+  std::string out;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (!((mask >> i) & 1u)) continue;
+    if (!out.empty()) out += sep;
+    out += words[i];
   }
   return out;
+}
+
+void set_field(ScenarioSpec& spec, const Field& f, std::string_view value) {
+  if (!owner_active(spec, f)) {
+    // "topology.k requires topology.kind=torus or mesh"
+    fail({f.name, " requires ", f.selector->name, "=",
+          join(std::get<Choice>(f.selector->access).words, " or ", f.owners)});
+  }
+  std::visit(
+      [&](auto access) {
+        if constexpr (std::is_same_v<decltype(access), Choice>) {
+          const auto word = std::find(access.words.begin(), access.words.end(), value);
+          if (word == access.words.end()) {
+            fail({f.name, ": expected ", join(access.words, "|"), ", got '", value, "'"});
+          }
+          access.set(spec, static_cast<std::size_t>(word - access.words.begin()));
+        } else {
+          read(f.name, value, *access(spec));
+        }
+      },
+      f.access);
+}
+
+/// Writes `name=value\n` for every field `spec` carries, in table order;
+/// `hashed_only` skips the execution knobs.
+template <class Sink>
+void write_fields(const ScenarioSpec& spec, Sink& out, bool hashed_only) {
+  // The slots only locate members: writing reads through them, never
+  // modifies.
+  ScenarioSpec& fields = const_cast<ScenarioSpec&>(spec);
+  const bool faulty = !spec.failures.empty();
+  for (const Field& f : kFields) {
+    if (!owner_active(spec, f) || (f.emit == Emit::kFaulty && !faulty) ||
+        (f.emit == Emit::kUnhashed && hashed_only)) {
+      continue;
+    }
+    out.put(f.name);
+    out.put('=');
+    std::visit(
+        [&](auto access) {
+          if constexpr (std::is_same_v<decltype(access), Choice>) {
+            out.put(access.words[access.get(spec)]);
+          } else {
+            write(out, *access(fields));
+          }
+        },
+        f.access);
+    out.put('\n');
+  }
 }
 
 }  // namespace
@@ -178,7 +505,7 @@ void ScenarioSpec::validate() const {
   // The simulator realises the hypercube as a k = 2 n-cube, so it would take
   // dims = 2 as a 2-D substrate; transpose is a 2-D torus or mesh pattern.
   if (is_hypercube() && std::holds_alternative<TransposeTraffic>(traffic)) {
-    fail("transpose traffic needs a 2-D torus or mesh");
+    fail({"transpose traffic needs a 2-D torus or mesh"});
   }
 
   // The MMPP agreement rules stay here, not in SimConfig: the simulator
@@ -194,8 +521,8 @@ void ScenarioSpec::validate() const {
     const double pi_burst =
         m.p_enter_burst / (m.p_enter_burst + m.p_leave_burst);
     if (!(pi_burst > 0.0) || !(pi_burst < 1.0)) {
-      fail("MMPP stationary burst fraction is degenerate (0 or 1): the chain "
-           "effectively never or always bursts; use Bernoulli arrivals");
+      fail({"MMPP stationary burst fraction is degenerate (0 or 1): the chain "
+            "effectively never or always bursts; use Bernoulli arrivals"});
     }
     // Achievability: the idle-state rate solves
     // pi_b*mult*lambda + (1-pi_b)*idle == lambda, which needs
@@ -203,265 +530,63 @@ void ScenarioSpec::validate() const {
     // exceeds the configured rate at every lambda (model and sim would not
     // even agree on the offered load).
     if (m.burst_multiplier * pi_burst > 1.0) {
-      fail("MMPP burst_multiplier * stationary burst fraction exceeds 1: the "
-           "idle-state rate clamps at 0 and the realized mean load no longer "
-           "matches the configured rate");
+      fail({"MMPP burst_multiplier * stationary burst fraction exceeds 1: the "
+            "idle-state rate clamps at 0 and the realized mean load no longer "
+            "matches the configured rate"});
     }
   }
 }
 
 std::string format_scenario(const ScenarioSpec& spec) {
-  std::ostringstream out;
-  if (spec.is_torus()) {
-    const TorusTopology& t = spec.torus();
-    out << "topology.kind=torus\n";
-    out << "topology.k=" << t.k << "\n";
-    out << "topology.n=" << t.n << "\n";
-    out << "topology.bidirectional=" << (t.bidirectional ? "true" : "false") << "\n";
-  } else if (spec.is_mesh()) {
-    const MeshTopology& m = spec.mesh();
-    out << "topology.kind=mesh\n";
-    out << "topology.k=" << m.k << "\n";
-    out << "topology.n=" << m.n << "\n";
-  } else {
-    out << "topology.kind=hypercube\n";
-    out << "topology.dims=" << spec.hypercube().dims << "\n";
-  }
-  out << "traffic.kind=" << traffic_kind_name(spec.traffic) << "\n";
-  if (spec.is_hotspot()) {
-    const HotspotTraffic& t = spec.hotspot();
-    out << "traffic.hot_fraction=" << fmt_double(t.fraction) << "\n";
-    out << "traffic.hot_node=" << t.hot_node << "\n";
-  }
-  if (spec.is_mmpp()) {
-    const MmppArrivals& m = spec.mmpp();
-    out << "arrivals.kind=mmpp\n";
-    out << "arrivals.burst_multiplier=" << fmt_double(m.burst_multiplier) << "\n";
-    out << "arrivals.p_enter_burst=" << fmt_double(m.p_enter_burst) << "\n";
-    out << "arrivals.p_leave_burst=" << fmt_double(m.p_leave_burst) << "\n";
-  } else {
-    out << "arrivals.kind=bernoulli\n";
-  }
-  out << "router.vcs=" << spec.vcs << "\n";
-  out << "router.buffer_depth=" << spec.buffer_depth << "\n";
-  out << "workload.message_length=" << spec.message_length << "\n";
-  out << "measure.seed=" << spec.seed << "\n";
-  out << "measure.warmup_cycles=" << spec.warmup_cycles << "\n";
-  out << "measure.target_messages=" << spec.target_messages << "\n";
-  out << "measure.max_cycles=" << spec.max_cycles << "\n";
-  out << "model.blocking="
-      << (spec.blocking == model::BlockingVariant::kPureWait ? "pure_wait" : "paper")
-      << "\n";
-  out << "model.busy_basis=" << basis_name(spec.busy_basis) << "\n";
-  out << "model.vcmux_basis=" << basis_name(spec.vcmux_basis) << "\n";
-  // Fault lines appear only for non-empty failure sets, and then always as
-  // the full block of four: a pristine spec's canonical text (hence key(),
-  // memo entries and replication seeds) is byte-identical to what it was
-  // before faults existed, while any non-empty set is fully result-defining.
-  if (!spec.failures.empty()) {
-    out << "fault.routers=";
-    for (std::size_t i = 0; i < spec.failures.routers.size(); ++i) {
-      if (i) out << ',';
-      out << spec.failures.routers[i];
-    }
-    out << "\n";
-    out << "fault.links=" << format_failed_links(spec.failures.links) << "\n";
-    out << "fault.rate=" << fmt_double(spec.failures.random_rate) << "\n";
-    out << "fault.seed=" << spec.failures.random_seed << "\n";
-  }
-  // Execution knobs come last: key() drops `sim.`-prefixed lines wholesale,
-  // so everything above is the result-defining prefix.
-  out << "sim.threads=" << spec.sim_threads << "\n";
-  return out.str();
+  std::string text;
+  text.reserve(512);
+  TextSink out{text};
+  write_fields(spec, out, /*hashed_only=*/false);
+  return text;
 }
 
 void apply_scenario_setting(ScenarioSpec& spec, const std::string& key,
                             const std::string& value) {
-  // --- variant selectors: switching kinds resets that variant to defaults
-  // (re-selecting the active kind is a no-op so parameter order is free).
-  if (key == "topology.kind") {
-    if (value == "torus") {
-      if (!spec.is_torus()) spec.topology = TorusTopology{};
-    } else if (value == "hypercube") {
-      if (!spec.is_hypercube()) spec.topology = HypercubeTopology{};
-    } else if (value == "mesh") {
-      if (!spec.is_mesh()) spec.topology = MeshTopology{};
-    } else {
-      fail(key + ": expected torus|hypercube|mesh, got '" + value + "'");
-    }
-    return;
-  }
-  if (key == "traffic.kind") {
-    if (value == "hotspot") {
-      if (!spec.is_hotspot()) spec.traffic = HotspotTraffic{};
-    } else if (value == "uniform") {
-      spec.traffic = UniformTraffic{};
-    } else if (value == "transpose") {
-      spec.traffic = TransposeTraffic{};
-    } else if (value == "bit_complement") {
-      spec.traffic = BitComplementTraffic{};
-    } else if (value == "bit_reversal") {
-      spec.traffic = BitReversalTraffic{};
-    } else {
-      fail(key +
-           ": expected hotspot|uniform|transpose|bit_complement|bit_reversal, "
-           "got '" +
-           value + "'");
-    }
-    return;
-  }
-  if (key == "arrivals.kind") {
-    if (value == "bernoulli") {
-      spec.arrivals = BernoulliArrivals{};
-    } else if (value == "mmpp") {
-      if (!spec.is_mmpp()) spec.arrivals = MmppArrivals{};
-    } else {
-      fail(key + ": expected bernoulli|mmpp, got '" + value + "'");
-    }
-    return;
-  }
-
-  // --- variant parameters (require the matching kind to be active) ---
-  if (key == "topology.k" || key == "topology.n") {
-    // Shared by the two k^n families; the hypercube's size knob is
-    // topology.dims.
-    if (!spec.is_torus() && !spec.is_mesh()) {
-      fail(key + " requires topology.kind=torus or mesh");
-    }
-    const int v = parse_int32(key, value);
-    int& slot = key == "topology.k" ? (spec.is_torus() ? spec.torus().k : spec.mesh().k)
-                                    : (spec.is_torus() ? spec.torus().n : spec.mesh().n);
-    slot = v;
-    return;
-  }
-  if (key == "topology.bidirectional") {
-    if (!spec.is_torus()) fail(key + " requires topology.kind=torus");
-    spec.torus().bidirectional = parse_bool(key, value);
-    return;
-  }
-  if (key == "topology.dims") {
-    if (!spec.is_hypercube()) fail(key + " requires topology.kind=hypercube");
-    spec.hypercube().dims = parse_int32(key, value);
-    return;
-  }
-  if (key == "traffic.hot_fraction" || key == "traffic.hot_node") {
-    if (!spec.is_hotspot()) fail(key + " requires traffic.kind=hotspot");
-    if (key == "traffic.hot_fraction") {
-      spec.hotspot().fraction = parse_double(key, value);
-    } else {
-      spec.hotspot().hot_node = parse_int(key, value);
-    }
-    return;
-  }
-  if (key == "arrivals.burst_multiplier" || key == "arrivals.p_enter_burst" ||
-      key == "arrivals.p_leave_burst") {
-    if (!spec.is_mmpp()) fail(key + " requires arrivals.kind=mmpp");
-    MmppArrivals& m = spec.mmpp();
-    const double v = parse_double(key, value);
-    if (key == "arrivals.burst_multiplier") {
-      m.burst_multiplier = v;
-    } else if (key == "arrivals.p_enter_burst") {
-      m.p_enter_burst = v;
-    } else {
-      m.p_leave_burst = v;
-    }
-    return;
-  }
-
-  // --- flat knobs ---
-  if (key == "router.vcs") {
-    spec.vcs = parse_int32(key, value);
-  } else if (key == "router.buffer_depth") {
-    spec.buffer_depth = parse_int32(key, value);
-  } else if (key == "workload.message_length") {
-    spec.message_length = parse_int32(key, value);
-  } else if (key == "measure.seed") {
-    spec.seed = parse_uint(key, value);
-  } else if (key == "measure.warmup_cycles") {
-    spec.warmup_cycles = parse_uint(key, value);
-  } else if (key == "measure.target_messages") {
-    spec.target_messages = parse_uint(key, value);
-  } else if (key == "measure.max_cycles") {
-    spec.max_cycles = parse_uint(key, value);
-  } else if (key == "model.blocking") {
-    if (value == "paper") {
-      spec.blocking = model::BlockingVariant::kPaper;
-    } else if (value == "pure_wait") {
-      spec.blocking = model::BlockingVariant::kPureWait;
-    } else {
-      fail(key + ": expected paper|pure_wait, got '" + value + "'");
-    }
-  } else if (key == "model.busy_basis") {
-    spec.busy_basis = parse_basis(key, value);
-  } else if (key == "model.vcmux_basis") {
-    spec.vcmux_basis = parse_basis(key, value);
-  } else if (key == "fault.routers") {
-    spec.failures.routers.clear();
-    for (const std::string& item : split_list(value)) {
-      spec.failures.routers.push_back(parse_int(key, item));
-    }
-  } else if (key == "fault.links") {
-    spec.failures.links.clear();
-    for (const std::string& item : split_list(value)) {
-      spec.failures.links.push_back(parse_failed_link(key, item));
-    }
-  } else if (key == "fault.rate") {
-    spec.failures.random_rate = parse_double(key, value);
-  } else if (key == "fault.seed") {
-    spec.failures.random_seed = parse_uint(key, value);
-  } else if (key == "sim.threads") {
-    spec.sim_threads = parse_int32(key, value);
-  } else {
-    fail("unknown key '" + key + "'");
-  }
+  set_field(spec, kFields[find_field(key)], value);
 }
 
 ScenarioSpec parse_scenario(const std::string& text) {
   ScenarioSpec spec;
-  std::istringstream in(text);
-  std::string line;
+  const std::string_view all = text;
+  std::size_t next_field = 0;
   int line_no = 0;
-  while (std::getline(in, line)) {
+  for (std::size_t pos = 0; pos < all.size();) {
+    std::size_t nl = all.find('\n', pos);
+    if (nl == std::string_view::npos) nl = all.size();
+    const std::string_view line = trim(all.substr(pos, nl - pos));
+    pos = nl + 1;
     ++line_no;
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    const std::size_t eq = t.find('=');
-    if (eq == std::string::npos) {
-      fail("line " + std::to_string(line_no) + ": expected key=value, got '" + t +
-           "'");
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos) {
+      fail({"line ", std::to_string(line_no), ": expected key=value, got '", line, "'"});
     }
     try {
-      apply_scenario_setting(spec, trim(t.substr(0, eq)), trim(t.substr(eq + 1)));
+      const std::size_t field = find_field(trim(line.substr(0, eq)), next_field);
+      set_field(spec, kFields[field], trim(line.substr(eq + 1)));
+      next_field = field + 1;
     } catch (const std::invalid_argument& e) {
       // Re-anchor value errors to the offending line of the input text.
-      throw std::invalid_argument("line " + std::to_string(line_no) + ": " +
-                                  e.what());
+      throw std::invalid_argument("line " + std::to_string(line_no) + ": " + e.what());
     }
   }
   return spec;
 }
 
 std::uint64_t ScenarioSpec::key() const {
-  // FNV-1a over the canonical text form: stable across processes and
-  // sensitive to every result-affecting field (the text form is injective by
-  // construction). `sim.`-prefixed execution lines are skipped: sim.threads
-  // is bit-identical by contract, so cache entries, SweepEngine memo hits
-  // and replication seeds must not depend on it.
-  const std::string text = format_scenario(*this);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size() - 1;
-    if (text.compare(pos, 4, "sim.") != 0) {
-      for (std::size_t i = pos; i <= nl; ++i) {
-        h ^= static_cast<unsigned char>(text[i]);
-        h *= 0x100000001b3ULL;
-      }
-    }
-    pos = nl + 1;
-  }
-  return h;
+  // FNV-1a over the canonical text form, which is injective by
+  // construction: stable across processes and sensitive to every
+  // result-affecting field. The execution knobs (sim.*) are skipped:
+  // sim.threads is bit-identical by contract, so cache entries, SweepEngine
+  // memo hits and replication seeds must not depend on it.
+  HashSink out;
+  write_fields(*this, out, /*hashed_only=*/true);
+  return out.hash;
 }
 
 sim::SimConfig to_sim_config(const ScenarioSpec& spec, double lambda) {

@@ -16,7 +16,8 @@
 // `key=value` text form, `parse_scenario` reads it back field-for-field, and
 // `apply_scenario_setting` applies one `--set topology.k=32`-style override.
 // `key()` is a canonical 64-bit hash of the spec (stable across processes)
-// for caching and memoization keyed on whole scenarios.
+// for caching and memoization keyed on whole scenarios. All four read one
+// table of the grammar's fields (scenario_spec.cpp, DESIGN.md §5.1).
 #pragma once
 
 #include <cstdint>
@@ -199,9 +200,10 @@ std::string format_scenario(const ScenarioSpec& spec);
 
 /// Parses the `key=value` text form (any order within a variant, `#`
 /// comments and blank lines ignored; a `*.kind` line must precede that
-/// variant's parameters). Unknown keys and malformed values throw
-/// std::invalid_argument. `parse_scenario(format_scenario(s))` round-trips
-/// every field.
+/// variant's parameters). Unknown keys, malformed values and numbers outside
+/// their field's range (a seed of 2^64, a fraction of 1e-400: nothing is
+/// clamped) throw std::invalid_argument naming the line.
+/// `parse_scenario(format_scenario(s))` round-trips every field.
 ScenarioSpec parse_scenario(const std::string& text);
 
 /// Applies one `key=value` override (the `--set` CLI form) to `spec`.

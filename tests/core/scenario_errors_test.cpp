@@ -6,6 +6,8 @@
 // to the simulator as silently-wrong configurations.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -95,6 +97,80 @@ TEST(ScenarioErrors, OutOfRangeIntegers) {
   expect_throws("router.vcs", big);
   expect_throws("workload.message_length",
                 "999999999999999999999999999999");  // overflows long long too
+}
+
+TEST(ScenarioErrors, OverflowingNumbersFailInsteadOfClamping) {
+  // strtoull saturates at 2^64 - 1 and strtod underflows to 0, both saying
+  // so only through errno: a seed of 2^64 used to read as 2^64 - 1 and a
+  // hot fraction of 1e-400 as 0 — made-up numbers in a valid-looking spec.
+  ScenarioSpec mmpp;
+  mmpp.arrivals = MmppArrivals{};
+  const struct {
+    const char* key;
+    std::uint64_t (*read)(const ScenarioSpec&);
+  } counters[] = {
+      {"measure.seed", [](const ScenarioSpec& s) { return s.seed; }},
+      {"measure.warmup_cycles", [](const ScenarioSpec& s) { return s.warmup_cycles; }},
+      {"measure.target_messages", [](const ScenarioSpec& s) { return s.target_messages; }},
+      {"measure.max_cycles", [](const ScenarioSpec& s) { return s.max_cycles; }},
+      {"fault.seed", [](const ScenarioSpec& s) { return s.failures.random_seed; }},
+  };
+  for (const auto& c : counters) {
+    expect_throws(c.key, "18446744073709551616");  // 2^64
+    expect_throws(c.key, "99999999999999999999999");
+    ScenarioSpec spec;
+    apply_scenario_setting(spec, c.key, "18446744073709551615");  // 2^64 - 1 fits
+    EXPECT_EQ(c.read(spec), std::numeric_limits<std::uint64_t>::max()) << c.key;
+  }
+  for (const char* tiny : {"1e-400", "-1e-400", "0x1p-1100"}) {
+    expect_throws("traffic.hot_fraction", tiny);
+    expect_throws("arrivals.burst_multiplier", tiny, mmpp);
+    expect_throws("arrivals.p_enter_burst", tiny, mmpp);
+    expect_throws("arrivals.p_leave_burst", tiny, mmpp);
+    expect_throws("fault.rate", tiny);
+  }
+  // The text form reports the line, like every other value error.
+  for (const char* text : {"topology.kind=torus\nmeasure.seed=18446744073709551616\n",
+                           "topology.kind=torus\ntraffic.hot_fraction=1e-400\n"}) {
+    try {
+      parse_scenario(text);
+      ADD_FAILURE() << "expected std::invalid_argument: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("line 2: ScenarioSpec: ", 0), 0u) << e.what();
+    }
+  }
+}
+
+TEST(ScenarioErrors, NumberFormsThatKeepParsing) {
+  // What strtod/strtoll accepted stays accepted: a leading '+', a bare
+  // fraction, exponents, hex floats, subnormals, 2^64 - 1 and (through
+  // --set, where values are not trimmed) leading whitespace.
+  ScenarioSpec spec;
+  apply_scenario_setting(spec, "router.vcs", "+5");
+  EXPECT_EQ(spec.vcs, 5);
+  apply_scenario_setting(spec, "topology.k", " \t8");
+  EXPECT_EQ(spec.torus().k, 8);
+  apply_scenario_setting(spec, "measure.seed", "+7");
+  EXPECT_EQ(spec.seed, 7u);
+  apply_scenario_setting(spec, "measure.seed", " 9");
+  EXPECT_EQ(spec.seed, 9u);
+  apply_scenario_setting(spec, "traffic.hot_fraction", ".5");
+  EXPECT_EQ(spec.hotspot().fraction, 0.5);
+  apply_scenario_setting(spec, "traffic.hot_fraction", "5e-1");
+  EXPECT_EQ(spec.hotspot().fraction, 0.5);
+  apply_scenario_setting(spec, "traffic.hot_fraction", "0x1p-2");
+  EXPECT_EQ(spec.hotspot().fraction, 0.25);
+  apply_scenario_setting(spec, "traffic.hot_fraction", " +0.125");
+  EXPECT_EQ(spec.hotspot().fraction, 0.125);
+  apply_scenario_setting(spec, "traffic.hot_fraction", "4.9406564584124654e-324");
+  EXPECT_EQ(spec.hotspot().fraction, std::numeric_limits<double>::denorm_min());
+  apply_scenario_setting(spec, "traffic.hot_fraction", "-0");
+  EXPECT_TRUE(std::signbit(spec.hotspot().fraction));
+  apply_scenario_setting(spec, "traffic.hot_node", "-9223372036854775808");
+  EXPECT_EQ(spec.hotspot().hot_node, std::numeric_limits<std::int64_t>::min());
+  apply_scenario_setting(spec, "measure.max_cycles", "18446744073709551615");
+  EXPECT_EQ(spec.max_cycles, std::numeric_limits<std::uint64_t>::max());
+  expect_throws("traffic.hot_node", "9223372036854775808");  // 2^63
 }
 
 TEST(ScenarioErrors, InactiveVariantParameters) {
