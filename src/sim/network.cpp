@@ -161,7 +161,7 @@ void Network::step_shard(std::size_t s) {
 
 void Network::step(std::uint64_t cycle, Metrics& metrics) {
   // Checked here, before any shard runs: inside step_shard another shard's
-  // phase_switch may be bumping a wake word while the scan reads it.
+  // phase_switch may be staging into a slot while the scan reads it.
   KNC_DEBUG_ASSERT(live_set_matches_scan());
   if (team_) {
     team_->run([this](std::size_t member) { step_shard(member); });
@@ -215,7 +215,14 @@ std::uint64_t Network::scan_source_backlog() const {
 
 bool Network::live_set_matches_scan() const {
   for (topo::NodeId id = 0; id < topo_.size(); ++id) {
-    if (soa_.is_live(id) == routers_[id].quiescent()) return false;
+    const Router& r = routers_[id];
+    const bool live = soa_.is_live(id);
+    if (live == r.quiescent()) return false;
+    // An idle router holds nothing, so every count must be 0; a live one is
+    // recounted from its lanes.
+    if (r.phase_counts() != (live ? r.scan_phase_counts() : Router::PhaseCounts{})) {
+      return false;
+    }
   }
   for (std::size_t w = 0; w < soa_.bit_words; ++w) {
     if (soa_.pending[w].load(std::memory_order_relaxed) != 0) return false;

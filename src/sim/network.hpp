@@ -7,7 +7,7 @@
 // Scheduling: step() walks the arena's live bitset (RouterSoA::live — see
 // router.hpp), so a cycle costs O(active routers), not O(N): a quiescent
 // router (nothing buffered or staged, empty source queues, no busy output
-// VCs, no pending credit signals) provably performs no work in any phase, so
+// VCs, no staged credit signals) provably performs no work in any phase, so
 // skipping it is bit-identical to running it. Each live router runs its five
 // phases back to back. Per-port stat_cycles is a single network-global
 // counter advanced once per step (it is uniform across ports by
@@ -18,7 +18,7 @@
 // range splits into contiguous shards, one ThreadTeam member each; the phase
 // pass runs shard-parallel and one SpinBarrier separates it from the commit
 // pass. Cross-shard writes land only in single-writer staged slots (read by
-// the owner at commit, after the barrier) and relaxed atomic counters and
+// the owner at commit, after the barrier) and the relaxed atomic pending
 // bits, and per-shard metric/occupancy deltas replay into Metrics in shard
 // (router-id) order at the cycle boundary — so every result is bit-identical
 // to the serial schedule, for any thread count.
@@ -113,7 +113,9 @@ class Network {
   std::uint64_t scan_inflight_flits() const;
   std::uint64_t scan_source_backlog() const;
   /// Debug check at a cycle boundary: the live bitset is exactly the set of
-  /// non-quiescent routers and no pending bit is left over.
+  /// non-quiescent routers, every live router's owner-kept phase counts
+  /// match a scan of its lanes (an idle router's are 0), and no pending bit
+  /// is left over.
   bool live_set_matches_scan() const;
 
   topo::KAryNCube topo_;

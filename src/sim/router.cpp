@@ -13,6 +13,9 @@ std::uint32_t pow2_ceil(std::uint32_t v) {
   return std::bit_ceil(std::max<std::uint32_t>(v, 1));
 }
 
+/// x mod n for x in [0, 2n): every round-robin cursor step stays below 2n.
+int wrap(int x, int n) noexcept { return x >= n ? x - n : x; }
+
 }  // namespace
 
 void RouterSoA::init(topo::NodeId routers, int ports_, int vcs_,
@@ -32,12 +35,17 @@ void RouterSoA::init(topo::NodeId routers, int ports_, int vcs_,
   const std::uint32_t cap_inj = pow2_ceil(message_length);
   lane_base.resize(static_cast<std::size_t>(in_lanes));
   lane_mask.resize(static_cast<std::size_t>(in_lanes));
+  lane_port.resize(static_cast<std::size_t>(in_lanes));
+  lane_vc.resize(static_cast<std::size_t>(in_lanes));
   std::uint32_t base = 0;
   for (int p = 0; p <= ports; ++p) {
     const std::uint32_t cap = p == ports ? cap_inj : cap_net;
     for (int v = 0; v < vcs; ++v) {
-      lane_base[static_cast<std::size_t>(p * vcs + v)] = base;
-      lane_mask[static_cast<std::size_t>(p * vcs + v)] = cap - 1;
+      const auto lane = static_cast<std::size_t>(p * vcs + v);
+      lane_base[lane] = base;
+      lane_mask[lane] = cap - 1;
+      lane_port[lane] = p;
+      lane_vc[lane] = v;
       base += cap;
     }
   }
@@ -74,7 +82,6 @@ void RouterSoA::init(topo::NodeId routers, int ports_, int vcs_,
   staged_vc.assign(n_ports, -1);
 
   work.assign(n, 0);
-  wake = std::make_unique<std::atomic<std::uint32_t>[]>(n);  // zero-init
   bit_words = (n + 63) / 64;
   live = std::make_unique<std::atomic<std::uint64_t>[]>(bit_words);
   pending = std::make_unique<std::atomic<std::uint64_t>[]>(bit_words);
@@ -105,6 +112,8 @@ Router::Router(const topo::KAryNCube& net, topo::NodeId id, int vcs,
   active_ = soa_->vc_active.data() + in0;
   lane_base_ = soa_->lane_base.data();
   lane_mask_ = soa_->lane_mask.data();
+  lane_port_ = soa_->lane_port.data();
+  lane_vc_ = soa_->lane_vc.data();
   slab_ = soa_->slab.data() + r * soa_->slab_stride;
   out_busy_ = soa_->out_busy.data() + out0;
   out_credits_ = soa_->out_credits.data() + out0;
@@ -122,7 +131,6 @@ Router::Router(const topo::KAryNCube& net, topo::NodeId id, int vcs,
   staged_flit_ = soa_->staged_flit.data() + p0;
   staged_vc_ = soa_->staged_vc.data() + p0;
   work_ = soa_->work.data() + r;
-  wake_ = soa_->wake.get() + r;
 
   down_.assign(static_cast<std::size_t>(net_ports_), nullptr);
   down_port_.assign(static_cast<std::size_t>(net_ports_), -1);
@@ -200,16 +208,15 @@ int Router::vc_class_for(const Flit& head, int dim, topo::Direction dir) const n
   return c > s ? 1 : 0;
 }
 
-Flit Router::pop_and_credit(int port, int vc) {
-  const int lane = in_lane(port, vc);
+Flit Router::pop_and_credit(int lane) {
   KNC_DEBUG_ASSERT(count_[lane] != 0);
   const Flit f = ring_pop(lane);
+  const int port = lane_port_[lane];
   if (port < net_ports_) {
     Router* up = up_router_[static_cast<std::size_t>(port)];
     KNC_DEBUG_ASSERT(up != nullptr);
-    const int up_lane = up_port_[static_cast<std::size_t>(port)] * vcs_ + vc;
+    const int up_lane = up_port_[static_cast<std::size_t>(port)] * vcs_ + lane_vc_[lane];
     ++up->staged_credits_[up_lane];
-    up->wake_->fetch_add(kWakeSignalUnit, std::memory_order_relaxed);
     if (f.tail) {
       KNC_DEBUG_ASSERT(count_[lane] == 0);  // tail is the last flit
       up->staged_release_[up_lane] = 1;
@@ -220,6 +227,7 @@ Flit Router::pop_and_credit(int port, int vc) {
 }
 
 void Router::refill_injection(StepDelta& delta) {
+  if (source_total_ == 0) return;
   const int lane0 = injection_port() * vcs_;
   for (int v = 0; v < vcs_; ++v) {
     const int lane = lane0 + v;
@@ -235,44 +243,52 @@ void Router::refill_injection(StepDelta& delta) {
       f.msg = msg.id;
       f.src = msg.src;
       f.dest = msg.dest;
-      f.seq = seq;
       f.gen_cycle = msg.gen_cycle;
       f.head = seq == 0;
       f.tail = seq + 1 == message_length_;
       ring_push(lane, f);
     }
+    ++unrouted_;
   }
 }
 
 void Router::phase_eject(StepDelta& delta) {
   // Unlimited ejection bandwidth (assumption iv): drain every destined flit
   // at a buffer head this cycle. Flits of one message arrive in order on a
-  // single VC, so draining per-VC preserves message ordering.
+  // single VC, so draining per-VC preserves message ordering. A VC holds one
+  // message at a time, so every destined flit is at the front of its lane
+  // or behind destined flits, and the walk ends once the count is 0.
   const int net_lanes = net_ports_ * vcs_;
-  for (int lane = 0; lane < net_lanes; ++lane) {
+  for (int lane = 0; destined_ != 0 && lane < net_lanes; ++lane) {
     while (count_[lane] != 0 && ring_front(lane).dest == id_) {
-      const Flit f = pop_and_credit(lane / vcs_, lane % vcs_);
+      const Flit f = pop_and_credit(lane);
+      --destined_;
       ++delta.flits_delivered;
       if (f.tail) delta.delivered.push_back({f.msg, f.gen_cycle, f.dest});
     }
   }
+  KNC_DEBUG_ASSERT(destined_ == 0);
 }
 
 void Router::phase_route() {
-  // Batch candidate scan over the contiguous lane arrays (integer predicate,
-  // auto-vectorizable); the routing computation itself runs per candidate in
-  // ascending lane order, which is exactly the original visit order.
+  // Candidate scan over the contiguous lane arrays; the routing computation
+  // itself runs per candidate in ascending lane order, which is exactly the
+  // original visit order. Destined flits were ejected already, so every
+  // unrouted lane with a flit holds a head at its front, and the scan ends
+  // once all of them are routed.
+  if (unrouted_ == 0) return;
   for (int lane = 0; lane < in_lanes_; ++lane) {
     if (route_[lane] != -1 || count_[lane] == 0) continue;
     const Flit& f = ring_front(lane);
-    if (!f.head) continue;  // cannot happen for well-formed streams
-    KNC_DEBUG_ASSERT(f.dest != id_);  // destined flits were ejected already
+    KNC_DEBUG_ASSERT(f.head && f.dest != id_);
     const int dim = net_.next_route_dim(id_, f.dest);
     KNC_DEBUG_ASSERT(dim >= 0);
     const topo::Direction dir =
         net_.ring_direction(net_.coord(id_, dim), net_.coord(f.dest, dim));
     route_[lane] = out_port_for(dim, dir);
     requesters_insert(route_[lane], static_cast<std::int32_t>(lane));
+    ++unallocated_;
+    if (--unrouted_ == 0) return;
   }
 }
 
@@ -283,7 +299,10 @@ void Router::phase_vc_alloc() {
   // each iteration while grants mutate it (a grant at (i, off) moves the
   // next visit to i + off + 2). Non-requesters can never be granted, so the
   // walk below jumps between requesters (sorted by index) while replaying
-  // the identical (i, off) sequence.
+  // the identical (i, off) sequence. Only a grant moves a cursor, and only a
+  // routed lane without an output VC can be granted, so the walk stops when
+  // none is left.
+  if (unallocated_ == 0) return;
   const int total_vcs = in_lanes_;
   for (int op_idx = 0; op_idx < net_ports_; ++op_idx) {
     const std::int32_t* seg = req_ + static_cast<std::size_t>(op_idx) * in_lanes_;
@@ -296,7 +315,7 @@ void Router::phase_vc_alloc() {
       // Next requester at or cyclically after i.
       const std::int32_t* it = std::lower_bound(seg, seg + n, i);
       const int j = it == seg + n ? seg[0] : *it;
-      off += (j - i + total_vcs) % total_vcs;
+      off += wrap(j - i + total_vcs, total_vcs);
       if (off >= total_vcs) break;
       i = j;
       KNC_DEBUG_ASSERT(route_[i] == op_idx);
@@ -318,10 +337,13 @@ void Router::phase_vc_alloc() {
         ++busy_now_[op_idx];
         ++busy_out_;
         ++*work_;
-        rr_vc_[op_idx] = static_cast<std::uint32_t>((i + 1) % total_vcs);
-        i = (i + off + 2) % total_vcs;
+        rr_vc_[op_idx] = static_cast<std::uint32_t>(wrap(i + 1, total_vcs));
+        if (--unallocated_ == 0) return;
+        // i + off + 2 < 2 * total_vcs whenever the walk goes on (off + 1 <
+        // total_vcs), so one wrap gives the seed's modulus.
+        i = wrap(i + off + 2, total_vcs);
       } else {
-        i = (i + 1) % total_vcs;
+        i = wrap(i + 1, total_vcs);
       }
       ++off;
     }
@@ -330,6 +352,7 @@ void Router::phase_vc_alloc() {
 
 void Router::phase_switch(StepDelta& delta) {
   const int total_vcs = in_lanes_;
+  const int net_lanes = net_ports_ * vcs_;
   for (int op_idx = 0; op_idx < net_ports_; ++op_idx) {
     const std::int32_t* seg = req_ + static_cast<std::size_t>(op_idx) * in_lanes_;
     const std::int32_t n = req_count_[op_idx];
@@ -350,9 +373,7 @@ void Router::phase_switch(StepDelta& delta) {
       const int out_vc = outvc_[i];
       if (out_credits_[op_idx * vcs_ + out_vc] <= 0) continue;
 
-      const int port = i / vcs_;
-      const int vc = i % vcs_;
-      const Flit f = pop_and_credit(port, vc);
+      const Flit f = pop_and_credit(i);
       --out_credits_[op_idx * vcs_ + out_vc];
       ++flits_sent_[op_idx];
       Router* down = down_[static_cast<std::size_t>(op_idx)];
@@ -361,13 +382,12 @@ void Router::phase_switch(StepDelta& delta) {
       KNC_DEBUG_ASSERT(down->staged_vc_[down_port] < 0);
       down->staged_flit_[down_port] = f;
       down->staged_vc_[down_port] = out_vc;
-      down->wake_->fetch_add(1, std::memory_order_relaxed);
       // A live downstream commits its arrivals in its full commit; an idle
       // one must be flagged for the commit pass. The live bit is the one
       // remote read of the phase pass — it changes only at commit.
       if (!soa_->is_live(down->id_)) soa_->mark_pending(down->id_);
 
-      if (port == injection_port() && f.head) {
+      if (i >= net_lanes && f.head) {  // the injection lanes come last
         delta.injected.push_back({f.msg, f.gen_cycle});
       }
       if (f.tail) {
@@ -377,7 +397,7 @@ void Router::phase_switch(StepDelta& delta) {
         outvc_[i] = -1;
         requesters_erase(op_idx, i);
       }
-      rr_sw_[op_idx] = static_cast<std::uint32_t>((i + 1) % total_vcs);
+      rr_sw_[op_idx] = static_cast<std::uint32_t>(wrap(i + 1, total_vcs));
       break;  // physical channel bandwidth: one flit per cycle
     }
   }
@@ -396,6 +416,11 @@ void Router::apply_staged_arrivals() {
     } else {
       KNC_DEBUG_ASSERT(active_[lane]);
     }
+    if (f.dest == id_) {
+      ++destined_;
+    } else if (f.head) {
+      ++unrouted_;
+    }
     ring_push(lane, f);
     KNC_ASSERT_MSG(static_cast<int>(count_[lane]) <= buffer_depth_,
                    "buffer overflow: credit accounting broken");
@@ -403,41 +428,57 @@ void Router::apply_staged_arrivals() {
   }
 }
 
+std::uint64_t Router::staged_arrivals() const noexcept {
+  std::uint64_t staged = 0;
+  for (int p = 0; p < net_ports_; ++p) staged += staged_vc_[p] >= 0 ? 1 : 0;
+  return staged;
+}
+
+bool Router::staged_signals() const noexcept {
+  const int out_lanes = net_ports_ * vcs_;
+  for (int l = 0; l < out_lanes; ++l) {
+    if (staged_credits_[l] != 0 || staged_release_[l] != 0) return true;
+  }
+  return false;
+}
+
 void Router::commit_arrivals() {
-  const std::uint32_t w = wake_->load(std::memory_order_relaxed);
-  if ((w & kWakeArrivalMask) == 0) return;
   // A router quiescent at the cycle start had no busy output VCs, so no
   // downstream neighbour can have staged credits or releases at it.
-  KNC_DEBUG_ASSERT(w < kWakeSignalUnit);
+  KNC_DEBUG_ASSERT(busy_out_ == 0 && !staged_signals());
   apply_staged_arrivals();
-  wake_->store(0, std::memory_order_relaxed);
 }
 
 void Router::commit() {
-  const std::uint32_t w = wake_->load(std::memory_order_relaxed);
   // 1. Arrivals become visible.
-  if ((w & kWakeArrivalMask) != 0) apply_staged_arrivals();
+  apply_staged_arrivals();
+  // Credits and releases are staged only for busy output VCs, and a router
+  // with none adds nothing to the busy-VC statistics.
+  if (busy_out_ == 0) {
+    KNC_DEBUG_ASSERT(!staged_signals());
+    return;
+  }
   // 2. Credits and VC releases from downstream become visible. One batch
-  //    pass over the router's contiguous output-lane arrays.
-  if (w >= kWakeSignalUnit) {
-    const int out_lanes = net_ports_ * vcs_;
-    for (int l = 0; l < out_lanes; ++l) {
-      out_credits_[l] += staged_credits_[l];
-      staged_credits_[l] = 0;
-      KNC_ASSERT_MSG(out_credits_[l] <= buffer_depth_, "credit overflow");
-      if (staged_release_[l]) {
-        KNC_ASSERT_MSG(out_busy_[l], "release of a free VC");
-        KNC_ASSERT_MSG(out_credits_[l] == buffer_depth_,
-                       "VC released while flits remain downstream");
-        out_busy_[l] = 0;
-        --busy_now_[l / vcs_];
-        --busy_out_;
-        --*work_;
-        staged_release_[l] = 0;
-      }
+  //    pass over the router's contiguous output-lane arrays; a release
+  //    always comes with the tail's credit.
+  const int out_lanes = net_ports_ * vcs_;
+  for (int l = 0; l < out_lanes; ++l) {
+    if (staged_credits_[l] == 0) continue;
+    out_credits_[l] += staged_credits_[l];
+    staged_credits_[l] = 0;
+    KNC_ASSERT_MSG(out_credits_[l] <= buffer_depth_, "credit overflow");
+    if (staged_release_[l]) {
+      KNC_ASSERT_MSG(out_busy_[l], "release of a free VC");
+      KNC_ASSERT_MSG(out_credits_[l] == buffer_depth_,
+                     "VC released while flits remain downstream");
+      out_busy_[l] = 0;
+      --busy_now_[lane_port_[l]];  // output lane l has input lane l's port
+      --busy_out_;
+      --*work_;
+      staged_release_[l] = 0;
     }
   }
-  if (w != 0) wake_->store(0, std::memory_order_relaxed);
+  KNC_DEBUG_ASSERT(!staged_signals());
   // 3. Channel occupancy statistics (stat_cycles is network-global; a
   //    quiescent router provably has busy_now == 0 on every port, so
   //    skipping commit entirely for it changes nothing here).
@@ -460,7 +501,39 @@ void Router::enqueue_message(const QueuedMessage& msg, std::uint32_t lm) {
   ++source_total_;
   ++*work_;
   if (!soa_->is_live(id_)) soa_->set_live(id_);
-  next_inject_vc_ = (next_inject_vc_ + 1) % static_cast<std::uint32_t>(vcs_);
+  next_inject_vc_ = static_cast<std::uint32_t>(
+      wrap(static_cast<int>(next_inject_vc_) + 1, vcs_));
+}
+
+bool Router::quiescent() const noexcept {
+  return *work_ == 0 && staged_arrivals() == 0 && !staged_signals();
+}
+
+std::uint64_t Router::buffered_flits() const noexcept {
+  return buffered_ + staged_arrivals();
+}
+
+Router::PhaseCounts Router::scan_phase_counts() const {
+  PhaseCounts c;
+  for (const auto& q : source_q_) c.queued += q.size();
+  for (int lane = 0; lane < in_lanes_; ++lane) {
+    const std::uint32_t n = count_[lane];
+    // Injection lanes hold no destined flit: enqueue_message rejects a
+    // self-addressed message.
+    if (lane_port_[lane] < net_ports_) {
+      for (std::uint32_t k = 0; k < n; ++k) {
+        const Flit& f = slab_[lane_base_[lane] + ((head_[lane] + k) & lane_mask_[lane])];
+        if (f.dest == id_) ++c.destined;
+      }
+    }
+    if (n != 0 && route_[lane] == -1 && ring_front(lane).head &&
+        ring_front(lane).dest != id_) {
+      ++c.unrouted;
+    }
+    if (route_[lane] != -1 && outvc_[lane] == -1) ++c.unallocated;
+  }
+  for (int l = 0; l < net_ports_ * vcs_; ++l) c.busy_out += out_busy_[l];
+  return c;
 }
 
 Router::InputVc Router::input_vc(int port, int vc) const {

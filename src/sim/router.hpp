@@ -34,26 +34,34 @@
 // *view*: id, wiring, cached pointers to its slice of the arena, and the
 // source queues. The `InputVc` / `OutputVc` / `OutputPort` structs remain as
 // materialised snapshots for tests and statistics readers; their field
-// values are bit-identical to the pre-SoA representation.
+// values are bit-identical to the pre-SoA representation. A slab slot is a
+// 32-byte Flit (flit.hpp): message id, source, destination, generation
+// cycle and the head/tail flags, with no index within its message.
 //
-// Scheduling state is two arena words per router (DESIGN.md §12):
-//   * work  — owner-written sum of buffered flits, queued source messages
-//             and busy output VCs;
-//   * wake  — a relaxed atomic bumped by *neighbours*: staged-arrival count
-//             in the low half (downstream stages an arrival during
-//             phase_switch), pending credit/release signals in the high half
-//             (upstream pops a flit). Both halves are interleaving-
-//             independent sums, so the word is bit-deterministic under
-//             sharding.
-// quiescent() is (work | wake) == 0. Beside the two words the arena keeps
-// two network-wide bitsets that Network::step walks instead of scanning
-// every router: `live` (work != 0 at the cycle boundary — exactly the
-// non-quiescent routers, since every wake word is clear there) and
-// `pending` (a router that was not live received a staged arrival this
-// cycle). Per-port stat_cycles is not stored at all: every router advances
-// it exactly once per cycle (commit when active, idle accounting
-// otherwise), so the value is a single network-global cycles-since-reset
-// counter (RouterSoA::stat_cycles) that snapshots report per port.
+// Scheduling state is one arena word per router (DESIGN.md §12): `work`,
+// the owner-written sum of buffered flits, queued source messages and busy
+// output VCs. Neighbours write a router only through its staged slots (one
+// arrival per input port, credits and releases per output VC), each with a
+// single writer, and only its commit reads them. quiescent() is "work is 0
+// and no slot is staged". Beside the word the arena keeps two network-wide
+// bitsets that Network::step walks instead of scanning every router: `live`
+// (work != 0 at the cycle boundary — exactly the non-quiescent routers,
+// since every staged slot is empty there) and `pending` (a router that was
+// not live received a staged arrival this cycle); they are the only state
+// several threads write. Per-port stat_cycles is not stored at all: every
+// router advances it exactly once per cycle (commit when active, idle
+// accounting otherwise), so the value is a single network-global
+// cycles-since-reset counter (RouterSoA::stat_cycles) that snapshots report
+// per port.
+//
+// A live router's step pays only for the work it has. The owner keeps a
+// count for each phase (PhaseCounts), so a phase with nothing to do costs
+// one compare: refill tests the queued messages, eject the buffered flits
+// destined here, route the lanes whose front is an unrouted head, VC
+// allocation the routed lanes without an output VC, and commit's credit and
+// busy-VC statistics loops the busy output VCs. A lane's (port, vc) comes
+// from a shared table and the round-robin cursors wrap with a compare, so
+// the step divides nothing.
 #pragma once
 
 #include <atomic>
@@ -93,9 +101,12 @@ struct RouterSoA {
   std::vector<std::uint8_t> vc_active;  ///< message resident (head..tail)
 
   /// Ring geometry per *local* lane (identical for every router): base
-  /// offset inside the router's slab block and pow2 capacity mask.
+  /// offset inside the router's slab block and pow2 capacity mask, and the
+  /// lane's input port and VC.
   std::vector<std::uint32_t> lane_base;
   std::vector<std::uint32_t> lane_mask;
+  std::vector<std::int32_t> lane_port;
+  std::vector<std::int32_t> lane_vc;
 
   std::vector<Flit> slab;  ///< all rings of all routers, one array
 
@@ -122,10 +133,8 @@ struct RouterSoA {
   std::vector<Flit> staged_flit;        ///< written by upstream
   std::vector<std::int32_t> staged_vc;  ///< vc < 0 means empty
 
-  // --- per router: scheduling words (see header comment) ---
+  // --- per router: scheduling word (see header comment) ---
   std::vector<std::uint64_t> work;
-  /// std::atomic is not movable, so the wake array lives outside std::vector.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> wake;
 
   // --- per router, one bit each, 64 routers per word (see header comment) ---
   // Atomic words because shard ranges need not be 64-aligned: two shards may
@@ -251,10 +260,11 @@ class Router {
   // sharded and serial schedules produce the same Metrics call sequence.
   // Thread-safety contract under sharding: a phase writes remote routers only
   // through single-writer staged slots (arrivals, credits, releases — one
-  // upstream/downstream owner per slot) plus the relaxed atomic wake and
-  // pending words, and reads no remote state but the downstream router's
-  // live bit, which nothing changes before the pre-commit barrier; staged
-  // data is consumed only by the owner's commit, after that barrier.
+  // upstream/downstream owner per slot) plus the relaxed atomic pending
+  // bits, and reads no remote state but the downstream router's live bit,
+  // which nothing changes before the pre-commit barrier; staged data is
+  // consumed only by the owner's commit, after that barrier.
+  // Each phase returns at once when its count in PhaseCounts is 0.
   void refill_injection(StepDelta& delta);
   void phase_eject(StepDelta& delta);
   void phase_route();
@@ -270,11 +280,27 @@ class Router {
   // --- idle scheduling (Network::step) ---
   /// True when every phase of this router's cycle would be a no-op: nothing
   /// buffered or staged, empty source queues, no busy output VCs and no
-  /// pending credit/release signals. At a cycle boundary this is exactly
-  /// "live bit clear"; debug builds check the two against each other.
-  bool quiescent() const noexcept {
-    return *work_ == 0 && wake_->load(std::memory_order_relaxed) == 0;
+  /// staged credit/release signals. At a cycle boundary this is exactly
+  /// "live bit clear"; debug builds check the two against each other. Reads
+  /// the staged slots, so it is for cycle boundaries only.
+  bool quiescent() const noexcept;
+
+  /// The owner-kept counts that let a phase with no work return at once.
+  struct PhaseCounts {
+    std::uint64_t queued = 0;       ///< source-queue messages (refill)
+    std::uint64_t destined = 0;     ///< buffered network flits destined here (eject)
+    std::uint64_t unrouted = 0;     ///< lanes whose front is an unrouted head (route)
+    std::uint64_t unallocated = 0;  ///< routed lanes holding no output VC (VC allocation)
+    std::uint64_t busy_out = 0;     ///< busy output VCs (commit's credit and statistics loops)
+    bool operator==(const PhaseCounts&) const = default;
+  };
+  PhaseCounts phase_counts() const noexcept {
+    return {source_total_, destined_, unrouted_, unallocated_, busy_out_};
   }
+  /// The same counts recomputed from the source queues, lanes and output
+  /// VCs. At a cycle boundary it equals phase_counts() (debug builds check
+  /// this for every live router before every step).
+  PhaseCounts scan_phase_counts() const;
 
   // --- source side ---
   /// Enqueues a generated message; messages are spread round-robin across the
@@ -286,20 +312,12 @@ class Router {
   // --- introspection (tests, statistics): materialised snapshots ---
   InputVc input_vc(int port, int vc) const;
   OutputPort output_port(int port) const;
-  std::uint64_t buffered_flits() const noexcept {
-    return buffered_ +
-           (wake_->load(std::memory_order_relaxed) & kWakeArrivalMask);
-  }
+  /// Flits in this router's rings and staged arrival slots. Reads the
+  /// staged slots, so it is for cycle boundaries only.
+  std::uint64_t buffered_flits() const noexcept;
 
  private:
   friend class Network;
-
-  /// wake word layout: staged-arrival count in the low half, pending
-  /// credit/release signal count in the high half. Both are sums of
-  /// single-increment fetch_adds, so the final value per cycle is
-  /// interleaving-independent.
-  static constexpr std::uint32_t kWakeArrivalMask = 0xffffu;
-  static constexpr std::uint32_t kWakeSignalUnit = 0x10000u;
 
   int in_lane(int port, int vc) const noexcept { return port * vcs_ + vc; }
 
@@ -330,11 +348,13 @@ class Router {
   int vc_class_for(const Flit& head, int dim, topo::Direction dir) const noexcept;
   int class_vc_begin(int cls) const noexcept;
   int class_vc_end(int cls) const noexcept;
-  /// Pops the front flit of input lane (port, vc) returning credit (and, on
+  /// Pops the front flit of input lane `lane` returning credit (and, on
   /// tail, release) to the upstream output VC.
-  Flit pop_and_credit(int port, int vc);
-  /// Applies the staged arrival slots (wake low half already checked).
+  Flit pop_and_credit(int lane);
+  /// Applies the staged arrival slots.
   void apply_staged_arrivals();
+  std::uint64_t staged_arrivals() const noexcept;
+  bool staged_signals() const noexcept;
 
   const topo::KAryNCube& net_;
   RouterSoA* soa_;
@@ -353,6 +373,8 @@ class Router {
   std::uint8_t* active_ = nullptr;
   const std::uint32_t* lane_base_ = nullptr;  ///< shared, local-lane indexed
   const std::uint32_t* lane_mask_ = nullptr;  ///< shared, local-lane indexed
+  const std::int32_t* lane_port_ = nullptr;   ///< shared, local-lane indexed
+  const std::int32_t* lane_vc_ = nullptr;     ///< shared, local-lane indexed
   Flit* slab_ = nullptr;                      ///< this router's slab block
   std::uint8_t* out_busy_ = nullptr;
   std::int32_t* out_credits_ = nullptr;
@@ -370,7 +392,6 @@ class Router {
   Flit* staged_flit_ = nullptr;        ///< per input port
   std::int32_t* staged_vc_ = nullptr;  ///< per input port
   std::uint64_t* work_ = nullptr;
-  std::atomic<std::uint32_t>* wake_ = nullptr;
 
   std::vector<Router*> down_;      ///< per network output port
   std::vector<int> down_port_;
@@ -380,11 +401,14 @@ class Router {
   std::vector<std::deque<QueuedMessage>> source_q_;  ///< one per injection VC
   std::uint32_t next_inject_vc_ = 0;
 
-  // Owner-written occupancy counters (work_ is their arena sum; staged
-  // arrivals and pending signals live in wake_).
+  // Owner-written counters. work_ is the arena sum of buffered_,
+  // source_total_ and busy_out_; see PhaseCounts for the guards.
   std::uint64_t buffered_ = 0;      ///< flits resident in any ring
   std::uint64_t source_total_ = 0;  ///< messages waiting in source queues
   std::uint32_t busy_out_ = 0;      ///< busy output VCs across all ports
+  std::uint32_t destined_ = 0;      ///< buffered network flits destined here
+  std::uint32_t unrouted_ = 0;      ///< lanes whose front is an unrouted head
+  std::uint32_t unallocated_ = 0;   ///< routed lanes holding no output VC
 };
 
 }  // namespace kncube::sim
