@@ -14,11 +14,12 @@ int main() {
                "(16x16, Lm=32, h=20%) ===\n\n";
 
   core::ScenarioSpec base = bench::paper_scenario(32, 0.2);
-  const double sat = core::model_saturation_rate(base).rate;
+  core::SweepEngine engine(base);
+  const double sat = engine.saturation_rate().rate;
   const std::vector<double> lambdas = {0.2 * sat, 0.5 * sat, 0.8 * sat};
 
   // Simulate each operating point once (shared across variants).
-  const auto sim_pts = core::run_series(base, lambdas, /*run_sim=*/true);
+  const auto sim_pts = engine.run(lambdas, /*run_sim=*/true);
 
   util::Table table({"variant", "lambda/sat", "model latency", "sim latency",
                      "rel err"});

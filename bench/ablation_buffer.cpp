@@ -12,7 +12,7 @@ int main() {
   std::cout << "=== Ablation A3b: per-VC buffer depth (16x16, Lm=32, h=20%) ===\n\n";
 
   core::ScenarioSpec base = bench::paper_scenario(32, 0.2);
-  const double sat = core::model_saturation_rate(base).rate;
+  const double sat = core::SweepEngine(base).saturation_rate().rate;
   const std::vector<double> lambdas = {0.3 * sat, 0.6 * sat};
 
   util::Table table({"buffer depth", "lambda/sat", "sim latency", "sim ci95",
@@ -23,7 +23,7 @@ int main() {
   for (int depth : {1, 2, 4, 8}) {
     core::ScenarioSpec s = base;
     s.buffer_depth = depth;
-    const auto pts = core::run_series(s, lambdas, /*run_sim=*/true);
+    const auto pts = core::SweepEngine(s).run(lambdas, /*run_sim=*/true);
     for (std::size_t i = 0; i < pts.size(); ++i) {
       table.add_row({static_cast<long long>(depth), lambdas[i] / sat,
                      pts[i].sim.mean_latency, pts[i].sim.latency_ci95,

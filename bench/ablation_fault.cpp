@@ -45,8 +45,7 @@ int main() {
     const double lambda = frac * sat;
     sim::SimResult pristine{};
     for (const int f : counts) {
-      const core::ScenarioSpec spec = validate::ReliabilityEngine::faulty_spec(
-          rc, f);
+      const core::ScenarioSpec spec = validate::faulty_spec(rc, f);
       const sim::SimResult res = sim::simulate(core::to_sim_config(spec, lambda));
       if (f == 0) pristine = res;
       const double inf = std::numeric_limits<double>::infinity();

@@ -18,14 +18,15 @@ int main() {
   // Fix the operating point to half the V=2 saturation so rows compare the
   // same absolute load.
   core::ScenarioSpec base = bench::paper_scenario(32, 0.2);
-  const double lambda = 0.5 * core::model_saturation_rate(base).rate;
+  const double lambda = 0.5 * core::SweepEngine(base).saturation_rate().rate;
 
   for (int vcs : {2, 3, 4, 6}) {
     core::ScenarioSpec s = base;
     s.vcs = vcs;
-    const auto pts = core::run_series(s, {lambda}, /*run_sim=*/true);
+    core::SweepEngine engine(s);
+    const auto pts = engine.run({lambda}, /*run_sim=*/true);
     const auto& p = pts[0];
-    const double sat = core::model_saturation_rate(s).rate;
+    const double sat = engine.saturation_rate().rate;
     table.add_row({static_cast<long long>(vcs), p.lambda,
                    p.model.saturated ? std::numeric_limits<double>::infinity()
                                      : p.model.latency,

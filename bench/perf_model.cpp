@@ -43,7 +43,7 @@ void BM_ModelSaturationSearch(benchmark::State& state) {
   s.message_length = 32;
   s.hotspot().fraction = 0.2;
   for (auto _ : state) {
-    const auto sat = core::model_saturation_rate(s);
+    const auto sat = core::SweepEngine(s).saturation_rate();
     benchmark::DoNotOptimize(sat.rate);
   }
 }

@@ -18,7 +18,7 @@ int main() {
                "(16x16, Lm=32, h=30%) ===\n\n";
 
   core::ScenarioSpec s = bench::paper_scenario(32, 0.3);
-  const double sat = core::model_saturation_rate(s).rate;
+  const double sat = core::SweepEngine(s).saturation_rate().rate;
   const double lambda = 0.5 * sat;
 
   sim::SimConfig cfg = core::to_sim_config(s, lambda);

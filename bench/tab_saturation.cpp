@@ -23,7 +23,7 @@ int main() {
       // Saturation probes reveal themselves quickly; cap per-probe effort.
       s.target_messages = 800;
       s.max_cycles = quick ? 150'000 : 400'000;
-      const auto model_sat = core::model_saturation_rate(s);
+      const auto model_sat = core::SweepEngine(s).saturation_rate();
       const auto sim_sat = core::sim_saturation_rate(s, quick ? 0.12 : 0.06);
       const double est =
           core::make_analytical_model(s).model->estimated_saturation_rate();

@@ -3,10 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/saturation.hpp"
-#include "core/sweep_engine.hpp"
-#include "util/assert.hpp"
-
 namespace kncube::core {
 
 double PointResult::relative_error() const {
@@ -19,19 +15,6 @@ double PointResult::relative_error() const {
     return std::numeric_limits<double>::quiet_NaN();
   }
   return std::abs(model.latency - sim.mean_latency) / sim.mean_latency;
-}
-
-std::vector<PointResult> run_series(const ScenarioSpec& spec,
-                                    const std::vector<double>& lambdas,
-                                    bool run_sim) {
-  SweepEngine engine(spec);
-  return engine.run(lambdas, run_sim);
-}
-
-std::vector<double> lambda_sweep(const ScenarioSpec& spec, int points,
-                                 double lo_frac, double hi_frac) {
-  SweepEngine engine(spec);
-  return engine.lambda_sweep(points, lo_frac, hi_frac);
 }
 
 }  // namespace kncube::core

@@ -24,14 +24,15 @@
 //                  sweeps and saturation bisection;
 //   * validate/  — the statistical validation subsystem: ReplicationRunner
 //                  (R-replication Student-t confidence intervals per
-//                  operating point) and ValidationEngine (model-vs-sim
+//                  operating point) and run_validation (model-vs-sim
 //                  accuracy classification over the spec space, rendered as
 //                  the committed ACCURACY.json baseline by tools/validate).
 //
 // Quick start (see examples/quickstart.cpp):
 //
 //   kncube::core::ScenarioSpec s;       // 16x16 torus, Lm=32, h=20%, V=2
-//   auto pts = kncube::core::run_series(s, kncube::core::lambda_sweep(s, 8));
+//   kncube::core::SweepEngine engine(s);
+//   auto pts = engine.run(engine.lambda_sweep(8));
 //   std::cout << kncube::core::figure_table("demo", pts).to_string();
 //
 // Specs are text round-trippable — `parse_scenario` / `format_scenario`
@@ -53,4 +54,4 @@
 #include "topology/torus.hpp"    // IWYU pragma: export
 #include "validate/accuracy_json.hpp"  // IWYU pragma: export
 #include "validate/replication.hpp"  // IWYU pragma: export
-#include "validate/validation_engine.hpp"  // IWYU pragma: export
+#include "validate/validation.hpp"  // IWYU pragma: export

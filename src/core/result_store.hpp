@@ -114,6 +114,9 @@ class ResultStore {
   virtual void store_sim(std::uint64_t spec_key, std::uint64_t lambda_bits,
                          std::uint64_t seed, const sim::SimResult& result) = 0;
 
+  /// `tol_bits` is always the bits of kModelSaturationRelTol; the key keeps
+  /// the dimension because the frozen benchmark harness (perfbench/)
+  /// overrides this interface.
   virtual bool load_saturation(std::uint64_t spec_key, std::uint64_t tol_bits,
                                SaturationResult* out) = 0;
   virtual void store_saturation(std::uint64_t spec_key, std::uint64_t tol_bits,

@@ -4,8 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/sweep_engine.hpp"
-
+#include "core/model_registry.hpp"
 #include "util/assert.hpp"
 
 namespace kncube::core {
@@ -80,12 +79,6 @@ std::vector<double> sweep_rates(const SaturationResult& anchor, int points,
     out.push_back(f * anchor.rate);
   }
   return out;
-}
-
-SaturationResult model_saturation_rate(const ScenarioSpec& spec, double rel_tol) {
-  // One-shot engine: the guess + bisection live in SweepEngine so the search
-  // logic (and its memoization) has a single definition.
-  return SweepEngine(spec).saturation_rate(rel_tol);
 }
 
 SaturationResult sim_saturation_rate(const ScenarioSpec& spec, double rel_tol) {

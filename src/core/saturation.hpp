@@ -4,9 +4,9 @@
 // existing); we locate it by exponential bracketing plus bisection. The
 // simulator's boundary is statistical (backlog growth), so the sim search
 // uses the same bisection with a coarser tolerance and reduced measurement
-// effort per probe. Both searches accept any valid ScenarioSpec; the model
-// search requires the spec to have an analytical model (registry dispatch),
-// the sim search works for sim-only specs too.
+// effort per probe. The model search is SweepEngine::saturation_rate
+// (core/sweep_engine.hpp), which memoizes its probes; the sim search here
+// accepts any valid ScenarioSpec, sim-only specs included.
 #pragma once
 
 #include <functional>
@@ -26,6 +26,10 @@ struct SaturationResult {
   bool failed = false;
 };
 
+/// Relative width of SweepEngine::saturation_rate's bisection: every model
+/// saturation rate the library reports, stores or anchors a sweep on.
+inline constexpr double kModelSaturationRelTol = 1e-3;
+
 /// Generic bracketing + bisection on a stable(rate) predicate: grows/shrinks
 /// from `initial_guess` until the boundary is bracketed, then bisects to
 /// relative width `rel_tol`. A non-finite or non-positive guess reports
@@ -40,11 +44,6 @@ SaturationResult bisect_saturation(double initial_guess, double rel_tol,
 /// std::runtime_error when `anchor` is a failed search.
 std::vector<double> sweep_rates(const SaturationResult& anchor, int points,
                                 double lo_frac, double hi_frac);
-
-/// Bisects the dispatched model's saturation boundary to relative width
-/// `rel_tol`. Throws std::logic_error for sim-only specs.
-SaturationResult model_saturation_rate(const ScenarioSpec& spec,
-                                       double rel_tol = 1e-3);
 
 /// Bisects the simulator's saturation boundary. `rel_tol` is coarser by
 /// default because every probe is a full simulation.

@@ -7,8 +7,8 @@
 // channel load), MMPP bursts, and the simulator-only extensions
 // (permutation patterns, bidirectional links, n ≠ 2 tori, faults). Every
 // workload flows through this type into the core facade: `SweepEngine`,
-// `run_series`, `model_saturation_rate` and `to_sim_config` all accept a
-// spec, and the model registry (core/model_registry.hpp) dispatches it to
+// `sim_saturation_rate` and `to_sim_config` all accept a spec, and the
+// model registry (core/model_registry.hpp) dispatches it to
 // the matching analytical model — or reports "sim-only" when no analytical
 // counterpart exists.
 //

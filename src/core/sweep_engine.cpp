@@ -198,9 +198,11 @@ std::vector<PointResult> SweepEngine::run(const std::vector<double>& lambdas,
   return results;
 }
 
-SaturationResult SweepEngine::saturation_rate(double rel_tol) {
+SaturationResult SweepEngine::saturation_rate() {
   const model::AnalyticalModel& analytical = analytical_model();
-  const std::uint64_t key = lambda_key(rel_tol);
+  // Stored under the tolerance's bits: the ResultStore interface keeps a
+  // tolerance dimension, though the library bisects to one width only.
+  const std::uint64_t key = lambda_key(kModelSaturationRelTol);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     SaturationResult cached;
@@ -214,7 +216,7 @@ SaturationResult SweepEngine::saturation_rate(double rel_tol) {
   CallModel model(*this);
   const double guess = analytical.estimated_saturation_rate();
   const SaturationResult res =
-      bisect_saturation(guess, rel_tol, [this, &model](double rate) {
+      bisect_saturation(guess, kModelSaturationRelTol, [this, &model](double rate) {
         return !model_point(rate, model).saturated;
       });
   store_->store_saturation(spec_key_, key, res);

@@ -104,10 +104,11 @@ class SweepEngine {
   /// One simulation, memoized on (lambda, seed) and deduplicated in flight.
   sim::SimResult sim_point(double lambda, std::uint64_t seed);
 
-  /// The model's saturation boundary, bisected through the memoized
-  /// model_point probes; the result itself is cached, so repeated sweeps
-  /// locate the boundary once. Throws std::logic_error for sim-only specs.
-  SaturationResult saturation_rate(double rel_tol = 1e-3);
+  /// The model's saturation boundary, bisected to kModelSaturationRelTol
+  /// through the memoized model_point probes; the result itself is cached,
+  /// so repeated sweeps locate the boundary once. Throws std::logic_error
+  /// for sim-only specs.
+  SaturationResult saturation_rate();
 
   /// A sweep of `points` rates from `lo_frac` to `hi_frac` of the model's
   /// saturation rate (found by bisection), mirroring how the paper's figures

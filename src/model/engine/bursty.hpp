@@ -60,7 +60,7 @@ double mmpp_arrival_idc(double mean_rate, double burst_multiplier,
 
 /// Standard deviation of the per-cycle arrival indicator under the MMBP
 /// stationary distribution, *relative* to the Bernoulli(mean) process:
-/// sqrt(Var_mmpp / Var_bernoulli) >= 1. Used by the validation engine to
+/// sqrt(Var_mmpp / Var_bernoulli) >= 1. Used by the validation layer to
 /// widen the offered-load sanity band exactly as much as the configured
 /// burstiness warrants (instead of a hard-coded MMPP tolerance).
 double mmpp_offered_load_dispersion(double mean_rate, double burst_multiplier,

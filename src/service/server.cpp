@@ -2,16 +2,17 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <sstream>
 #include <stdexcept>
 
 #include "service/protocol.hpp"
 #include "service/store_version.hpp"
-#include "util/log.hpp"
 
 namespace kncube::service {
 
@@ -110,6 +111,12 @@ void Server::run() {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       throw_errno("Server: accept");
     }
+    const timeval send_timeout{static_cast<time_t>(kSendTimeout.count()), 0};
+    if (::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                     sizeof(send_timeout)) != 0) {
+      ::close(client);  // a connection without the bound is not served
+      continue;
+    }
     reap_finished_connections();
     auto conn = std::make_unique<Connection>();
     conn->fd = client;
@@ -186,9 +193,11 @@ void Server::send_all(Connection* conn, const std::string& bytes) {
                              MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      // Client is gone; keep serving (results land in the store) but stop
-      // writing.
+      // The client is gone, or accepted nothing for kSendTimeout. Shut the
+      // socket down: the connection loop's next recv returns 0, so its
+      // thread exits and frees what it held.
       conn->dead = true;
+      ::shutdown(conn->fd, SHUT_RDWR);
       return;
     }
     sent += static_cast<std::size_t>(n);
@@ -265,7 +274,7 @@ void Server::connection_loop(Connection* conn) {
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       start = scan = nl + 1;
-      alive = process_line(line);
+      alive = process_line(line) && !conn->dead;
     }
     if (alive && buffer.size() - start > kMaxLineBytes) {
       // Too long to be a line the protocol sends: stop buffering it.
@@ -343,11 +352,15 @@ void Server::handle_request(Connection* conn, const std::string& id,
     ++requests_served_;
     add_line(format_done(DoneMsg{id, points.size()}));
     if (options_.verbose) {
-      KNC_LOG_INFO << "[kncube_serve] id=" << id << " key=" << std::hex
-                   << begin.spec_key << std::dec << " points=" << points.size()
-                   << " model="
-                   << (begin.model_name.empty() ? "-" : begin.model_name) << " "
-                   << core::format_cache_stats(stats_msg.stats);
+      std::ostringstream line;
+      line << "[kncube_serve] id=" << id << " key=" << std::hex
+           << begin.spec_key << std::dec << " points=" << points.size()
+           << " model=" << (begin.model_name.empty() ? "-" : begin.model_name)
+           << " " << core::format_cache_stats(stats_msg.stats) << '\n';
+      // One write per line, so concurrent connections never interleave.
+      const std::string text = line.str();
+      [[maybe_unused]] const ssize_t n =
+          ::write(STDERR_FILENO, text.data(), text.size());
     }
   } catch (const std::exception& e) {
     add_line(format_error(id, e.what()));

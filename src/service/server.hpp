@@ -17,7 +17,8 @@
 // engine-cumulative STATS line and DONE — is built whole and written by the
 // connection's own thread with one send loop, so no pool worker ever writes
 // to a socket and a client that stops reading stalls only its own
-// connection. The engine answers store hits on the connection thread and
+// connection — for kSendTimeout, after which the connection is dropped. The
+// engine answers store hits on the connection thread and
 // sends only the misses to the pool. Malformed requests get structured
 // ERROR responses (parse_scenario's line-anchored messages pass through
 // verbatim) without dropping the connection.
@@ -29,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -49,11 +51,16 @@ namespace kncube::service {
 /// 100,000 rates of 19 bytes each (`0x` + 16 hex digits + a separator).
 inline constexpr std::size_t kMaxLineBytes = std::size_t{4} << 20;
 
+/// How long a response send may wait for a client that accepts no bytes
+/// (SO_SNDTIMEO on every connection). A client that stalls this long loses
+/// its connection, and the response it held is freed.
+inline constexpr std::chrono::seconds kSendTimeout{3};
+
 struct ServerOptions {
   std::string socket_path;
   /// Shared across every engine; null = a fresh in-memory store.
   std::shared_ptr<core::ResultStore> store;
-  /// Log one INFO line per request (KNC_LOG_INFO).
+  /// Write one line per answered request to stderr.
   bool verbose = false;
 };
 
@@ -92,8 +99,8 @@ class Server {
  private:
   struct Connection {
     int fd = -1;
-    /// A send failed; the connection's thread (its only writer) stops
-    /// writing.
+    /// A send failed or timed out; the connection's thread (its only
+    /// writer) has shut the socket down and stops serving it.
     bool dead = false;
     std::atomic<bool> finished{false};
     std::thread thread;

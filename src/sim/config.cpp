@@ -145,8 +145,6 @@ void SimConfig::validate() const {
 
   if (sim_threads < 0) fail("sim threads must be >= 0 (0 = hardware concurrency)");
   if (target_messages == 0) fail("target messages must be positive");
-  if (batch_size == 0) fail("batch size must be positive");
-  if (!(steady_rel_tol > 0.0)) fail("steady-state tolerance must be positive");
   if (max_cycles <= warmup_cycles) fail("max cycles must exceed warmup");
 }
 

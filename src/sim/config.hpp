@@ -89,8 +89,6 @@ struct SimConfig {
   std::uint64_t warmup_cycles = 20000;
   std::uint64_t target_messages = 2500;   ///< measured deliveries wanted
   std::uint64_t max_cycles = 3'000'000;
-  std::uint64_t batch_size = 500;         ///< batch-means batch, in messages
-  double steady_rel_tol = 0.02;           ///< paper's "does not change appreciably"
 
   topo::NodeId resolved_hot_node() const {
     return hot_node >= 0 ? static_cast<topo::NodeId>(hot_node)
@@ -119,7 +117,7 @@ std::uint64_t replication_seed(std::uint64_t scenario_key, std::uint64_t base_se
 /// Resolves `cfg`'s failure description against `net` into the concrete
 /// fault overlay (explicit lists + seeded random draw, hot node protected
 /// under hot-spot traffic). The single resolution path shared by Network
-/// wiring, the reliability engine and the tests — so they can never disagree
+/// wiring, the reliability layer and the tests — so they can never disagree
 /// on which elements failed. Returns the empty overlay when cfg has no
 /// failures.
 topo::FaultSet build_fault_set(const SimConfig& cfg, const topo::KAryNCube& net);

@@ -4,10 +4,9 @@
 
 namespace kncube::sim {
 
-Metrics::Metrics(std::uint64_t batch_size, double steady_rel_tol,
-                 double latency_hist_max)
+Metrics::Metrics(double latency_hist_max)
     : latency_hist_(0.0, latency_hist_max, 2048),
-      batches_(batch_size, steady_rel_tol) {}
+      batches_(kSteadyBatch, kSteadyRelTol) {}
 
 void Metrics::begin_measurement(std::uint64_t cycle) {
   KNC_ASSERT_MSG(!measuring(), "measurement window started twice");

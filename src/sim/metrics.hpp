@@ -50,7 +50,13 @@ struct StepDelta {
 
 class Metrics {
  public:
-  Metrics(std::uint64_t batch_size, double steady_rel_tol, double latency_hist_max);
+  /// The steady-state test (util::BatchMeans): batches of kSteadyBatch
+  /// measured messages, steady once the cumulative mean moves by less than
+  /// kSteadyRelTol — the paper's "does not change appreciably".
+  static constexpr std::uint64_t kSteadyBatch = 500;
+  static constexpr double kSteadyRelTol = 0.02;
+
+  explicit Metrics(double latency_hist_max);
 
   /// Marks the start of the measurement window (end of warm-up).
   void begin_measurement(std::uint64_t cycle);

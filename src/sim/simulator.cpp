@@ -1,10 +1,10 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "topology/hotspot_geometry.hpp"
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace kncube::sim {
 
@@ -21,7 +21,7 @@ double latency_histogram_ceiling(const SimConfig& cfg) {
 Simulator::Simulator(const SimConfig& cfg)
     : cfg_(cfg),
       net_(cfg),
-      metrics_(cfg.batch_size, cfg.steady_rel_tol, latency_histogram_ceiling(cfg)),
+      metrics_(latency_histogram_ceiling(cfg)),
       pattern_(make_pattern(cfg, net_.topology())),
       arrivals_(cfg_, net_.faults(), net_.size()) {
   if (cfg.pattern == Pattern::kHotspot) {
@@ -201,10 +201,25 @@ SimResult Simulator::finalize(std::uint64_t backlog_at_measure_start) const {
         net_.channel_utilization(upstream, 1, topo::Direction::kPlus);
   }
 
-  KNC_LOG_DEBUG << "sim done: lambda=" << cfg_.injection_rate
-                << " latency=" << res.mean_latency << " msgs=" << res.measured_messages
-                << " cycles=" << res.cycles << (res.saturated ? " SATURATED" : "");
   return res;
+}
+
+// A field added to SimResult changes its size; add it to the words below.
+static_assert(sizeof(SimResult) == 232, "SimResult changed: update result_words");
+
+SimResultWords result_words(const SimResult& r) noexcept {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return {bits(r.mean_latency), bits(r.latency_ci95), bits(r.p50_latency),
+          bits(r.p95_latency), bits(r.p99_latency), bits(r.mean_network_latency),
+          bits(r.mean_source_wait), bits(r.mean_latency_hot),
+          bits(r.mean_latency_regular), r.measured_messages, r.cycles,
+          r.measured_cycles, bits(r.offered_load), bits(r.generated_load),
+          bits(r.accepted_load), r.steady, r.saturated, r.unreachable_messages,
+          r.unreachable_messages_total, bits(r.unreachable_fraction),
+          r.unreachable_pairs, bits(r.reachable_pair_fraction), r.failed_routers,
+          r.conservation_ok, bits(r.mean_channel_utilization),
+          bits(r.max_channel_utilization), bits(r.mean_vc_multiplexing),
+          bits(r.hot_channel_utilization)};
 }
 
 SimResult simulate(const SimConfig& cfg) {

@@ -2,6 +2,7 @@
 // and result extraction — the experimental protocol of the paper's §4.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -75,6 +76,14 @@ struct SimResult {
   /// system bottleneck under hot-spot traffic); 0 for other patterns.
   double hot_channel_utilization = 0.0;
 };
+
+/// Every SimResult field but the shard counts (`sim_shards`,
+/// `sim_shards_requested`: how the run was executed, not what it
+/// simulated), doubles as raw bits, in declaration order. The reliability
+/// gate's thread-invariance check and the sharded-step and sweep-engine
+/// tests call two runs identical exactly when their words are equal.
+using SimResultWords = std::array<std::uint64_t, 28>;
+SimResultWords result_words(const SimResult& r) noexcept;
 
 class Simulator {
  public:

@@ -35,9 +35,9 @@ std::string to_json(const ValidationReport& report) {
   out << "{\n";
   out << "  \"schema\": \"kncube-accuracy-v1\",\n";
   out << "  \"config\": {\n";
-  out << "    \"replications\": " << report.config.replications << ",\n";
-  out << "    \"confidence\": " << json_number(report.config.confidence) << ",\n";
-  out << "    \"ci_epsilon\": " << json_number(report.config.ci_epsilon) << "\n";
+  out << "    \"replications\": " << report.replications << ",\n";
+  out << "    \"confidence\": " << json_number(kConfidence) << ",\n";
+  out << "    \"ci_epsilon\": " << json_number(kCiEpsilon) << "\n";
   out << "  },\n";
   out << "  \"summary\": {\n";
   out << "    \"points\": " << report.points.size() << ",\n";
@@ -74,10 +74,10 @@ std::string to_json(const ValidationReport& report) {
   return out.str();
 }
 
-bool write_accuracy_json(const ValidationReport& report, const std::string& path) {
+bool write_json(const std::string& path, const std::string& json) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << to_json(report);
+  out << json;
   return static_cast<bool>(out);
 }
 

@@ -13,7 +13,7 @@
 #include <string>
 
 #include "util/table.hpp"
-#include "validate/validation_engine.hpp"
+#include "validate/validation.hpp"
 
 namespace kncube::validate {
 
@@ -30,8 +30,9 @@ std::string json_string(const std::string& s);
 /// per classified point.
 std::string to_json(const ValidationReport& report);
 
-/// Writes `to_json` to `path`; returns false on I/O failure.
-bool write_accuracy_json(const ValidationReport& report, const std::string& path);
+/// Writes a rendered report (either `to_json`) to `path`; returns false on
+/// I/O failure.
+bool write_json(const std::string& path, const std::string& json);
 
 /// Human-readable rendering of the same data: one row per point with the
 /// model/sim/CI columns and the classification verdict.

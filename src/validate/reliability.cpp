@@ -1,9 +1,7 @@
 #include "validate/reliability.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "core/model_registry.hpp"
@@ -14,32 +12,12 @@ namespace kncube::validate {
 
 namespace {
 
-/// Bitwise SimResult comparison over every fault-relevant field. Exact
-/// (std::bit_cast, not tolerance): the PR 6 sharding contract is
-/// bit-identity, and faults must not weaken it.
-bool results_identical(const sim::SimResult& a, const sim::SimResult& b) {
-  const auto same = [](double x, double y) {
-    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
-  };
-  return same(a.mean_latency, b.mean_latency) &&
-         same(a.mean_network_latency, b.mean_network_latency) &&
-         same(a.generated_load, b.generated_load) &&
-         same(a.accepted_load, b.accepted_load) &&
-         a.measured_messages == b.measured_messages && a.cycles == b.cycles &&
-         a.unreachable_messages == b.unreachable_messages &&
-         a.unreachable_messages_total == b.unreachable_messages_total &&
-         a.unreachable_pairs == b.unreachable_pairs &&
-         a.failed_routers == b.failed_routers &&
-         a.saturated == b.saturated && a.conservation_ok == b.conservation_ok;
-}
+/// sim.threads values the thread-invariance gate compares.
+constexpr int kInvarianceThreads[] = {1, 2, 4};
 
 }  // namespace
 
-ReliabilityEngine::ReliabilityEngine(ReliabilityConfig cfg)
-    : cfg_(std::move(cfg)) {}
-
-core::ScenarioSpec ReliabilityEngine::faulty_spec(const ReliabilityCase& c,
-                                                  int f) {
+core::ScenarioSpec faulty_spec(const ReliabilityCase& c, int f) {
   core::ScenarioSpec spec = c.spec;
   if (f > 0) {
     // The random mode fails round(rate * N) routers; rate = f/N reproduces
@@ -53,18 +31,17 @@ core::ScenarioSpec ReliabilityEngine::faulty_spec(const ReliabilityCase& c,
   return spec;
 }
 
-ReliabilityReport ReliabilityEngine::run(
-    const std::vector<ReliabilityCase>& cases) const {
+ReliabilityReport run_reliability(const std::vector<ReliabilityCase>& cases,
+                                  int replications) {
   ReliabilityReport report;
-  report.config = cfg_;
+  report.replications = replications;
 
   for (const ReliabilityCase& c : cases) {
     std::vector<ReliabilityPoint> case_points;
 
     for (const int f : c.failure_counts) {
       const core::ScenarioSpec spec = faulty_spec(c, f);
-      ReplicationRunner runner(spec, cfg_.replications);
-      runner.set_confidence(cfg_.confidence);
+      const ReplicationRunner runner(spec, replications);
       std::vector<double> lambdas;
       lambdas.reserve(c.lambda_fracs.size());
       for (const double frac : c.lambda_fracs) {
@@ -122,24 +99,21 @@ ReliabilityReport ReliabilityEngine::run(
     // Thread invariance: the most-degraded config at the lowest load, one
     // replication per thread count, all bit-identical (sim.threads is
     // excluded from key(), so every run shares the replication-0 seed).
-    if (!c.failure_counts.empty() && !c.lambda_fracs.empty() &&
-        cfg_.thread_sweep.size() > 1) {
+    if (!c.failure_counts.empty() && !c.lambda_fracs.empty()) {
       int worst = 0;
       for (const int f : c.failure_counts) worst = std::max(worst, f);
       core::ScenarioSpec spec = faulty_spec(c, worst);
       const double lambda = c.lambda_fracs.front() * c.base_rate;
       sim::SimConfig base_cfg = core::to_sim_config(spec, lambda);
       base_cfg.seed = sim::replication_seed(spec.key(), spec.seed, 0);
-      std::vector<sim::SimResult> runs;
-      for (const int t : cfg_.thread_sweep) {
+      std::vector<sim::SimResultWords> runs;
+      for (const int t : kInvarianceThreads) {
         sim::SimConfig cfg = base_cfg;
         cfg.sim_threads = t;
-        runs.push_back(sim::simulate(cfg));
+        runs.push_back(sim::result_words(sim::simulate(cfg)));
       }
-      for (std::size_t i = 1; i < runs.size(); ++i) {
-        if (!results_identical(runs.front(), runs[i])) {
-          report.thread_invariant = false;
-        }
+      for (const sim::SimResultWords& words : runs) {
+        if (words != runs.front()) report.thread_invariant = false;
       }
     }
 
@@ -213,9 +187,8 @@ std::string to_json(const ReliabilityReport& report) {
   out << "{\n";
   out << "  \"schema\": \"kncube-reliability-v1\",\n";
   out << "  \"config\": {\n";
-  out << "    \"replications\": " << report.config.replications << ",\n";
-  out << "    \"confidence\": " << json_number(report.config.confidence)
-      << "\n";
+  out << "    \"replications\": " << report.replications << ",\n";
+  out << "    \"confidence\": " << json_number(kConfidence) << "\n";
   out << "  },\n";
   out << "  \"summary\": {\n";
   out << "    \"points\": " << report.points.size() << ",\n";
@@ -250,14 +223,6 @@ std::string to_json(const ReliabilityReport& report) {
   out << "  ]\n";
   out << "}\n";
   return out.str();
-}
-
-bool write_reliability_json(const ReliabilityReport& report,
-                            const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << to_json(report);
-  return static_cast<bool>(out);
 }
 
 util::Table reliability_table(const ReliabilityReport& report) {

@@ -1,11 +1,11 @@
-// ReliabilityEngine: reliability-degradation measurement over the fault axis.
+// Reliability-degradation measurement over the fault axis.
 //
-// Where the ValidationEngine asks "does the analytical model match the
-// simulator on pristine networks?", this engine asks "how gracefully does
-// the simulated network degrade as routers fail?". Each ReliabilityCase is a
+// Where run_validation asks "does the analytical model match the simulator
+// on pristine networks?", run_reliability asks "how gracefully does the
+// simulated network degrade as routers fail?". Each ReliabilityCase is a
 // pristine ScenarioSpec plus a sweep of failure counts: for every count f
-// the engine derives a faulty spec (seed-derived random mode at rate f/N, so
-// the resolved failure set is a deterministic function of the spec) and
+// it derives a faulty spec (seed-derived random mode at rate f/N, so the
+// resolved failure set is a deterministic function of the spec) and
 // measures it at each lambda fraction through ReplicationRunner, producing
 // latency-degradation and survivable-throughput curves relative to the
 // pristine (f = 0) baseline at the same load.
@@ -15,7 +15,8 @@
 //    satisfy SimResult::conservation_ok (offered = delivered + unreachable +
 //    in-flight, in both message and flit units);
 //  - thread invariance: for each case the most-degraded point re-runs at
-//    sim.threads in {1, 2, 4} and all results must be bit-identical.
+//    sim.threads in {1, 2, 4} and every result word (sim::result_words)
+//    must be bit-identical.
 // Degradation *direction* is deliberately not gated: with few failures the
 // latency of the surviving pairs can legitimately drop (the unreachable
 // pairs were the longest routes), and gating on monotonicity would encode a
@@ -72,16 +73,8 @@ struct ReliabilityPoint {
   double throughput_ratio = std::numeric_limits<double>::quiet_NaN();
 };
 
-struct ReliabilityConfig {
-  int replications = 3;
-  double confidence = 0.95;
-  /// Thread counts the bit-invariance check sweeps (the PR 6 determinism
-  /// contract, re-verified on faulty networks).
-  std::vector<int> thread_sweep = {1, 2, 4};
-};
-
 struct ReliabilityReport {
-  ReliabilityConfig config;
+  int replications = 0;
   std::vector<ReliabilityPoint> points;
   std::uint64_t conservation_violations = 0;
   bool thread_invariant = true;
@@ -91,20 +84,15 @@ struct ReliabilityReport {
   }
 };
 
-class ReliabilityEngine {
- public:
-  explicit ReliabilityEngine(ReliabilityConfig cfg = {});
+/// Derives the faulty spec for failure count `f` of `c` (f = 0 returns the
+/// pristine spec unchanged). Exposed so tests and the report reader can
+/// reproduce exactly which spec a point measured.
+core::ScenarioSpec faulty_spec(const ReliabilityCase& c, int f);
 
-  /// Derives the faulty spec for failure count `f` of `c` (f = 0 returns the
-  /// pristine spec unchanged). Exposed so tests and the report reader can
-  /// reproduce exactly which spec a point measured.
-  static core::ScenarioSpec faulty_spec(const ReliabilityCase& c, int f);
-
-  ReliabilityReport run(const std::vector<ReliabilityCase>& cases) const;
-
- private:
-  ReliabilityConfig cfg_;
-};
+/// Measures every case at `replications` runs per point; throws
+/// std::invalid_argument on an invalid spec or a count below 1.
+ReliabilityReport run_reliability(const std::vector<ReliabilityCase>& cases,
+                                  int replications);
 
 /// The committed reliability suite behind RELIABILITY.json: hot-spot torus
 /// and uniform mesh, failure counts {0, 1, 2, 4} x two load fractions.
@@ -113,10 +101,9 @@ std::vector<ReliabilityCase> reliability_suite();
 /// topology family, single load fraction.
 std::vector<ReliabilityCase> reliability_quick_suite();
 
-/// Deterministic JSON (schema kncube-reliability-v1, no timestamps).
+/// Deterministic JSON (schema kncube-reliability-v1, no timestamps);
+/// write_json (accuracy_json.hpp) writes it.
 std::string to_json(const ReliabilityReport& report);
-bool write_reliability_json(const ReliabilityReport& report,
-                            const std::string& path);
 util::Table reliability_table(const ReliabilityReport& report);
 std::string summary_line(const ReliabilityReport& report);
 

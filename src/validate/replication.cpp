@@ -15,13 +15,6 @@ ReplicationRunner::ReplicationRunner(core::ScenarioSpec spec, int replications,
   }
 }
 
-void ReplicationRunner::set_confidence(double confidence) {
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    throw std::invalid_argument("ReplicationRunner: confidence must be in (0,1)");
-  }
-  confidence_ = confidence;
-}
-
 std::uint64_t ReplicationRunner::replication_seed(int r) const noexcept {
   return sim::replication_seed(spec_key_, spec_.seed,
                                static_cast<std::uint64_t>(r));
@@ -45,9 +38,9 @@ ReplicationPoint ReplicationRunner::aggregate(
     if (r.saturated) ++pt.saturated_replications;
     if (r.steady) ++pt.steady_replications;
   }
-  pt.latency = util::student_t_ci(latency, confidence_);
-  pt.network_latency = util::student_t_ci(network, confidence_);
-  pt.throughput = util::student_t_ci(throughput, confidence_);
+  pt.latency = util::student_t_ci(latency, kConfidence);
+  pt.network_latency = util::student_t_ci(network, kConfidence);
+  pt.throughput = util::student_t_ci(throughput, kConfidence);
   pt.results = std::move(results);
   return pt;
 }

@@ -35,6 +35,10 @@
 
 namespace kncube::validate {
 
+/// Confidence level of every replication interval, recorded in the config
+/// block of ACCURACY.json and RELIABILITY.json.
+inline constexpr double kConfidence = 0.95;
+
 /// Aggregated measurement of one (spec, lambda) operating point over R
 /// independent replications. Each interval is over the per-replication means
 /// (R samples), not the per-message population.
@@ -80,10 +84,6 @@ class ReplicationRunner {
   const core::ScenarioSpec& spec() const noexcept { return spec_; }
   int replications() const noexcept { return replications_; }
 
-  /// Confidence level of the aggregated intervals (default 0.95).
-  void set_confidence(double confidence);
-  double confidence() const noexcept { return confidence_; }
-
   /// Seed for replication `r`: sim::replication_seed over the spec's
   /// canonical key and configured base seed.
   std::uint64_t replication_seed(int r) const noexcept;
@@ -104,7 +104,6 @@ class ReplicationRunner {
   core::ScenarioSpec spec_;
   std::uint64_t spec_key_ = 0;
   int replications_ = 5;
-  double confidence_ = 0.95;
   util::ThreadPool* pool_ = nullptr;  ///< null -> global pool
 };
 

@@ -23,7 +23,7 @@
 #include <utility>
 
 #include "core/model_registry.hpp"
-#include "validate/validation_engine.hpp"
+#include "validate/validation.hpp"
 
 namespace kncube::validate {
 

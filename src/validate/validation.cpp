@@ -1,4 +1,4 @@
-#include "validate/validation_engine.hpp"
+#include "validate/validation.hpp"
 
 #include <cmath>
 #include <limits>
@@ -56,26 +56,13 @@ double default_tolerance(double lambda_frac) noexcept {
   return 0.60;
 }
 
-ValidationEngine::ValidationEngine(ValidationConfig cfg) : cfg_(cfg) {
-  if (cfg_.replications < 1) {
-    throw std::invalid_argument("ValidationEngine: need at least 1 replication");
-  }
-  if (!(cfg_.confidence > 0.0 && cfg_.confidence < 1.0)) {
-    throw std::invalid_argument("ValidationEngine: confidence must be in (0,1)");
-  }
-  if (cfg_.ci_epsilon < 0.0) {
-    throw std::invalid_argument("ValidationEngine: ci_epsilon must be >= 0");
-  }
-}
-
-PointClass ValidationEngine::classify_modeled(double model_latency,
-                                              const util::ConfidenceInterval& ci,
-                                              double tolerance,
-                                              double ci_epsilon) noexcept {
+PointClass classify_modeled(double model_latency,
+                            const util::ConfidenceInterval& ci,
+                            double tolerance) noexcept {
   if (!std::isfinite(model_latency) || !std::isfinite(ci.mean) || ci.mean <= 0.0) {
     return PointClass::kOutOfTolerance;
   }
-  if (ci.contains(model_latency, ci_epsilon * ci.mean)) {
+  if (ci.contains(model_latency, kCiEpsilon * ci.mean)) {
     return PointClass::kModelInCI;
   }
   const double rel = std::abs(model_latency - ci.mean) / ci.mean;
@@ -83,14 +70,14 @@ PointClass ValidationEngine::classify_modeled(double model_latency,
                           : PointClass::kOutOfTolerance;
 }
 
-ValidationReport ValidationEngine::run(const std::vector<ScenarioCase>& suite) const {
+ValidationReport run_validation(const std::vector<ScenarioCase>& suite,
+                                int replications) {
   ValidationReport report;
-  report.config = cfg_;
+  report.replications = replications;
 
   for (const ScenarioCase& c : suite) {
     core::SweepEngine engine(c.spec);  // validates the spec
-    ReplicationRunner runner(c.spec, cfg_.replications);
-    runner.set_confidence(cfg_.confidence);
+    const ReplicationRunner runner(c.spec, replications);
 
     // Sweep anchor: the model's bisected saturation boundary when the
     // registry dispatched a model, the case's explicit ceiling otherwise.
@@ -98,7 +85,7 @@ ValidationReport ValidationEngine::run(const std::vector<ScenarioCase>& suite) c
     if (engine.has_model()) {
       anchor = engine.saturation_rate().rate;
     } else if (!(anchor > 0.0)) {
-      throw std::invalid_argument("ValidationEngine: sim-only case '" + c.name +
+      throw std::invalid_argument("run_validation: sim-only case '" + c.name +
                                   "' needs a max_rate sweep anchor");
     }
     std::vector<double> lambdas;
@@ -130,8 +117,7 @@ ValidationReport ValidationEngine::run(const std::vector<ScenarioCase>& suite) c
           vp.rel_error = kNaN;
         } else {
           vp.rel_error = std::abs(mr.latency - pt.latency.mean) / pt.latency.mean;
-          vp.cls = classify_modeled(mr.latency, pt.latency, vp.tolerance,
-                                    cfg_.ci_epsilon);
+          vp.cls = classify_modeled(mr.latency, pt.latency, vp.tolerance);
         }
       } else {
         vp.family = "sim-only";
@@ -154,9 +140,9 @@ ValidationReport ValidationEngine::run(const std::vector<ScenarioCase>& suite) c
   return report;
 }
 
-std::string ValidationEngine::sanity_failure(const ReplicationPoint& pt,
-                                             const ReplicationPoint* prev,
-                                             const core::ScenarioSpec& spec) {
+std::string sanity_failure(const ReplicationPoint& pt,
+                           const ReplicationPoint* prev,
+                           const core::ScenarioSpec& spec) {
   std::ostringstream msg;
 
   // Conservation: below saturation every generated message is eventually

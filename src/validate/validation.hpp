@@ -1,19 +1,18 @@
-// ValidationEngine: statistically-gated model-vs-simulation accuracy over
-// the ScenarioSpec space.
+// Statistically-gated model-vs-simulation accuracy over the ScenarioSpec
+// space.
 //
-// The paper's claim is §4's model/simulation agreement; this engine turns
+// The paper's claim is §4's model/simulation agreement; run_validation turns
 // that claim into a tracked, machine-checkable artifact. A validation suite
 // is a list of ScenarioCases spanning every registry-dispatched model family
 // (hot-spot torus, uniform torus, hot-spot/uniform hypercube, uniform mesh)
 // plus sim-only specs (MMPP bursts, permutation patterns, ...). For each
-// case the engine
-// sweeps lambda at fixed fractions of the model's bisected saturation rate
-// (sim-only cases anchor on an explicit max_rate), measures each point with
-// R-replication Student-t confidence intervals (ReplicationRunner), and
-// classifies every point:
+// case it sweeps lambda at fixed fractions of the model's bisected
+// saturation rate (sim-only cases anchor on an explicit max_rate), measures
+// each point with R-replication Student-t confidence intervals
+// (ReplicationRunner), and classifies every point:
 //
 //   model-in-CI        model prediction inside the replication CI (widened
-//                      by ci_epsilon * sim mean — the CI collapses as R or
+//                      by kCiEpsilon * sim mean — the CI collapses as R or
 //                      the per-run sample count grows, while the model's
 //                      approximation error does not);
 //   within-tolerance   outside the CI but |model-sim|/sim within the
@@ -84,16 +83,12 @@ struct ScenarioCase {
   double max_rate = 0.0;
 };
 
-struct ValidationConfig {
-  int replications = 5;
-  double confidence = 0.95;
-  /// Relative slack added to each CI side before the in-CI test, as a
-  /// fraction of the sim mean.
-  double ci_epsilon = 0.02;
-};
+/// Relative slack added to each CI side before the in-CI test, as a
+/// fraction of the sim mean.
+inline constexpr double kCiEpsilon = 0.02;
 
 struct ValidationReport {
-  ValidationConfig config;
+  int replications = 0;
   std::vector<ValidationPoint> points;
 
   int count(PointClass cls) const noexcept;
@@ -106,35 +101,24 @@ struct ValidationReport {
 /// grows with the fraction of the saturation rate.
 double default_tolerance(double lambda_frac) noexcept;
 
-class ValidationEngine {
- public:
-  explicit ValidationEngine(ValidationConfig cfg = {});
+/// Runs and classifies the whole suite at `replications` runs per point.
+/// Cases execute sequentially (each case already parallelises its
+/// replication grid); throws std::invalid_argument on an invalid spec, a
+/// replication count below 1 or a sim-only case without a max_rate anchor.
+ValidationReport run_validation(const std::vector<ScenarioCase>& suite,
+                                int replications);
 
-  const ValidationConfig& config() const noexcept { return cfg_; }
+/// Classification core for a modeled point: `tolerance` is the ladder value.
+PointClass classify_modeled(double model_latency,
+                            const util::ConfidenceInterval& ci,
+                            double tolerance) noexcept;
 
-  /// Runs and classifies the whole suite. Cases execute sequentially (each
-  /// case already parallelises its replication grid); throws
-  /// std::invalid_argument on an invalid spec or a sim-only case without a
-  /// max_rate anchor.
-  ValidationReport run(const std::vector<ScenarioCase>& suite) const;
-
-  /// Classification core for a modeled point, exposed for unit tests:
-  /// `tolerance` is the ladder value, `ci_epsilon` the relative CI slack.
-  static PointClass classify_modeled(double model_latency,
-                                     const util::ConfidenceInterval& ci,
-                                     double tolerance, double ci_epsilon) noexcept;
-
-  /// Sim-only sanity checks (conservation, offered-load tracking,
-  /// lambda-monotonicity against `prev`, the previous unsaturated point).
-  /// Returns the failure description, or empty when all checks pass.
-  /// Exposed for unit tests.
-  static std::string sanity_failure(const ReplicationPoint& pt,
-                                    const ReplicationPoint* prev,
-                                    const core::ScenarioSpec& spec);
-
- private:
-  ValidationConfig cfg_;
-};
+/// Sim-only sanity checks (conservation, offered-load tracking,
+/// lambda-monotonicity against `prev`, the previous unsaturated point).
+/// Returns the failure description, or empty when all checks pass.
+std::string sanity_failure(const ReplicationPoint& pt,
+                           const ReplicationPoint* prev,
+                           const core::ScenarioSpec& spec);
 
 /// The committed-baseline suite: every registry-modeled topology x traffic x
 /// arrivals family (incl. the uniform mesh at two shapes) plus sim-only

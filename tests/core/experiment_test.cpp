@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/model_registry.hpp"
+#include "core/sweep_engine.hpp"
 
 namespace kncube::core {
 namespace {
@@ -52,7 +53,7 @@ TEST(Experiment, SimConfigMapping) {
 TEST(Experiment, ModelOnlySeriesPreservesOrder) {
   const ScenarioSpec s = small_scenario();
   const std::vector<double> lams = {1e-4, 5e-5, 2e-4};
-  const auto pts = run_series(s, lams, /*run_sim=*/false);
+  const auto pts = SweepEngine(s).run(lams, /*run_sim=*/false);
   ASSERT_EQ(pts.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(pts[i].lambda, lams[i]);
@@ -65,7 +66,7 @@ TEST(Experiment, ModelOnlySeriesPreservesOrder) {
 
 TEST(Experiment, SeriesWithSimProducesComparablePoints) {
   const ScenarioSpec s = small_scenario();
-  const auto pts = run_series(s, {8e-4}, /*run_sim=*/true);
+  const auto pts = SweepEngine(s).run({8e-4}, /*run_sim=*/true);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_TRUE(pts[0].has_sim);
   EXPECT_FALSE(pts[0].model.saturated);
@@ -77,8 +78,8 @@ TEST(Experiment, SeriesWithSimProducesComparablePoints) {
 
 TEST(Experiment, SeriesIsReproducibleAcrossRuns) {
   const ScenarioSpec s = small_scenario();
-  const auto a = run_series(s, {5e-4, 8e-4});
-  const auto b = run_series(s, {5e-4, 8e-4});
+  const auto a = SweepEngine(s).run({5e-4, 8e-4});
+  const auto b = SweepEngine(s).run({5e-4, 8e-4});
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].sim.mean_latency, b[i].sim.mean_latency);
   }
@@ -87,7 +88,7 @@ TEST(Experiment, SeriesIsReproducibleAcrossRuns) {
 TEST(Experiment, PointSeedsDifferAcrossIndices) {
   // Identical lambdas at different indices get decorrelated seeds.
   const ScenarioSpec s = small_scenario();
-  const auto pts = run_series(s, {8e-4, 8e-4});
+  const auto pts = SweepEngine(s).run({8e-4, 8e-4});
   EXPECT_NE(pts[0].sim.mean_latency, pts[1].sim.mean_latency);
 }
 
@@ -108,12 +109,13 @@ TEST(Experiment, RelativeErrorNanCases) {
 
 TEST(Experiment, LambdaSweepSpansRequestedRange) {
   const ScenarioSpec s = small_scenario();
-  const auto lams = lambda_sweep(s, 5, 0.2, 0.9);
+  SweepEngine engine(s);
+  const auto lams = engine.lambda_sweep(5, 0.2, 0.9);
   ASSERT_EQ(lams.size(), 5u);
   for (std::size_t i = 1; i < lams.size(); ++i) EXPECT_GT(lams[i], lams[i - 1]);
   EXPECT_NEAR(lams.back() / lams.front(), 0.9 / 0.2, 1e-9);
   // Every point below saturation must be stable for the model.
-  const auto pts = run_series(s, lams, /*run_sim=*/false);
+  const auto pts = engine.run(lams, /*run_sim=*/false);
   for (const auto& p : pts) EXPECT_FALSE(p.model.saturated);
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "core/model_registry.hpp"
+#include "core/sweep_engine.hpp"
 
 namespace kncube::core {
 namespace {
@@ -23,7 +24,7 @@ ScenarioSpec scenario(int k, int lm, double h) {
 
 TEST(ModelSaturation, BoundaryIsTight) {
   const ScenarioSpec s = scenario(16, 32, 0.2);
-  const SaturationResult sat = model_saturation_rate(s, 1e-4);
+  const SaturationResult sat = SweepEngine(s).saturation_rate();
   EXPECT_GT(sat.rate, 0.0);
   // Just below: stable. Just above: saturated.
   const ModelDispatch d = make_analytical_model(s);
@@ -34,15 +35,15 @@ TEST(ModelSaturation, BoundaryIsTight) {
 TEST(ModelSaturation, DecreasesWithHotFraction) {
   double prev = 1.0;
   for (double h : {0.1, 0.2, 0.4, 0.7}) {
-    const double rate = model_saturation_rate(scenario(16, 32, h)).rate;
+    const double rate = SweepEngine(scenario(16, 32, h)).saturation_rate().rate;
     EXPECT_LT(rate, prev) << h;
     prev = rate;
   }
 }
 
 TEST(ModelSaturation, DecreasesWithMessageLength) {
-  const double short_sat = model_saturation_rate(scenario(16, 32, 0.2)).rate;
-  const double long_sat = model_saturation_rate(scenario(16, 100, 0.2)).rate;
+  const double short_sat = SweepEngine(scenario(16, 32, 0.2)).saturation_rate().rate;
+  const double long_sat = SweepEngine(scenario(16, 100, 0.2)).saturation_rate().rate;
   EXPECT_LT(long_sat, short_sat);
   // Roughly inverse in Lm (service scales with message length).
   EXPECT_NEAR(short_sat / long_sat, 100.0 / 32.0, 1.0);
@@ -50,21 +51,21 @@ TEST(ModelSaturation, DecreasesWithMessageLength) {
 
 TEST(ModelSaturation, DecreasesWithRadix) {
   // Larger k concentrates more hot traffic on the bottleneck column.
-  const double k8 = model_saturation_rate(scenario(8, 32, 0.2)).rate;
-  const double k16 = model_saturation_rate(scenario(16, 32, 0.2)).rate;
+  const double k8 = SweepEngine(scenario(8, 32, 0.2)).saturation_rate().rate;
+  const double k16 = SweepEngine(scenario(16, 32, 0.2)).saturation_rate().rate;
   EXPECT_GT(k8, k16);
 }
 
 TEST(ModelSaturation, MatchesPaperOperatingRanges) {
   // The paper's Figure 1/2 x-axes end near the saturation rate; our model
   // must place saturation in the same decade.
-  const double f1_h20 = model_saturation_rate(scenario(16, 32, 0.2)).rate;
+  const double f1_h20 = SweepEngine(scenario(16, 32, 0.2)).saturation_rate().rate;
   EXPECT_GT(f1_h20, 3e-4);
   EXPECT_LT(f1_h20, 9e-4);  // paper plots to 6e-4
-  const double f1_h70 = model_saturation_rate(scenario(16, 32, 0.7)).rate;
+  const double f1_h70 = SweepEngine(scenario(16, 32, 0.7)).saturation_rate().rate;
   EXPECT_GT(f1_h70, 1e-4);
   EXPECT_LT(f1_h70, 3e-4);  // paper plots to 2e-4
-  const double f2_h20 = model_saturation_rate(scenario(16, 100, 0.2)).rate;
+  const double f2_h20 = SweepEngine(scenario(16, 100, 0.2)).saturation_rate().rate;
   EXPECT_GT(f2_h20, 1e-4);
   EXPECT_LT(f2_h20, 3e-4);  // paper plots to 2e-4
 }
@@ -116,7 +117,7 @@ TEST(SimSaturation, AgreesWithModelBoundary) {
   // Small network so each probe is fast. The sim boundary should land within
   // ~35% of the model's (the model is approximate, not exact).
   const ScenarioSpec s = scenario(8, 8, 0.3);
-  const double model_rate = model_saturation_rate(s).rate;
+  const double model_rate = SweepEngine(s).saturation_rate().rate;
   const double sim_rate = sim_saturation_rate(s, 0.1).rate;
   EXPECT_GT(sim_rate, 0.65 * model_rate);
   EXPECT_LT(sim_rate, 1.6 * model_rate);

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/sim_result_words.hpp"
 
 namespace kncube::core {
 namespace {
@@ -430,8 +429,8 @@ TEST(SweepEngine, AStoredRunIsAnsweredOnTheCallingThread) {
     EXPECT_EQ(model_words(warm[i].model), model_words(cold[i].model));
   }
   for (std::size_t i = 0; i < simulated.size(); ++i) {
-    EXPECT_EQ(test_support::sim_result_words(warm_sims[i].sim),
-              test_support::sim_result_words(cold_sims[i].sim));
+    EXPECT_EQ(sim::result_words(warm_sims[i].sim),
+              sim::result_words(cold_sims[i].sim));
     EXPECT_TRUE(warm_sims[i].has_model && warm_sims[i].has_sim);
   }
 }
@@ -456,8 +455,8 @@ TEST(SweepEngine, SimRunMatchesASerialIndexOrderLoop) {
     ASSERT_TRUE(pts[i].has_sim);
     EXPECT_EQ(model_words(pts[i].model), model_words(serial.model_point(lambdas[i])));
     const sim::SimResult ref = serial.sim_point(lambdas[i], serial.point_seed(i));
-    EXPECT_EQ(test_support::sim_result_words(pts[i].sim),
-              test_support::sim_result_words(ref));
+    EXPECT_EQ(sim::result_words(pts[i].sim),
+              sim::result_words(ref));
     EXPECT_EQ(pts[i].sim.sim_shards, ref.sim_shards);
     EXPECT_EQ(pts[i].sim.sim_shards_requested, ref.sim_shards_requested);
   }

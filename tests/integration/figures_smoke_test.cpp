@@ -18,8 +18,9 @@ TEST(FigureSmoke, PanelPipelineProducesPaperShapedSeries) {
   s.warmup_cycles = 3000;
   s.max_cycles = 400000;
 
-  const auto lams = lambda_sweep(s, 4, 0.15, 0.85);
-  const auto pts = run_series(s, lams);
+  SweepEngine engine(s);
+  const auto lams = engine.lambda_sweep(4, 0.15, 0.85);
+  const auto pts = engine.run(lams);
   const util::Table table = figure_table("smoke h=20%", pts);
   EXPECT_EQ(table.rows(), 4u);
 
@@ -50,7 +51,7 @@ TEST(FigureSmoke, HigherHotFractionSaturatesEarlier) {
   double prev = 1.0;
   for (double h : {0.2, 0.4, 0.7}) {
     s.hotspot().fraction = h;
-    const double sat = model_saturation_rate(s).rate;
+    const double sat = SweepEngine(s).saturation_rate().rate;
     EXPECT_LT(sat, prev) << "h=" << h;
     prev = sat;
   }
@@ -65,12 +66,14 @@ TEST(FigureSmoke, LongerMessagesShiftTheWholePanel) {
   ScenarioSpec long_s = short_s;
   long_s.message_length = 32;
 
-  const double short_sat = model_saturation_rate(short_s).rate;
-  const double long_sat = model_saturation_rate(long_s).rate;
+  SweepEngine short_engine(short_s);
+  SweepEngine long_engine(long_s);
+  const double short_sat = short_engine.saturation_rate().rate;
+  const double long_sat = long_engine.saturation_rate().rate;
   EXPECT_LT(long_sat, short_sat);
 
-  const auto ps = run_series(short_s, {0.4 * short_sat}, /*run_sim=*/false);
-  const auto pl = run_series(long_s, {0.4 * long_sat}, /*run_sim=*/false);
+  const auto ps = short_engine.run({0.4 * short_sat}, /*run_sim=*/false);
+  const auto pl = long_engine.run({0.4 * long_sat}, /*run_sim=*/false);
   EXPECT_GT(pl[0].model.latency, ps[0].model.latency);
 }
 

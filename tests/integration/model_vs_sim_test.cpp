@@ -86,7 +86,7 @@ TEST(ModelVsSim, CurvesCoMove) {
 
 TEST(ModelVsSim, BothSidesSaturateInTheSameRegion) {
   const ScenarioSpec s = ci_spec(0.5);
-  const double model_sat = model_saturation_rate(s).rate;
+  const double model_sat = SweepEngine(s).saturation_rate().rate;
   // Well below: every replication stable. Well above: the majority vote
   // flags saturation.
   const validate::ReplicationRunner runner(s, kReplications);

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "core/model_registry.hpp"
-#include "core/saturation.hpp"
 #include "core/scenario_spec.hpp"
+#include "core/sweep_engine.hpp"
 #include "model/engine/channel_class.hpp"
 
 namespace kncube::model {
@@ -83,7 +83,7 @@ TEST(ChannelClassSolve, ConstantBlockingTakesTheMapsDepth) {
     SCOPED_TRACE(c.name);
     const core::ModelDispatch d = core::make_analytical_model(c.spec);
     ASSERT_TRUE(d.has_model());
-    const double sat = core::model_saturation_rate(c.spec).rate;
+    const double sat = core::SweepEngine(c.spec).saturation_rate().rate;
     for (const double f : {0.05, 0.4, 0.8, 0.99}) {
       const ModelResult r = d.model->solve_at(f * sat);
       ASSERT_FALSE(r.saturated) << f;
@@ -129,7 +129,7 @@ TEST(ChannelClassSolve, InclusiveBasisKeepsTheDampedIterationCounts) {
     SCOPED_TRACE(c.name);
     const core::ModelDispatch d = core::make_analytical_model(c.spec);
     ASSERT_TRUE(d.has_model());
-    const double sat = core::model_saturation_rate(c.spec).rate;
+    const double sat = core::SweepEngine(c.spec).saturation_rate().rate;
     std::vector<int> got;
     for (const double f : {0.2, 0.6, 0.9}) got.push_back(d.model->solve_at(f * sat).iterations);
     EXPECT_EQ(got, c.iterations);

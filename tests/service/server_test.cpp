@@ -4,6 +4,7 @@
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -81,6 +82,26 @@ class RawConnection {
     ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
   }
 
+  /// Waits up to `timeout`, reading nothing, for the peer to shut the
+  /// connection down.
+  bool wait_for_hangup(std::chrono::seconds timeout) {
+    pollfd pfd{fd_, POLLRDHUP, 0};
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(timeout);
+    return ::poll(&pfd, 1, static_cast<int>(ms.count())) == 1 &&
+           (pfd.revents & (POLLRDHUP | POLLHUP)) != 0;
+  }
+
+  /// Everything the peer sent that read_line has not returned, up to EOF.
+  std::string read_to_eof() {
+    std::string all = std::move(buffer_);
+    buffer_.clear();
+    char chunk[4096];
+    for (ssize_t n; (n = ::recv(fd_, chunk, sizeof(chunk), 0)) > 0;) {
+      all.append(chunk, static_cast<std::size_t>(n));
+    }
+    return all;
+  }
+
   /// True when everything buffered is consumed and the peer closed.
   bool at_eof() {
     char byte = 0;
@@ -133,8 +154,6 @@ class ServerTest : public ::testing::Test {
   std::string socket_path_;
   std::unique_ptr<Server> server_;
   std::thread thread_;
-  /// A connection that stays open through TearDown's drained shutdown.
-  std::unique_ptr<RawConnection> held_open_;
 };
 
 TEST_F(ServerTest, PingAndServerWideStats) {
@@ -238,14 +257,14 @@ TEST_F(ServerTest, AClientThatNeverReadsStallsOnlyItsOwnConnection) {
   // Client A asks for 5,000 points and never reads: its response (over
   // 1 MB) outgrows the socket buffers, so its connection's send blocks.
   constexpr std::size_t kStalledPoints = 5000;
-  held_open_ = std::make_unique<RawConnection>(socket_path_);
+  RawConnection a(socket_path_);
   std::string frame = "REQUEST a\nrequest.sim=0\nrequest.lambdas=";
   for (std::size_t i = 0; i < kStalledPoints; ++i) {
     if (i > 0) frame += ',';
     frame += format_bits(1e-5 * static_cast<double>(1 + i % 50));
   }
   frame += "\nEND\n";
-  held_open_->send_bytes(frame);
+  a.send_bytes(frame);
 
   // Every one of A's points is answered: no pool lane waits on A's socket.
   const auto answered = [this] {
@@ -293,7 +312,21 @@ TEST_F(ServerTest, AClientThatNeverReadsStallsOnlyItsOwnConnection) {
   DoneMsg done;
   ASSERT_TRUE(parse_done(b.read_line(), &done));
   EXPECT_EQ(done.points, 64u);
-  // TearDown then drains the daemon with A still connected and unread.
+
+  // After kSendTimeout without a byte accepted, the daemon drops A: A reads
+  // what reached its socket buffer, a response cut short of DONE, then EOF.
+  ASSERT_TRUE(a.wait_for_hangup(std::chrono::seconds(60)));
+  const std::string response = a.read_to_eof();
+  EXPECT_TRUE(a.at_eof());
+  EXPECT_EQ(response.rfind("BEGIN id=a ", 0), 0u);
+  EXPECT_EQ(response.find("DONE id=a"), std::string::npos);
+  std::size_t points = 0;
+  for (std::size_t at = response.find("\nPOINT id=a "); at != std::string::npos;
+       at = response.find("\nPOINT id=a ", at + 1)) {
+    ++points;
+  }
+  EXPECT_GT(points, 0u);
+  EXPECT_LT(points, kStalledPoints);
 }
 
 TEST_F(ServerTest, SimOnlySpecWithoutAnchorGetsAStructuredError) {

@@ -5,7 +5,7 @@
 namespace kncube::sim {
 namespace {
 
-Metrics make_metrics() { return Metrics(10, 0.05, 1000.0); }
+Metrics make_metrics() { return Metrics(1000.0); }
 
 TEST(Metrics, CountsGeneratedAndBacklog) {
   Metrics m = make_metrics();
@@ -79,14 +79,15 @@ TEST(Metrics, FlitCounter) {
 }
 
 TEST(Metrics, SteadyStateNeedsEnoughBatches) {
-  Metrics m = make_metrics();  // batches of 10
+  Metrics m = make_metrics();
+  constexpr std::uint64_t kBatch = Metrics::kSteadyBatch;
   m.begin_measurement(0);
-  for (std::uint64_t i = 0; i < 30; ++i) {
+  for (std::uint64_t i = 0; i < 3 * kBatch; ++i) {
     m.on_injected(i, 1, 2);
     m.on_delivered(i, 1, 43, 0);
   }
   EXPECT_FALSE(m.steady());  // 3 batches < 2 windows of 3
-  for (std::uint64_t i = 30; i < 90; ++i) {
+  for (std::uint64_t i = 3 * kBatch; i < 9 * kBatch; ++i) {
     m.on_injected(i, 1, 2);
     m.on_delivered(i, 1, 43, 0);
   }

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "support/sim_result_words.hpp"
 #include "util/thread_pool.hpp"
 
 namespace kncube::sim {
@@ -276,8 +275,7 @@ class ReferenceTicker {
  public:
   explicit ReferenceTicker(const SimConfig& cfg)
       : net_(cfg),
-        metrics_(cfg.batch_size, cfg.steady_rel_tol,
-                 200.0 * static_cast<double>(cfg.message_length + cfg.k * cfg.n)),
+        metrics_(200.0 * static_cast<double>(cfg.message_length + cfg.k * cfg.n)),
         pattern_(make_pattern(cfg, net_.topology())),
         arrivals_(cfg, net_.faults(), net_.size()) {
     if (cfg.pattern == Pattern::kHotspot) metrics_.set_hot_node(cfg.resolved_hot_node());
@@ -366,7 +364,7 @@ TEST(ShardedStep, LookaheadAndLiveSetInvisibleAtAnyCut) {
     const Observation expected = snapshot(ref.network(), ref.metrics());
     ASSERT_GT(expected.generated, 2 * chunks);  // traffic beyond the probes
 
-    std::vector<std::uint64_t> serial_result;
+    SimResultWords serial_result{};
     for (const int threads : {1, 2, 4}) {
       SimConfig tcfg = cfg;
       tcfg.sim_threads = threads;
@@ -377,7 +375,7 @@ TEST(ShardedStep, LookaheadAndLiveSetInvisibleAtAnyCut) {
       EXPECT_EQ(sim.current_cycle(), ref.current_cycle()) << "T=" << threads;
       expect_identical(expected, snapshot(sim.network(), sim.metrics()), threads,
                        "vs per-tick reference");
-      const std::vector<std::uint64_t> result = test_support::sim_result_words(sim.finalize(0));
+      const SimResultWords result = result_words(sim.finalize(0));
       if (threads == 1) {
         serial_result = result;
       } else {

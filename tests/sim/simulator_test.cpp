@@ -3,8 +3,10 @@
 // SimResult.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 
 #include "sim/simulator.hpp"
 
@@ -156,6 +158,54 @@ TEST(Simulator, InvalidConfigThrowsBeforeTheNetworkIsBuilt) {
     cfg.k = k;
     EXPECT_THROW(simulate(cfg), std::invalid_argument) << "k=" << k;
   }
+}
+
+TEST(SimResultWords, EveryResultFieldChangesTheWords) {
+  // The thread-invariance gate and the sharding and store tests compare the
+  // words and nothing else, so every result field must reach them.
+  using Edit = void (*)(SimResult&);
+  const Edit edits[] = {
+      [](SimResult& r) { r.mean_latency = 1; },
+      [](SimResult& r) { r.latency_ci95 = 1; },
+      [](SimResult& r) { r.p50_latency = 1; },
+      [](SimResult& r) { r.p95_latency = 1; },
+      [](SimResult& r) { r.p99_latency = 1; },
+      [](SimResult& r) { r.mean_network_latency = 1; },
+      [](SimResult& r) { r.mean_source_wait = 1; },
+      [](SimResult& r) { r.mean_latency_hot = 1; },
+      [](SimResult& r) { r.mean_latency_regular = 1; },
+      [](SimResult& r) { r.measured_messages = 1; },
+      [](SimResult& r) { r.cycles = 1; },
+      [](SimResult& r) { r.measured_cycles = 1; },
+      [](SimResult& r) { r.offered_load = 1; },
+      [](SimResult& r) { r.generated_load = 1; },
+      [](SimResult& r) { r.accepted_load = 1; },
+      [](SimResult& r) { r.steady = true; },
+      [](SimResult& r) { r.saturated = true; },
+      [](SimResult& r) { r.unreachable_messages = 1; },
+      [](SimResult& r) { r.unreachable_messages_total = 1; },
+      [](SimResult& r) { r.unreachable_fraction = 1; },
+      [](SimResult& r) { r.unreachable_pairs = 1; },
+      [](SimResult& r) { r.reachable_pair_fraction = 0.5; },
+      [](SimResult& r) { r.failed_routers = 1; },
+      [](SimResult& r) { r.conservation_ok = false; },
+      [](SimResult& r) { r.mean_channel_utilization = 1; },
+      [](SimResult& r) { r.max_channel_utilization = 1; },
+      [](SimResult& r) { r.mean_vc_multiplexing = 2; },
+      [](SimResult& r) { r.hot_channel_utilization = 1; },
+  };
+  static_assert(std::extent_v<decltype(edits)> == std::tuple_size_v<SimResultWords>);
+  const SimResultWords base = result_words(SimResult{});
+  for (std::size_t i = 0; i < std::size(edits); ++i) {
+    SimResult r;
+    edits[i](r);
+    EXPECT_NE(result_words(r), base) << "field " << i;
+  }
+  // How the run was sharded is not what it simulated.
+  SimResult sharded;
+  sharded.sim_shards = 4;
+  sharded.sim_shards_requested = 4;
+  EXPECT_EQ(result_words(sharded), base);
 }
 
 // Property sweep over the design space: conservation and sanity on every

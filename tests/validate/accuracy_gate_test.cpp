@@ -9,16 +9,13 @@
 #include <cmath>
 
 #include "validate/accuracy_json.hpp"
-#include "validate/validation_engine.hpp"
+#include "validate/validation.hpp"
 
 namespace kncube::validate {
 namespace {
 
 TEST(AccuracyGate, QuickSuitePasses) {
-  ValidationConfig cfg;
-  cfg.replications = 3;
-  const ValidationEngine engine(cfg);
-  const ValidationReport report = engine.run(quick_suite());
+  const ValidationReport report = run_validation(quick_suite(), 3);
 
   // Print the table on failure so the regressing point is visible in CI.
   EXPECT_TRUE(report.passed()) << accuracy_table(report).to_string();

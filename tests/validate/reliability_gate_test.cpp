@@ -16,14 +16,11 @@
 namespace kncube::validate {
 namespace {
 
-/// One engine run shared by every assertion below (the suite costs seconds;
+/// One run shared by every assertion below (the suite costs seconds;
 /// re-running it per TEST would dominate tier-1 wall-clock).
 const ReliabilityReport& quick_report() {
-  static const ReliabilityReport report = [] {
-    ReliabilityConfig cfg;
-    cfg.replications = 2;
-    return ReliabilityEngine(cfg).run(reliability_quick_suite());
-  }();
+  static const ReliabilityReport report =
+      run_reliability(reliability_quick_suite(), 2);
   return report;
 }
 
@@ -80,15 +77,15 @@ TEST(ReliabilityGate, FaultySpecDerivationIsDeterministic) {
   const auto suite = reliability_quick_suite();
   ASSERT_FALSE(suite.empty());
   const ReliabilityCase& c = suite.front();
-  const core::ScenarioSpec pristine = ReliabilityEngine::faulty_spec(c, 0);
+  const core::ScenarioSpec pristine = faulty_spec(c, 0);
   EXPECT_TRUE(pristine.failures.empty());
   EXPECT_EQ(pristine.key(), c.spec.key());
 
-  const core::ScenarioSpec f2 = ReliabilityEngine::faulty_spec(c, 2);
+  const core::ScenarioSpec f2 = faulty_spec(c, 2);
   EXPECT_FALSE(f2.failures.empty());
   EXPECT_EQ(f2.failures.random_seed, c.failure_seed);
   EXPECT_NE(f2.key(), pristine.key());
-  EXPECT_EQ(f2.key(), ReliabilityEngine::faulty_spec(c, 2).key());
+  EXPECT_EQ(f2.key(), faulty_spec(c, 2).key());
   EXPECT_NO_THROW(f2.validate());
 }
 

@@ -173,8 +173,6 @@ TEST(ReplicationRunner, RejectsBadConfig) {
   core::ScenarioSpec bad = small_spec();
   bad.torus().k = 1;
   EXPECT_THROW(ReplicationRunner(bad, 3), std::invalid_argument);
-  ReplicationRunner runner(small_spec(), 2);
-  EXPECT_THROW(runner.set_confidence(1.5), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
-// ValidationEngine unit coverage: classification logic, sanity checks,
-// tolerance ladder, suite composition and JSON rendering — everything that
-// doesn't need a real simulation (the end-to-end quick-suite run lives in
+// Validation unit coverage: classification logic, sanity checks, tolerance
+// ladder, suite composition and JSON rendering — everything that doesn't
+// need a real simulation (the end-to-end quick-suite run lives in
 // accuracy_gate_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <sstream>
 
 #include "core/model_registry.hpp"
 #include "validate/accuracy_json.hpp"
-#include "validate/validation_engine.hpp"
+#include "validate/reliability.hpp"
+#include "validate/validation.hpp"
 
 namespace kncube::validate {
 namespace {
@@ -23,33 +27,32 @@ util::ConfidenceInterval ci(double mean, double half_width) {
 }
 
 TEST(Classification, ModelInsideCi) {
-  EXPECT_EQ(ValidationEngine::classify_modeled(102.0, ci(100.0, 3.0), 0.15, 0.0),
-            PointClass::kModelInCI);
+  EXPECT_EQ(classify_modeled(102.0, ci(100.0, 3.0), 0.15), PointClass::kModelInCI);
   // Exactly on the widened edge: 100 + 3 + 0.02*100 = 105.
-  EXPECT_EQ(ValidationEngine::classify_modeled(105.0, ci(100.0, 3.0), 0.15, 0.02),
-            PointClass::kModelInCI);
+  EXPECT_EQ(classify_modeled(105.0, ci(100.0, 3.0), 0.15), PointClass::kModelInCI);
 }
 
 TEST(Classification, WithinToleranceOutsideCi) {
-  // 10% off with a 2-cycle CI: outside the interval, inside the ladder.
-  EXPECT_EQ(ValidationEngine::classify_modeled(110.0, ci(100.0, 2.0), 0.15, 0.0),
+  // 10% off with a 2-cycle CI: outside the widened interval, inside the
+  // ladder.
+  EXPECT_EQ(classify_modeled(110.0, ci(100.0, 2.0), 0.15),
             PointClass::kWithinTolerance);
 }
 
 TEST(Classification, OutOfTolerance) {
-  EXPECT_EQ(ValidationEngine::classify_modeled(150.0, ci(100.0, 2.0), 0.15, 0.02),
+  EXPECT_EQ(classify_modeled(150.0, ci(100.0, 2.0), 0.15),
             PointClass::kOutOfTolerance);
   // Non-finite model prediction on an unsaturated sim point is a failure,
   // not a skip.
-  EXPECT_EQ(ValidationEngine::classify_modeled(
-                std::numeric_limits<double>::infinity(), ci(100.0, 2.0), 0.15, 0.0),
+  EXPECT_EQ(classify_modeled(std::numeric_limits<double>::infinity(),
+                             ci(100.0, 2.0), 0.15),
             PointClass::kOutOfTolerance);
 }
 
 TEST(Classification, InfiniteHalfWidthNeverRejects) {
   // R = 1: no variance estimate, the CI is the whole line.
-  EXPECT_EQ(ValidationEngine::classify_modeled(
-                1e6, ci(100.0, std::numeric_limits<double>::infinity()), 0.15, 0.0),
+  EXPECT_EQ(classify_modeled(
+                1e6, ci(100.0, std::numeric_limits<double>::infinity()), 0.15),
             PointClass::kModelInCI);
 }
 
@@ -83,7 +86,7 @@ ReplicationPoint sanity_point(double lambda, double latency_mean,
 TEST(SanityChecks, PassesConsistentPoint) {
   core::ScenarioSpec spec;
   const auto pt = sanity_point(0.002, 50.0, 0.002, 0.00199);
-  EXPECT_TRUE(ValidationEngine::sanity_failure(pt, nullptr, spec).empty());
+  EXPECT_TRUE(sanity_failure(pt, nullptr, spec).empty());
 }
 
 TEST(SanityChecks, CatchesConservationViolation) {
@@ -91,7 +94,7 @@ TEST(SanityChecks, CatchesConservationViolation) {
   // Accepted load 20% below generated: messages are vanishing (or piling up
   // unboundedly) inside the network.
   const auto pt = sanity_point(0.002, 50.0, 0.002, 0.0016);
-  const std::string failure = ValidationEngine::sanity_failure(pt, nullptr, spec);
+  const std::string failure = sanity_failure(pt, nullptr, spec);
   EXPECT_NE(failure.find("conservation"), std::string::npos) << failure;
 }
 
@@ -100,18 +103,19 @@ TEST(SanityChecks, CatchesOfferedLoadDrift) {
   // Generated load 40% below offered: the arrival process is not emitting
   // the configured rate.
   const auto pt = sanity_point(0.002, 50.0, 0.0012, 0.0012);
-  const std::string failure = ValidationEngine::sanity_failure(pt, nullptr, spec);
+  const std::string failure = sanity_failure(pt, nullptr, spec);
   EXPECT_NE(failure.find("offered-load"), std::string::npos) << failure;
 }
 
 TEST(SanityChecks, MmppGetsWiderOfferedBand) {
   core::ScenarioSpec spec;
   spec.arrivals = core::MmppArrivals{};
-  // 25% drift: fails the 15% Bernoulli band, passes the 30% MMPP band.
+  // 25% drift: fails the 15% Bernoulli band, passes the MMPP band (15%
+  // scaled by the default chain's mmpp_offered_load_dispersion).
   const auto pt = sanity_point(0.002, 50.0, 0.0015, 0.0015);
-  EXPECT_TRUE(ValidationEngine::sanity_failure(pt, nullptr, spec).empty());
+  EXPECT_TRUE(sanity_failure(pt, nullptr, spec).empty());
   spec.arrivals = core::BernoulliArrivals{};
-  EXPECT_FALSE(ValidationEngine::sanity_failure(pt, nullptr, spec).empty());
+  EXPECT_FALSE(sanity_failure(pt, nullptr, spec).empty());
 }
 
 TEST(SanityChecks, CatchesNonMonotoneLatency) {
@@ -119,11 +123,11 @@ TEST(SanityChecks, CatchesNonMonotoneLatency) {
   const auto prev = sanity_point(0.002, 80.0, 0.002, 0.002);
   // Latency collapsed by far more than the combined CI half-widths.
   const auto cur = sanity_point(0.004, 40.0, 0.004, 0.004);
-  const std::string failure = ValidationEngine::sanity_failure(cur, &prev, spec);
+  const std::string failure = sanity_failure(cur, &prev, spec);
   EXPECT_NE(failure.find("monotonicity"), std::string::npos) << failure;
   // A drop within the noise band passes.
   const auto wiggle = sanity_point(0.004, 79.5, 0.004, 0.004);
-  EXPECT_TRUE(ValidationEngine::sanity_failure(wiggle, &prev, spec).empty());
+  EXPECT_TRUE(sanity_failure(wiggle, &prev, spec).empty());
 }
 
 // --- report and config plumbing ---
@@ -146,25 +150,12 @@ TEST(Report, CountsAndPassFlag) {
   EXPECT_FALSE(report.passed());
 }
 
-TEST(Engine, RejectsBadConfig) {
-  ValidationConfig cfg;
-  cfg.replications = 0;
-  EXPECT_THROW(ValidationEngine{cfg}, std::invalid_argument);
-  cfg = {};
-  cfg.confidence = 1.0;
-  EXPECT_THROW(ValidationEngine{cfg}, std::invalid_argument);
-  cfg = {};
-  cfg.ci_epsilon = -0.1;
-  EXPECT_THROW(ValidationEngine{cfg}, std::invalid_argument);
-}
-
-TEST(Engine, SimOnlyCaseWithoutAnchorThrows) {
-  ValidationEngine engine;
+TEST(RunValidation, SimOnlyCaseWithoutAnchorThrows) {
   ScenarioCase c;
   c.name = "anchorless";
   c.spec.traffic = core::TransposeTraffic{};  // sim-only
   c.fractions = {0.5};
-  EXPECT_THROW(engine.run({c}), std::invalid_argument);
+  EXPECT_THROW(run_validation({c}, 5), std::invalid_argument);
 }
 
 TEST(Suites, CoverEveryModeledFamilyAndSimOnlySpecs) {
@@ -210,7 +201,7 @@ TEST(Suites, CoverEveryModeledFamilyAndSimOnlySpecs) {
 
 TEST(AccuracyJson, RendersStableSchema) {
   ValidationReport report;
-  report.config.replications = 3;
+  report.replications = 3;
   ValidationPoint p;
   p.scenario = "case-a";
   p.family = "hotspot-torus";
@@ -250,6 +241,38 @@ TEST(AccuracyJson, RendersStableSchema) {
   const util::Table table = accuracy_table(report);
   EXPECT_EQ(table.rows(), 2u);
   EXPECT_NE(table.to_string().find("model_in_ci"), std::string::npos);
+}
+
+/// Everything before the "summary" block of a report: its schema and the
+/// config the constants write. Empty when `json` has no summary.
+std::string report_header(const std::string& json) {
+  const std::size_t summary = json.find("\"summary\"");
+  return summary == std::string::npos ? "" : json.substr(0, summary);
+}
+
+/// The header of a committed report at the repository root.
+std::string committed_header(const char* name) {
+  std::ifstream in(std::filesystem::path(KNCUBE_SOURCE_DIR) / name,
+                   std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return report_header(text.str());
+}
+
+TEST(ReportHeaders, MatchTheCommittedReports) {
+  // ACCURACY.json is written at 5 replications, RELIABILITY.json at 3; the
+  // confidence and CI slack come from kConfidence and kCiEpsilon.
+  ValidationReport accuracy;
+  accuracy.replications = 5;
+  const std::string accuracy_header = committed_header("ACCURACY.json");
+  ASSERT_FALSE(accuracy_header.empty());
+  EXPECT_EQ(report_header(to_json(accuracy)), accuracy_header);
+
+  ReliabilityReport reliability;
+  reliability.replications = 3;
+  const std::string reliability_header = committed_header("RELIABILITY.json");
+  ASSERT_FALSE(reliability_header.empty());
+  EXPECT_EQ(report_header(to_json(reliability)), reliability_header);
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
 //                                         # gate only — writes no file unless
 //                                         # --out is given explicitly
 //   kncube_reliability --out path.json    # write elsewhere (empty: no file)
-//   kncube_reliability --replications 5 --confidence 0.99
+//   kncube_reliability --replications 5   # runs per point (default 3, quick 2)
+//
+// Every interval is a 95% Student-t CI (validate::kConfidence).
 //
 // Regenerating the committed baseline (from the repo root):
 //   ./build/tools/kncube_reliability --out RELIABILITY.json
@@ -20,14 +22,16 @@
 #include <string>
 
 #include "util/cli.hpp"
+#include "validate/accuracy_json.hpp"
 #include "validate/reliability.hpp"
+#include "validate/replication.hpp"
 
 int main(int argc, char** argv) {
   using namespace kncube;
 
   util::Args args(argc, argv);
   const auto unknown =
-      args.unknown_keys({"quick", "out", "replications", "confidence"});
+      args.unknown_keys({"quick", "out", "replications"});
   if (!unknown.empty()) {
     std::cerr << "kncube_reliability: unknown option --" << unknown.front()
               << "\n";
@@ -40,26 +44,25 @@ int main(int argc, char** argv) {
   const std::string out_path =
       args.get_string("out", quick ? "" : "RELIABILITY.json");
 
-  validate::ReliabilityConfig cfg;
-  cfg.replications =
+  const auto replications =
       static_cast<int>(args.get_int("replications", quick ? 2 : 3));
-  cfg.confidence = args.get_double("confidence", 0.95);
 
   try {
-    const validate::ReliabilityEngine engine(cfg);
     const auto suite = quick ? validate::reliability_quick_suite()
                              : validate::reliability_suite();
     std::cout << (quick ? "quick" : "full") << " suite: " << suite.size()
-              << " scenarios, " << cfg.replications
-              << " replications/point, confidence " << cfg.confidence << "\n\n";
+              << " scenarios, " << replications
+              << " replications/point, confidence " << validate::kConfidence
+              << "\n\n";
 
-    const validate::ReliabilityReport report = engine.run(suite);
+    const validate::ReliabilityReport report =
+        validate::run_reliability(suite, replications);
 
     validate::reliability_table(report).print(std::cout);
     std::cout << "\n" << validate::summary_line(report) << "\n";
 
     if (!out_path.empty()) {
-      if (!validate::write_reliability_json(report, out_path)) {
+      if (!validate::write_json(out_path, validate::to_json(report))) {
         std::cerr << "kncube_reliability: cannot write '" << out_path << "'\n";
         return EXIT_FAILURE;
       }

@@ -1,13 +1,14 @@
 // kncube_serve: the capacity-planning daemon (DESIGN.md §11). Listens on a
-// Unix domain socket, answers ScenarioSpec sweep requests from a persistent
-// disk-backed result store, and streams points as they converge.
+// Unix domain socket and answers ScenarioSpec sweep requests from a
+// persistent disk-backed result store, one write per response.
 //
 // Usage:
 //   kncube_serve --socket /tmp/kncube.sock [--store results.kncs] [--verbose]
 //
 //   --socket path   Unix socket to listen on (required)
 //   --store path    disk-backed result store; omitted = in-memory only
-//   --verbose       log one INFO line per request
+//   --verbose       write one `[kncube_serve] id=...` line per answered
+//                   request to stderr
 //
 // SIGTERM/SIGINT shut the daemon down gracefully: in-flight requests drain,
 // the store flushes, and the socket file is removed. Point kncube_run at it
@@ -23,7 +24,6 @@
 #include "service/server.hpp"
 #include "service/store_version.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
 
 namespace {
 

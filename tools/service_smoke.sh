@@ -11,7 +11,9 @@
 #   4. SIGTERMs the daemon (clean exit, socket removed), restarts it on
 #      the same store file and asserts every answer is a cache hit —
 #      zero solves, zero sim runs, byte-identical tables;
-#   5. shuts down again and checks the store survived with content.
+#   5. shuts down again and checks the store survived with content;
+#   6. checks that each `--verbose` daemon log has one `[kncube_serve] id=`
+#      line per answered request (errors answer no request).
 #
 # Usage: tools/service_smoke.sh [build-dir]   (default: ./build)
 # Registered as the `service_smoke` ctest (label "service") and run by the
@@ -46,6 +48,16 @@ store="$work/results.kncs"
 export KNCUBE_QUICK=1
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
+
+# Asserts that a daemon log holds one verbose line per answered request:
+# <want> of them, matching the count on its "shut down after" line.
+check_verbose_log() { # check_verbose_log <logfile> <want>
+  local lines served
+  lines="$(grep -c '^\[kncube_serve\] id=' "$1" || true)"
+  served="$(grep -o 'shut down after [0-9]*' "$1" | grep -o '[0-9]*$')"
+  [[ "$lines" -eq "$2" && "$served" -eq "$2" ]] \
+    || fail "$1: $lines --verbose lines, $served served, want $2"
+}
 
 # Value of one counter on the client-printed "server stats:" line.
 stat_of() { # stat_of <file> <counter>
@@ -175,5 +187,11 @@ stop_daemon
 [[ -s "$store" ]] || fail "store file is missing or empty after shutdown"
 grep -q "shut down after" "$work/serve2.log" \
   || fail "daemon did not log its drained shutdown"
+
+echo "== 6. --verbose: one line per answered request"
+# Run 1 answered a1, a2, b, sim-only and the warm repeat; run 2 the two
+# restart requests.
+check_verbose_log "$work/serve1.log" 5
+check_verbose_log "$work/serve2.log" 2
 
 echo "service smoke: OK"

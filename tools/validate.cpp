@@ -12,7 +12,9 @@
 //                                         # gate only — writes no file unless
 //                                         # --out is given explicitly
 //   kncube_validate --out path.json       # write elsewhere (empty: no file)
-//   kncube_validate --replications 7 --confidence 0.99
+//   kncube_validate --replications 7      # runs per point (default 5, quick 3)
+//
+// Every interval is a 95% Student-t CI (validate::kConfidence).
 //
 // Regenerating the committed baseline (from the repo root):
 //   ./build/tools/kncube_validate --out ACCURACY.json
@@ -21,14 +23,15 @@
 
 #include "util/cli.hpp"
 #include "validate/accuracy_json.hpp"
-#include "validate/validation_engine.hpp"
+#include "validate/replication.hpp"
+#include "validate/validation.hpp"
 
 int main(int argc, char** argv) {
   using namespace kncube;
 
   util::Args args(argc, argv);
   const auto unknown =
-      args.unknown_keys({"quick", "out", "replications", "confidence"});
+      args.unknown_keys({"quick", "out", "replications"});
   if (!unknown.empty()) {
     std::cerr << "kncube_validate: unknown option --" << unknown.front() << "\n";
     return EXIT_FAILURE;
@@ -40,26 +43,25 @@ int main(int argc, char** argv) {
   const std::string out_path =
       args.get_string("out", quick ? "" : "ACCURACY.json");
 
-  validate::ValidationConfig cfg;
-  cfg.replications =
+  const auto replications =
       static_cast<int>(args.get_int("replications", quick ? 3 : 5));
-  cfg.confidence = args.get_double("confidence", 0.95);
 
   try {
-    const validate::ValidationEngine engine(cfg);
     const auto suite =
         quick ? validate::quick_suite() : validate::full_suite();
     std::cout << (quick ? "quick" : "full") << " suite: " << suite.size()
-              << " scenarios, " << cfg.replications
-              << " replications/point, confidence " << cfg.confidence << "\n\n";
+              << " scenarios, " << replications
+              << " replications/point, confidence " << validate::kConfidence
+              << "\n\n";
 
-    const validate::ValidationReport report = engine.run(suite);
+    const validate::ValidationReport report =
+        validate::run_validation(suite, replications);
 
     validate::accuracy_table(report).print(std::cout);
     std::cout << "\n" << validate::summary_line(report) << "\n";
 
     if (!out_path.empty()) {
-      if (!validate::write_accuracy_json(report, out_path)) {
+      if (!validate::write_json(out_path, validate::to_json(report))) {
         std::cerr << "kncube_validate: cannot write '" << out_path << "'\n";
         return EXIT_FAILURE;
       }
